@@ -36,7 +36,7 @@ from .losses import (
     tstar_analytic,
 )
 from .relu_net import complexity
-from .risk import rate_sweep, risk_report
+from .risk import median_of_seeds, rate_sweep, risk_report
 from .structured import aggregate_complexity, make_structured_net, pdim_bound, save_manifest
 from .synthetic import sample_dataset, write_dataset_csv
 from .erm import train
@@ -400,7 +400,7 @@ def cmd_report(args) -> int:
     for r in rows:
         by_n.setdefault(int(r["n"]), []).append(float(r["excess"]))
     n_values = sorted(by_n)
-    medians = [max(float(np.median(by_n[n])), 1e-12) for n in n_values]
+    medians = [max(median_of_seeds(by_n[n]), 1e-12) for n in n_values]
     out_path = os.path.join(args.dir, "plot_data.csv")
     write_csv(out_path,
               ["log10_n", "log10_median_excess", "fit_line", "reference_line"],

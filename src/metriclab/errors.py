@@ -46,7 +46,12 @@ class ExecutionError(RuntimeError):
 
 
 class RangeTooSmallError(ExecutionError):
-    """Grid minimizer hit the search boundary (minimizer may be unbounded)."""
+    """The minimizer lies outside the search range (it may be unbounded);
+    side is "lower" or "upper"."""
+
+    def __init__(self, message, side):
+        super().__init__(message)
+        self.side = side
 
 
 class DivergenceError(ExecutionError):

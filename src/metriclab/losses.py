@@ -3,13 +3,12 @@
 For a loss l and conditional probability eta, the pointwise objective is
     Q(eta, t) = eta * l(t) + (1 - eta) * l(-t),
 and the true metric value at a pair is the infimum of argmin_t Q(eta, t).
-The oracle below minimizes Q on a grid with one local refinement pass.
 
-Minimizer selection: genuinely flat argmin sets (piecewise-linear losses)
-are detected by their width and resolved to their smallest element; the
-shallow numerical flats of strictly convex losses (width ~1e-4 at double
-precision) resolve to the grid argmin instead, so the oracle stays within
-one refined step of the unique minimizer.
+Q(eta, .) is convex, so that infimum is the smallest t whose right
+derivative is >= 0; the oracle bisects for it over the exact-float lattice
+t = k * 2**-40.  The kinks of the piecewise-linear losses (+-1, b +- 1 for
+dyadic b) are lattice points, so flat argmin sets resolve exactly; strictly
+convex minimizers are found to within half a lattice step.
 """
 
 from __future__ import annotations
@@ -23,11 +22,8 @@ from scipy.special import expit
 from .errors import ParameterError, PropertyViolation, RangeTooSmallError
 
 T_RANGE = (-20.0, 20.0)
-COARSE_STEP = 1e-4
-REFINE_STEP = 1e-6
-PLATEAU_TOL = 1e-12
-PLATEAU_WIDTH_THRESHOLD = 0.01  # narrower flats are numerical, not genuine
-ORACLE_SLACK = 2.0 * REFINE_STEP
+LATTICE_STEP = 2.0 ** -40
+ORACLE_SLACK = 2e-6
 
 
 @dataclass
@@ -47,7 +43,7 @@ class LossFunction:
             raise ParameterError(f"loss {self.name}: all three loss flags must be true")
 
     def validate(self, probe_grid=None) -> None:
-        """Spot-check nonnegativity, monotonicity and midpoint convexity."""
+        """Spot-check nonnegativity, monotonicity, convexity and the subgradient."""
         t = np.linspace(-10.0, 10.0, 2001) if probe_grid is None else np.asarray(probe_grid)
         v = self.eval(t)
         if np.any(v < -1e-12):
@@ -57,6 +53,14 @@ class LossFunction:
         mid = self.eval((t[:-1] + t[1:]) / 2.0)
         if np.any(mid > (v[:-1] + v[1:]) / 2.0 + 1e-9):
             raise PropertyViolation(f"loss {self.name} fails midpoint convexity")
+        g = np.broadcast_to(self.subgradient(t), t.shape)
+        secant = np.diff(v) / np.diff(t)
+        tol = 1e-9 * np.maximum(1.0, np.abs(secant))
+        if np.any(np.diff(g) < -tol):
+            raise PropertyViolation(f"loss {self.name}: subgradient decreases on the probe grid")
+        if np.any(g[:-1] > secant + tol) or np.any(secant > g[1:] + tol):
+            raise PropertyViolation(f"loss {self.name}: subgradient is not bracketed "
+                                    "by the secant slopes")
 
 
 def _hinge_analytic(eta: float, convention: str = "infimum") -> float:
@@ -133,60 +137,47 @@ def q_value(loss: LossFunction, eta: float, t):
     return eta * loss.eval(t) + (1.0 - eta) * loss.eval(-t)
 
 
-def _select_infimum(ts: np.ndarray, qs: np.ndarray, step: float) -> tuple[float, float]:
-    qs = np.where(np.isfinite(qs), qs, np.inf)
-    idx = int(np.argmin(qs))
-    qmin = float(qs[idx])
-    attain = ts[qs <= qmin + PLATEAU_TOL]
-    if attain[-1] - attain[0] > PLATEAU_WIDTH_THRESHOLD:
-        return float(attain[0]), qmin
-    return float(ts[idx]), qmin
+def _grid_infimum_minimize(slope, t_range=T_RANGE) -> float:
+    """Smallest lattice point t in t_range with slope(t + LATTICE_STEP/2) >= 0.
 
-
-def _grid_infimum_minimize(objective, t_range=T_RANGE, t_step=COARSE_STEP,
-                           refine_step=REFINE_STEP) -> tuple[float, float]:
-    """Minimize a scalar objective on a grid; returns (minimizer, min value).
-
-    Applies the infimum convention to genuine plateaus and raises
-    RangeTooSmallError when the minimizer sits at the search boundary.
+    Half a step to the right of a lattice point, the derivative of a convex
+    objective is its right derivative there, when its kinks are lattice
+    points.  Raises RangeTooSmallError when the result is not inside t_range.
     """
     t_lo, t_hi = t_range
-    if t_step <= 0.0 or t_hi <= t_lo:
-        raise ParameterError("invalid grid range or step")
-    n = int(round((t_hi - t_lo) / t_step)) + 1
-    ts = t_lo + np.arange(n) * t_step
-    winner, qmin = _select_infimum(ts, objective(ts), t_step)
+    lo = math.ceil(t_lo / LATTICE_STEP)
+    hi = math.floor(t_hi / LATTICE_STEP)
+    if hi <= lo:
+        raise ParameterError(f"invalid search range {t_range}")
 
-    lo = max(t_lo, winner - t_step)
-    hi = min(t_hi, winner + t_step)
-    m = int(round((hi - lo) / refine_step)) + 1
-    fine = lo + np.arange(m) * refine_step
-    fwinner, fqmin = _select_infimum(fine, objective(fine), refine_step)
-    qmin = min(qmin, fqmin)
+    def rising(k: int) -> bool:
+        return bool(slope((k + 0.5) * LATTICE_STEP) >= 0.0)
 
-    if fwinner <= t_lo + t_step or fwinner >= t_hi - t_step:
-        err = RangeTooSmallError(
-            f"minimizer {fwinner:.6g} at search boundary of [{t_lo}, {t_hi}]"
-        )
-        err.side = "lower" if fwinner <= t_lo + t_step else "upper"
-        raise err
-    return fwinner, qmin
+    if rising(lo):
+        raise RangeTooSmallError(f"minimizer at or below the lower bound {t_lo}", side="lower")
+    if not rising(hi):
+        raise RangeTooSmallError(f"minimizer beyond the upper bound {t_hi}", side="upper")
+    # invariant: slope < 0 at lo, >= 0 at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rising(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi * LATTICE_STEP
 
 
-def tstar_oracle(loss: LossFunction, eta: float, t_range=T_RANGE,
-                 t_step=COARSE_STEP) -> float:
-    """Infimum of argmin_t Q(eta, t), located by grid search."""
+def tstar_oracle(loss: LossFunction, eta: float, t_range=T_RANGE) -> float:
+    """Infimum of argmin_t Q(eta, t), located by bisection on its slope."""
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"eta must lie in [0, 1], got {eta}")
-    return _grid_infimum_minimize(lambda t: q_value(loss, eta, t), t_range, t_step)[0]
+    return _grid_infimum_minimize(
+        lambda t: eta * loss.subgradient(t) - (1.0 - eta) * loss.subgradient(-t), t_range)
 
 
-def q_minimum(loss: LossFunction, eta: float, t_range=T_RANGE,
-              t_step=COARSE_STEP) -> float:
-    """min_t Q(eta, t) over the search grid."""
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
-    return _grid_infimum_minimize(lambda t: q_value(loss, eta, t), t_range, t_step)[1]
+def q_minimum(loss: LossFunction, eta: float, t_range=T_RANGE) -> float:
+    """min_t Q(eta, t), evaluated at the oracle's minimizer."""
+    return float(q_value(loss, eta, tstar_oracle(loss, eta, t_range)))
 
 
 def tstar_analytic(loss: LossFunction, eta: float, hinge_convention: str = "infimum"):
@@ -207,21 +198,20 @@ class MinimizerProfile:
     q_min: np.ndarray
     analytic: np.ndarray  # NaN where no closed form
     t_range: tuple
-    t_step: float
     loss_name: str = ""
 
 
 def check_monotone(loss: LossFunction, eta_grid, t_range=T_RANGE,
-                   t_step=COARSE_STEP, slack: float = ORACLE_SLACK) -> MinimizerProfile:
+                   slack: float = ORACLE_SLACK) -> MinimizerProfile:
     """Profile t*(eta) over a sorted grid and assert it never increases."""
     eta_grid = np.asarray(eta_grid, dtype=np.float64)
     if np.any(np.diff(eta_grid) < 0.0):
         raise ParameterError("eta_grid must be sorted ascending")
     tstars, qmins, analytic = [], [], []
     for eta in eta_grid:
-        t, q = _grid_infimum_minimize(lambda u: q_value(loss, eta, u), t_range, t_step)
+        t = tstar_oracle(loss, float(eta), t_range)
         tstars.append(t)
-        qmins.append(q)
+        qmins.append(float(q_value(loss, float(eta), t)))
         a = tstar_analytic(loss, float(eta))
         analytic.append(np.nan if a is None else a)
     tstars = np.array(tstars)
@@ -231,7 +221,7 @@ def check_monotone(loss: LossFunction, eta_grid, t_range=T_RANGE,
             f"t* increases for loss {loss.name} at eta indices {rises.tolist()}"
         )
     return MinimizerProfile(
-        eta_grid, tstars, np.array(qmins), np.array(analytic), t_range, t_step, loss.name
+        eta_grid, tstars, np.array(qmins), np.array(analytic), t_range, loss.name
     )
 
 
@@ -260,12 +250,12 @@ class SelfDistanceReport:
         return self.precondition_holds and not self.conclusion_holds
 
 
-def _tstar_or_sentinel(loss: LossFunction, eta: float) -> float:
-    """t*(eta), with unbounded argmin sets mapped to signed infinity."""
+def _tstar_or_sentinel(loss: LossFunction, eta: float, t_range=T_RANGE) -> float:
+    """t*(eta), with argmin sets beyond t_range mapped to signed infinity."""
     try:
-        return tstar_oracle(loss, eta)
+        return tstar_oracle(loss, eta, t_range)
     except RangeTooSmallError as err:
-        return -math.inf if getattr(err, "side", "lower") == "lower" else math.inf
+        return -math.inf if err.side == "lower" else math.inf
 
 
 def check_self_distance(loss: LossFunction, p_x, p_xp) -> SelfDistanceReport:
@@ -306,10 +296,10 @@ def check_bias_shift(loss: LossFunction, eta: float, b: float,
     if not 0.0 < eta < 1.0:
         raise ParameterError(f"eta must lie in (0, 1), got {eta}")
 
-    def shifted(t):
-        return eta * loss.eval(t - b) + (1.0 - eta) * loss.eval(b - t)
+    def shifted_slope(t):
+        return eta * loss.subgradient(t - b) - (1.0 - eta) * loss.subgradient(b - t)
 
-    got, _ = _grid_infimum_minimize(shifted, t_range)
+    got = _grid_infimum_minimize(shifted_slope, t_range)
     expected = b + tstar_oracle(loss, eta, t_range)
     dev = abs(got - expected)
     return BiasShiftReport(eta, b, got, expected, dev, dev <= tol)
@@ -321,7 +311,4 @@ def continuous_label_degeneracy(loss: LossFunction, t_range=T_RANGE) -> float:
     Equals the infimum of argmin_t l(-t); +inf when that argmin is empty
     (strictly decreasing l(-t), e.g. the exponential loss).
     """
-    try:
-        return tstar_oracle(loss, 0.0, t_range)
-    except RangeTooSmallError:
-        return math.inf
+    return _tstar_or_sentinel(loss, 0.0, t_range)

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .errors import ContractError, ExecutionError, ParameterError
 from .erm import TrainConfig, train
@@ -308,6 +308,13 @@ def _run_sweep_job(job: _SweepJob) -> SweepRow:
     )
 
 
+def median_of_seeds(items, key=None):
+    """The median-of-seeds rule: the upper median, an actual element of
+    items (for an even count, the larger of the two middle values)."""
+    ordered = sorted(items, key=key)
+    return ordered[len(ordered) // 2]
+
+
 def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
                mc_pairs: int = 100_000, m: int = 2, epsilon: float = 1e-2,
                a: float = 0.1, clamp: bool = True, init_scale: float = 1.0,
@@ -371,7 +378,7 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
     n_vals, medians, med_se = [], [], []
     for n in sorted(surviving):
         group = sorted(surviving[n], key=lambda r: r.excess)
-        med_row = group[len(group) // 2]
+        med_row = median_of_seeds(group, key=lambda r: r.excess)
         n_vals.append(n)
         medians.append(max(med_row.excess, 1e-12))
         # the median-of-seeds statistic carries Monte Carlo noise AND
@@ -392,7 +399,7 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
     resid = yv - (intercept + slope * x)
     dof = max(x.size - 2, 1)
     slope_se = math.sqrt(float(resid @ resid) / dof / sxx)
-    tcrit = float(student_t.ppf(0.95, dof))
+    tcrit = float(stdtrit(dof, 0.95))
 
     adjacent = []
     for k in range(len(n_vals) - 1):

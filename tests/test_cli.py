@@ -1,6 +1,12 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import metriclab
 from metriclab.cli import EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main
 from metriclab.config import load_config
 from metriclab.errors import ConfigError
@@ -150,6 +156,24 @@ class TestRateSweepCommand:
         # same medians and lines, modulo the provenance comment
         assert plot_before[1:] == plot_after[1:]
 
+    def test_report_uses_the_sweep_median_rule(self, tmp_path):
+        # two surviving seeds at n=32: the sweep's median is the upper one
+        rows = ["n,seed,excess,stderr,epochs,subnet_depth,subnet_width,agg_L,agg_W,agg_U,diverged"]
+        for n, excess in ((16, (0.4, 0.5, 0.6)), (32, (0.1, 0.3, None)),
+                          (64, (0.2, 0.1, 0.15)), (128, (0.05, 0.08, 0.06))):
+            for seed, e in enumerate(excess):
+                rows.append(f"{n},{seed},{'nan' if e is None else e},0.01,5,2,4,9,99,40,"
+                            f"{e is None}")
+        (tmp_path / "sweep_rows.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "sweep_fit.csv").write_text(
+            "slope,intercept,slope_se,slope_upper95,ref_exponent,theta_hat,monotone_within_noise\n"
+            "-0.5,1.0,0.1,-0.3,-0.5,1.0,True\n")
+        assert main(["report", "--dir", str(tmp_path)]) == EXIT_OK
+        lines = [ln for ln in (tmp_path / "plot_data.csv").read_text().splitlines()
+                 if not ln.startswith("#")]
+        medians = [float(ln.split(",")[1]) for ln in lines[1:]]
+        assert medians == [math.log10(v) for v in (0.5, 0.3, 0.15, 0.06)]
+
     def test_single_n_rejected(self, tmp_path):
         bad = SWEEP_CONFIG.replace("n_list: [16, 32, 64, 128]", "n_list: [64]")
         cfg = write(tmp_path, "c.yaml", bad)
@@ -158,6 +182,14 @@ class TestRateSweepCommand:
 
     def test_report_needs_sweep_outputs(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path)]) == EXIT_VALIDATION
+
+
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, metriclab.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(metriclab.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestExitCodes:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metriclab.errors import ParameterError, RangeTooSmallError
+from metriclab.errors import ParameterError, PropertyViolation, RangeTooSmallError
 from metriclab.losses import (
     LOSSES,
     LossFunction,
@@ -20,6 +22,8 @@ from metriclab.losses import (
 )
 
 ETA_SWEEP = np.round(np.arange(0.05, 0.951, 0.05), 10)
+# keeps every analytic t* well inside T_RANGE (logistic: |log(1/eta - 1)| < 14)
+ETAS = st.floats(min_value=1e-6, max_value=1.0 - 1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +82,51 @@ class TestOracle:
             assert tstar_oracle(loss, float(eta)) == pytest.approx(want, abs=ORACLE_SLACK)
 
     def test_exponential_boundary_error(self):
-        with pytest.raises(RangeTooSmallError):
+        with pytest.raises(RangeTooSmallError) as excinfo:
             tstar_oracle(get_loss("exponential"), 0.0)
+        assert excinfo.value.side == "upper"
+
+    def test_unbounded_below_reports_lower_side(self, hinge):
+        # eta = 1: Q = l(t) is flat on (-inf, -1]
+        with pytest.raises(RangeTooSmallError) as excinfo:
+            tstar_oracle(hinge, 1.0)
+        assert excinfo.value.side == "lower"
 
     def test_hinge_bayes_minimum(self, hinge):
         for eta in (0.0, 0.13, 0.5, 0.88, 1.0):
             if eta == 1.0:
                 continue  # argmin unbounded below; handled by the sentinel path
             assert q_minimum(hinge, eta) == pytest.approx(2 * min(eta, 1 - eta), abs=1e-9)
+
+
+class TestOracleProperties:
+    @pytest.mark.parametrize("name", ["logistic", "exponential", "modified_least_squares"])
+    @settings(max_examples=60, deadline=None)
+    @given(eta=ETAS)
+    def test_matches_analytic_at_random_eta(self, name, eta):
+        loss = get_loss(name)
+        assert abs(tstar_oracle(loss, eta) - tstar_analytic(loss, eta)) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(eta=ETAS)
+    def test_hinge_is_exactly_plus_or_minus_one(self, eta):
+        hinge = get_loss("hinge")
+        assert tstar_oracle(hinge, eta) == tstar_analytic(hinge, eta)
+        assert tstar_oracle(hinge, eta) in (1.0, -1.0)
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    @settings(max_examples=40, deadline=None)
+    @given(e1=ETAS, e2=ETAS)
+    def test_non_increasing_between_random_pairs(self, name, e1, e2):
+        loss = get_loss(name)
+        lo, hi = min(e1, e2), max(e1, e2)
+        assert tstar_oracle(loss, hi) <= tstar_oracle(loss, lo)
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    @settings(max_examples=40, deadline=None)
+    @given(eta=ETAS, b=st.floats(min_value=-3.0, max_value=3.0))
+    def test_bias_shift_at_random_b(self, name, eta, b):
+        assert check_bias_shift(get_loss(name), eta, b).deviation <= 1e-9
 
 
 class TestAnalytic:
@@ -184,6 +225,17 @@ class TestLossContracts:
     def test_all_registered_validate(self):
         for name in LOSSES:
             get_loss(name).validate()
+
+    @pytest.mark.parametrize("subgradient", [
+        lambda t: np.where(1.0 + t > 0.0, 2.0, 0.0),   # twice the slope
+        lambda t: np.where(1.0 + t > 0.0, 0.0, 1.0),   # decreasing
+        lambda t: np.where(t > 0.0, 1.0, 0.0),         # kink in the wrong place
+    ])
+    def test_wrong_subgradient_rejected(self, subgradient):
+        bad = LossFunction("bad_hinge", eval=lambda t: np.maximum(1.0 + t, 0.0),
+                           subgradient=subgradient)
+        with pytest.raises(PropertyViolation, match="subgradient"):
+            bad.validate()
 
     def test_flags_must_hold(self):
         with pytest.raises(ParameterError):
