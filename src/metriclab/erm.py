@@ -183,7 +183,8 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
     work = net.copy()
     target_a = net.sign.a
     rng = np.random.default_rng(config.seed)
-    iu_all, ju_all = np.triu_indices(n, k=1)
+    if config.pair_strategy == "all-pairs":
+        iu_all, ju_all = np.triu_indices(n, k=1)
 
     risks, gnorms, actives, a_vals = [], [], [], []
     best = (math.inf, None, -1)

@@ -9,6 +9,10 @@ and g_k is the k-fold composition of the hat g(u) = 2s(u) - 4s(u-1/2) + 2s(u-1)
 square [-1, 2]^2, |sq_s - u^2| <= 2^(-2s-2), and the three-term combination
 is exactly zero whenever x = 0 or y = 0 because the two nonzero branches
 cancel bit-for-bit.  All constant coefficients are exact binary fractions.
+
+The three squaring branches are copies of one 4-wide network S on a scalar
+input, fed x+y, x and y; the product is evaluated in that factored form,
+phi(x, y) = S(x+y) - (S(x) + S(y)), and certified in the same form.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .relu_net import DenseLayer, NetworkComplexity, ReluNetwork, complexity, fo
 
 PRODUCT_DOMAIN = (-1.0, 2.0)
 CERT_GRID_POINTS = 401
-AXIS_ZERO_TOL = 1e-12
 _M = 2.0  # rescale factor: squaring inputs are |.| / (2M) with M = 2
 
 
@@ -102,8 +105,13 @@ def build_square_gadget(s: int) -> ReluNetwork:
 class ProductGadget:
     """Certified product approximator on [-1, 2]^2.
 
-    Calls canonicalize the argument order (the construction is symmetric in
-    exact arithmetic) so phi(x, y) and phi(y, x) are bit-identical.
+    ``net`` is the realized polarization network: three copies of one
+    squaring branch S, fed x+y, x and y, read out as S(x+y) - S(x) - S(y).
+    Calls evaluate exactly that factored form with ``branch`` = S, derived
+    once from ``net``.  Since x+y and S(x)+S(y) are commutative in floating
+    point, phi(x, y) and phi(y, x) are bit-identical by construction, and
+    S(0) = 0 makes phi exactly zero on the axes.  A net without this layout
+    raises CertificationError.
     """
 
     net: ReluNetwork
@@ -112,15 +120,19 @@ class ProductGadget:
     certified_grid_error: float
     domain: tuple = PRODUCT_DOMAIN
     metadata: dict = field(default_factory=dict)
+    branch: ReluNetwork = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.branch = _squaring_branch_of(self.net)
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         scalar = x.ndim == 0 and y.ndim == 0
-        x, y = np.atleast_1d(x), np.atleast_1d(y)
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        out = forward(self.net, np.column_stack([lo, hi]))[:, 0]
+        x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
+        n = x.size
+        sq = forward(self.branch, np.concatenate([x + y, x, y])[:, None])[:, 0]
+        out = sq[:n] - (sq[n:2 * n] + sq[2 * n:])
         return float(out[0]) if scalar else out
 
     @property
@@ -133,50 +145,106 @@ def sawtooth_depth_for(epsilon: float) -> int:
     return max(1, math.ceil((math.log2(48.0 / epsilon) - 2.0) / 2.0))
 
 
-def _product_net(s: int) -> ReluNetwork:
-    q = 0.25  # 1 / (2M)
-    abs_layer = DenseLayer(
-        np.array(
-            [
-                [q, q],
-                [-q, -q],
-                [q, 0.0],
-                [-q, 0.0],
-                [0.0, q],
-                [0.0, -q],
-            ]
-        ),
-        np.zeros(6),
-    )
-    # first squaring stage per branch; branch j reads abs units 2j and 2j+1
-    w = np.zeros((12, 6))
-    b = np.zeros(12)
-    for j in range(3):
-        for r, bias in enumerate((0.0, -0.5, -1.0, 0.0)):
-            w[4 * j + r, 2 * j] = 1.0
-            w[4 * j + r, 2 * j + 1] = 1.0
-            b[4 * j + r] = bias
-    first_sq = DenseLayer(w, b)
+def _squaring_branch(s: int) -> ReluNetwork:
+    """S(v) = 2M^2 * sq_s(|v| / 2M) on a scalar v: one branch of phi."""
+    q = 1.0 / (2.0 * _M)
+    abs_layer = DenseLayer(np.array([[q], [-q]]), np.zeros(2))
+    first_sq = DenseLayer(np.ones((4, 2)), np.array([0.0, -0.5, -1.0, 0.0]))
+    stages = [_square_stage_layer(stage) for stage in range(2, s + 1)]
+    readout = DenseLayer(2.0 * _M * _M * _square_readout_row(s)[None, :], np.array([0.0]))
+    return ReluNetwork([abs_layer, first_sq, *stages, readout], input_dim=1,
+                       apply_final_relu=False)
 
-    stages = []
-    for stage in range(2, s + 1):
-        block = _square_stage_layer(stage)
-        wl = np.zeros((12, 12))
-        bl = np.zeros(12)
+
+def _polarization_net(branch: ReluNetwork) -> ReluNetwork:
+    """The realized product network: branch copies on x+y, x and y side by
+    side, read out as S(x+y) - S(x) - S(y)."""
+    first, *middle, readout = branch.layers
+    k = first.out_width
+    w = np.zeros((3 * k, 2))
+    w[:k, 0] = w[:k, 1] = w[k:2 * k, 0] = w[2 * k:, 1] = first.weights[:, 0]
+    layers = [DenseLayer(w, np.tile(first.bias, 3))]
+    for layer in middle:
+        out_w, in_w = layer.weights.shape
+        wl = np.zeros((3 * out_w, 3 * in_w))
         for j in range(3):
-            wl[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = block.weights
-            bl[4 * j : 4 * j + 4] = block.bias
-        stages.append(DenseLayer(wl, bl))
-
-    row = _square_readout_row(s)
-    scale = 2.0 * _M * _M
-    readout = np.concatenate([scale * row, -scale * row, -scale * row])[None, :]
-    layers = [abs_layer, first_sq, *stages, DenseLayer(readout, np.array([0.0]))]
+            wl[j * out_w:(j + 1) * out_w, j * in_w:(j + 1) * in_w] = layer.weights
+        layers.append(DenseLayer(wl, np.tile(layer.bias, 3)))
+    row = readout.weights
+    layers.append(DenseLayer(np.concatenate([row, -row, -row], axis=1), np.zeros(1)))
     return ReluNetwork(layers, input_dim=2, apply_final_relu=False)
+
+
+def _squaring_branch_of(net: ReluNetwork) -> ReluNetwork:
+    """Block 0 of each layer of a realized product network, as a scalar
+    network; raises CertificationError unless ``net`` is exactly that branch
+    in the polarization layout."""
+    layers = net.layers
+    widths = [layer.out_width for layer in layers[:-1]]
+    if (net.input_dim != 2 or net.output_dim != 1 or net.apply_final_relu
+            or len(layers) < 3 or any(w % 3 for w in widths)):
+        raise CertificationError("product network is not in the polarization layout")
+    k = [w // 3 for w in widths]
+    branch_layers = [DenseLayer(layers[0].weights[:k[0], :1].copy(),
+                                layers[0].bias[:k[0]].copy())]
+    for j, layer in enumerate(layers[1:-1], start=1):
+        branch_layers.append(DenseLayer(layer.weights[:k[j], :k[j - 1]].copy(),
+                                        layer.bias[:k[j]].copy()))
+    branch_layers.append(DenseLayer(layers[-1].weights[:, :k[-1]].copy(), np.zeros(1)))
+    branch = ReluNetwork(branch_layers, input_dim=1, apply_final_relu=False)
+    rebuilt = _polarization_net(branch)
+    if not all(np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+               for a, b in zip(rebuilt.layers, layers)):
+        raise CertificationError("product network is not three copies of one squaring "
+                                 "branch read out as S(x+y) - S(x) - S(y)")
+    return branch
+
+
+def _product_net(s: int) -> ReluNetwork:
+    return _polarization_net(_squaring_branch(s))
 
 
 def certification_grid(n: int = CERT_GRID_POINTS) -> np.ndarray:
     return np.linspace(PRODUCT_DOMAIN[0], PRODUCT_DOMAIN[1], n)
+
+
+def certify_product(gadget: ProductGadget) -> tuple[float, float]:
+    """Certify the phi that calls evaluate; returns (grid error, axis error).
+
+    Checks that epsilon lies in (0, 1/2), that sawtooth_depth is the one
+    epsilon asks for and matches the net's depth (and the net's own
+    metadata, when it records them), that the grid error on [-1, 2]^2 is at
+    most epsilon and that phi is exactly zero on both axes.  Raises
+    CertificationError on any failure.
+    """
+    eps, s = gadget.epsilon, gadget.sawtooth_depth
+    if not (0.0 < eps < 0.5):
+        raise CertificationError(f"epsilon must lie in (0, 1/2), got {eps}")
+    if s != sawtooth_depth_for(eps) or len(gadget.branch.layers) != s + 2:
+        raise CertificationError(
+            f"sawtooth depth {s} disagrees with epsilon {eps:g} "
+            f"or with the {len(gadget.branch.layers)}-layer net")
+    for key, value in (("epsilon", eps), ("sawtooth_depth", s)):
+        if gadget.net.metadata.get(key, value) != value:
+            raise CertificationError(f"product net records {key}="
+                                     f"{gadget.net.metadata[key]!r}, expected {value!r}")
+
+    g = certification_grid()
+    xx, yy = np.meshgrid(g, g, indexing="ij")
+    approx = gadget(xx.ravel(), yy.ravel())
+    err = float(np.max(np.abs(approx - xx.ravel() * yy.ravel())))
+    if not err <= eps:
+        raise CertificationError(
+            f"product gadget failed certification: grid error {err:.3e} > {eps:.3e}"
+        )
+    zeros = np.zeros_like(g)
+    axis_err = max(
+        float(np.max(np.abs(gadget(g, zeros)))),
+        float(np.max(np.abs(gadget(zeros, g)))),
+    )
+    if axis_err != 0.0:
+        raise CertificationError(f"zero-on-axes violated: |phi| up to {axis_err:.3e}")
+    return err, axis_err
 
 
 def build_product_gadget(epsilon: float) -> ProductGadget:
@@ -186,22 +254,7 @@ def build_product_gadget(epsilon: float) -> ProductGadget:
     s = sawtooth_depth_for(epsilon)
     net = _product_net(s)
     gadget = ProductGadget(net, epsilon, s, certified_grid_error=np.nan)
-
-    g = certification_grid()
-    xx, yy = np.meshgrid(g, g, indexing="ij")
-    approx = gadget(xx.ravel(), yy.ravel())
-    err = float(np.max(np.abs(approx - xx.ravel() * yy.ravel())))
-    if err > epsilon:
-        raise CertificationError(
-            f"product gadget failed certification: grid error {err:.3e} > {epsilon:.3e}"
-        )
-    zeros = np.zeros_like(g)
-    axis_err = max(
-        float(np.max(np.abs(gadget(g, zeros)))),
-        float(np.max(np.abs(gadget(zeros, g)))),
-    )
-    if axis_err > AXIS_ZERO_TOL:
-        raise CertificationError(f"zero-on-axes violated: |phi| up to {axis_err:.3e}")
+    err, axis_err = certify_product(gadget)
 
     gadget.certified_grid_error = err
     comp = complexity(net)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ParameterError, PropertyViolation, RangeTooSmallError
 
@@ -97,11 +96,23 @@ def _log_ratio(eta: float) -> float:
     return math.log((1.0 - eta) / eta)
 
 
+def _expit(t):
+    """The logistic sigmoid 1 / (1 + exp(-t)), overflow-safe and warning-free:
+    math.exp on scalars (the oracle's case), numpy on arrays."""
+    if np.ndim(t) == 0:
+        try:
+            return 1.0 / (1.0 + math.exp(-float(t)))
+        except OverflowError:
+            return 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=np.float64)))
+
+
 def logistic_loss() -> LossFunction:
     return LossFunction(
         name="logistic",
         eval=lambda t: np.logaddexp(0.0, t),
-        subgradient=lambda t: expit(t),
+        subgradient=_expit,
         analytic_tstar=_log_ratio,
     )
 

@@ -139,21 +139,24 @@ def _as_batch(x, dim: int, what: str = "input"):
 def forward(net: ReluNetwork, x):
     """Evaluate the network; accepts a vector or a (batch, input_dim) array."""
     xb, squeeze = _as_batch(x, net.input_dim)
-    out = _forward_trace(net, xb)[-1]
+    out = _forward_trace(net, xb.T)[-1].T
     return out[0] if squeeze else out
 
 
-def _forward_trace(net: ReluNetwork, xb: np.ndarray) -> list[np.ndarray]:
-    """Post-activation values per layer, index 0 being the input batch."""
-    acts = [xb]
-    h = xb
+def _forward_trace(net: ReluNetwork, h: np.ndarray) -> list[np.ndarray]:
+    """Post-activation values per layer, index 0 being the input.
+
+    Activations are feature-major, shape (width, batch), so the bias add and
+    the batch sums of the reverse pass run over contiguous rows.
+    """
+    acts = [h]
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
-        z = h @ layer.weights.T + layer.bias
+        h = layer.weights @ h
+        h += layer.bias[:, None]
         if k < last or net.apply_final_relu:
-            z = np.maximum(z, 0.0)
-        acts.append(z)
-        h = z
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
     return acts
 
 
@@ -167,26 +170,39 @@ def backward(net: ReluNetwork, x, upstream) -> GradientRecord:
     ub, usq = _as_batch(upstream, net.output_dim, "upstream")
     if squeeze != usq or xb.shape[0] != ub.shape[0]:
         raise InputShapeError("input and upstream batch shapes disagree")
-    acts = _forward_trace(net, xb)
-    wgrads, bgrads, ginput = _backprop(net, acts, ub)
-    return GradientRecord(wgrads, bgrads, ginput[0] if squeeze else ginput)
+    acts = _forward_trace(net, xb.T)
+    wgrads, bgrads, ginput = _backprop(net, acts, ub.T)
+    return GradientRecord(wgrads, bgrads, ginput[:, 0] if squeeze else ginput.T)
 
 
 def _backprop(net: ReluNetwork, acts: list[np.ndarray], upstream: np.ndarray):
-    """Core reverse pass over a stored trace; upstream shape (batch, out)."""
+    """Reverse pass over a feature-major trace; upstream shape (out, batch).
+
+    Returns the batch-summed weight and bias gradients and the input
+    gradient, shape (input_dim, batch).
+    """
     g = upstream
     wgrads: list = [None] * len(net.layers)
     bgrads: list = [None] * len(net.layers)
     last = len(net.layers) - 1
     for k in range(last, -1, -1):
-        layer = net.layers[k]
-        post = acts[k + 1]
         if k < last or net.apply_final_relu:
-            g = g * (post > 0.0)  # sigma'(0) := 0
-        wgrads[k] = g.T @ acts[k]
-        bgrads[k] = g.sum(axis=0)
-        g = g @ layer.weights
+            g = g * (acts[k + 1] > 0.0)  # sigma'(0) := 0
+        wgrads[k] = g @ acts[k].T
+        bgrads[k] = g.sum(axis=1)
+        g = net.layers[k].weights.T @ g
     return wgrads, bgrads, g
+
+
+def _input_grad(net: ReluNetwork, acts: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
+    """Input gradient alone, for fixed networks whose parameters never train."""
+    g = upstream
+    last = len(net.layers) - 1
+    for k in range(last, -1, -1):
+        if k < last or net.apply_final_relu:
+            g = g * (acts[k + 1] > 0.0)
+        g = net.layers[k].weights.T @ g
+    return g
 
 
 def complexity(net: ReluNetwork) -> NetworkComplexity:

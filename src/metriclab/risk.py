@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import ContractError, ExecutionError, ParameterError
 from .erm import TrainConfig, train
@@ -326,6 +325,9 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
     (n, seed) job is independently and deterministically seeded, so results
     do not depend on the number of workers.
     """
+    # imported here: scipy.special costs a third of a second at import time
+    from scipy.special import stdtrit
+
     n_list = sorted(set(int(n) for n in n_list))
     if len(n_list) < 4:
         raise ParameterError("need at least 4 distinct sample sizes")

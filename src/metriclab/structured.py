@@ -6,8 +6,15 @@ approximator F_a.  Sub-network outputs are clamped to [-1, 2] (the region
 where the product gadget is certified) before entering the product, and the
 final output always lies in [-1, 1].
 
-Exact symmetry: the product gadget canonicalizes its argument order, so
-evaluate(x, x') and evaluate(x', x) are bit-identical.
+Evaluation works per distinct point: the metric depends on a pair only
+through the scalars h_i(x), so each sub-network runs once per distinct input
+row, and the product gadget runs in its factored form
+phi(u, v) = S(u+v) - (S(u) + S(v)) with its squaring branch S applied once
+per point and once per pair sum.
+
+Exact symmetry holds by construction, not by an argument sort: u+v and
+S(u) + S(v) are commutative in floating point, so evaluate(x, x') and
+evaluate(x', x) are bit-identical.
 
 Complexity accounting (documented here because the hand counts in the test
 suite rely on it).  Realized as one monolithic ReLU network, the assembly
@@ -33,7 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputShapeError, ParameterError
-from .gadgets import ProductGadget, SignApprox, build_product_gadget, build_sign_approx
+from .gadgets import (
+    ProductGadget,
+    SignApprox,
+    build_product_gadget,
+    build_sign_approx,
+    certify_product,
+)
 from .relu_net import (
     DenseLayer,
     NetworkComplexity,
@@ -42,7 +55,7 @@ from .relu_net import (
     load_model,
     save_model,
 )
-from .relu_net import _backprop, _forward_trace
+from .relu_net import _backprop, _forward_trace, _input_grad
 
 CLAMP_LO, CLAMP_HI = -1.0, 2.0
 
@@ -95,19 +108,30 @@ class StructuredMetricNet:
 
 @dataclass
 class PairTrace:
-    """Everything the reverse pass needs, batched over pairs."""
+    """Everything the reverse pass needs, traced once per distinct point.
 
-    traces_x: list
-    traces_xp: list
-    raw_x: list
-    raw_xp: list
-    clamped_x: list
-    clamped_xp: list
-    swapped: list  # per subnet: True where (h(x), h(x')) was reordered
-    phi_traces: list
+    ``index`` maps the stacked pair sides (pair j's at j and batch + j) to
+    the distinct input rows, over which each sub-network is traced.  The
+    product gadget's squaring branch S is traced once over the stacked
+    inputs [c_1, ..., c_m, s_1, ..., s_m]: c_i holds the clamped h_i per
+    distinct row, s_i the per-pair sums c_i[x] + c_i[x'].
+    """
+
+    index: np.ndarray
+    values: list  # per subnet: raw h_i at each distinct point
+    subnet_traces: list
+    branch_trace: list
     t_pre: np.ndarray
     sign_trace: list
     d: np.ndarray
+
+    @property
+    def raw_x(self) -> list:
+        return [v[self.index[:self.d.size]] for v in self.values]
+
+    @property
+    def raw_xp(self) -> list:
+        return [v[self.index[self.d.size:]] for v in self.values]
 
 
 def _check_domain(X, p: int) -> np.ndarray:
@@ -121,44 +145,47 @@ def _check_domain(X, p: int) -> np.ndarray:
     return X
 
 
+def _distinct_rows(sides: np.ndarray):
+    """Distinct rows, feature-major (p, k), and each row's index among them."""
+    if sides.shape[1] == 1:
+        points, index = np.unique(sides[:, 0], return_inverse=True)
+        return points[None, :], index
+    points, index = np.unique(sides, axis=0, return_inverse=True)
+    return points.T, index.reshape(-1)
+
+
 def pair_forward(net: StructuredMetricNet, X, Xp) -> PairTrace:
     X = _check_domain(X, net.input_dim)
     Xp = _check_domain(Xp, net.input_dim)
     if X.shape != Xp.shape:
         raise InputShapeError("pair batches must have matching shapes")
+    batch = X.shape[0]
+    points, index = _distinct_rows(np.concatenate([X, Xp]))
+    ix, ixp = index[:batch], index[batch:]
 
-    traces_x, traces_xp = [], []
-    raw_x, raw_xp, cl_x, cl_xp, swapped, phi_traces = [], [], [], [], [], []
-    phi_sum = np.zeros(X.shape[0])
+    values, subnet_traces, clamped, sums = [], [], [], []
     for h in net.subnets:
-        tx = _forward_trace(h, X)
-        txp = _forward_trace(h, Xp)
-        a = tx[-1][:, 0]
-        b = txp[-1][:, 0]
-        if net.clamp_subnet_output:
-            ac = np.clip(a, CLAMP_LO, CLAMP_HI)
-            bc = np.clip(b, CLAMP_LO, CLAMP_HI)
-        else:
-            ac, bc = a, b
-        swap = ac > bc
-        lo = np.where(swap, bc, ac)
-        hi = np.where(swap, ac, bc)
-        ptr = _forward_trace(net.product.net, np.column_stack([lo, hi]))
-        phi_sum += ptr[-1][:, 0]
-        traces_x.append(tx)
-        traces_xp.append(txp)
-        raw_x.append(a)
-        raw_xp.append(b)
-        cl_x.append(ac)
-        cl_xp.append(bc)
-        swapped.append(swap)
-        phi_traces.append(ptr)
+        trace = _forward_trace(h, points)
+        v = trace[-1][0]
+        c = np.clip(v, CLAMP_LO, CLAMP_HI) if net.clamp_subnet_output else v
+        values.append(v)
+        subnet_traces.append(trace)
+        clamped.append(c)
+        sums.append(c[ix] + c[ixp])
+    branch_trace = _forward_trace(net.product.branch, np.concatenate(clamped + sums)[None, :])
+    sq = branch_trace[-1][0]
+
+    k = points.shape[1]
+    sq_sums = sq[net.m * k:].reshape(net.m, batch)
+    phi_sum = np.zeros(batch)
+    for i in range(net.m):
+        sq_c = sq[i * k:(i + 1) * k]
+        phi_sum += sq_sums[i] - (sq_c[ix] + sq_c[ixp])
 
     t_pre = 1.0 - 2.0 * phi_sum
-    sign_trace = _forward_trace(net.sign.net, t_pre[:, None])
-    d = np.clip(sign_trace[-1][:, 0], -1.0, 1.0)
-    return PairTrace(traces_x, traces_xp, raw_x, raw_xp, cl_x, cl_xp,
-                     swapped, phi_traces, t_pre, sign_trace, d)
+    sign_trace = _forward_trace(net.sign.net, t_pre[None, :])
+    d = np.clip(sign_trace[-1][0], -1.0, 1.0)
+    return PairTrace(index, values, subnet_traces, branch_trace, t_pre, sign_trace, d)
 
 
 def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
@@ -176,25 +203,33 @@ def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarr
 
     Returns a list over sub-networks of (weight_grads, bias_grads), each
     summed over the batch and over both pair sides.  The product and sign
-    gadgets are fixed; gradients flow through them but are not collected.
+    gadgets are fixed: only input gradients flow through them.  Per-side
+    gradients are summed onto the distinct points, so each sub-network is
+    backpropagated once.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)[:, None]
-    _, _, g_t = _backprop(net.sign.net, trace.sign_trace, upstream)
+    m, batch, index = net.m, trace.d.size, trace.index
+    k = trace.values[0].size
+    g_t = _input_grad(net.sign.net, trace.sign_trace,
+                      np.asarray(upstream, dtype=np.float64)[None, :])[0]
+    g_phi = -2.0 * g_t  # t = 1 - 2 * sum_i phi_i
+    # phi_i = S(s_i) - (S(c_i)[x] + S(c_i)[x']): both sides of a pair carry -g_phi
+    g_sq_c = -np.bincount(index, weights=np.concatenate([g_phi, g_phi]), minlength=k)
+    g_sq = np.concatenate([np.tile(g_sq_c, m), np.tile(g_phi, m)])
+    g_u = _input_grad(net.product.branch, trace.branch_trace, g_sq[None, :])[0]
+    # s_i = c_i[x] + c_i[x']: scatter each pair's sum gradient onto both sides' points
+    g_s = g_u[m * k:].reshape(m, batch)
+    g_c = g_u[:m * k] + np.bincount(
+        (index[None, :] + (np.arange(m) * k)[:, None]).ravel(),
+        weights=np.concatenate([g_s, g_s], axis=1).ravel(), minlength=m * k)
+
     grads = []
     for i, h in enumerate(net.subnets):
-        g_phi = -2.0 * g_t  # t = 1 - 2 * sum_i phi_i
-        _, _, g_pair = _backprop(net.product.net, trace.phi_traces[i], g_phi)
-        g_lo, g_hi = g_pair[:, 0], g_pair[:, 1]
-        swap = trace.swapped[i]
-        g_a = np.where(swap, g_hi, g_lo)
-        g_b = np.where(swap, g_lo, g_hi)
+        g = g_c[i * k:(i + 1) * k]
         if net.clamp_subnet_output:
-            g_a = g_a * ((trace.raw_x[i] > CLAMP_LO) & (trace.raw_x[i] < CLAMP_HI))
-            g_b = g_b * ((trace.raw_xp[i] > CLAMP_LO) & (trace.raw_xp[i] < CLAMP_HI))
-        wx, bx, _ = _backprop(h, trace.traces_x[i], g_a[:, None])
-        wxp, bxp, _ = _backprop(h, trace.traces_xp[i], g_b[:, None])
-        grads.append(([gw + gwp for gw, gwp in zip(wx, wxp)],
-                      [gb + gbp for gb, gbp in zip(bx, bxp)]))
+            v = trace.values[i]
+            g = g * ((v > CLAMP_LO) & (v < CLAMP_HI))
+        wg, bg, _ = _backprop(h, trace.subnet_traces[i], g[None, :])
+        grads.append((wg, bg))
     return grads
 
 
@@ -322,6 +357,8 @@ def load_manifest(out_dir) -> StructuredMetricNet:
         sawtooth_depth=manifest["sawtooth_depth"],
         certified_grid_error=manifest["certified_grid_error"],
     )
+    # a saved gadget is certified again, not trusted
+    product.certified_grid_error, _ = certify_product(product)
     sign_net = load_model(os.path.join(out_dir, manifest["sign"]))
     sign = SignApprox(manifest["a"], sign_net)
     return StructuredMetricNet(subnets, product, sign, manifest["clamp_subnet_output"])

@@ -185,11 +185,12 @@ class TestRateSweepCommand:
 
 
 def test_cli_import_skips_scipy_stats():
-    code = "import sys, metriclab.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, metriclab.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(metriclab.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 class TestExitCodes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,23 @@ class TestTrain:
         up = objective()
         shift(-1.0)
         assert down <= up + 1e-12
+
+    def test_subsample_memory_does_not_grow_with_all_pairs(self, hinge):
+        # n = 4096 has 8.4M unordered pairs (134 MB of indices); the
+        # subsample strategy must never build them
+        rng = np.random.default_rng(0)
+        X = rng.random((4096, 1))
+        y = (X[:, 0] > 0.5).astype(int)
+        net = make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2, a=0.1, seed=0)
+        cfg = TrainConfig(epochs=1, pair_batch=1024, lr_init=0.1, seed=0,
+                          pair_strategy="uniform-subsample", pairs_per_epoch=4096)
+        tracemalloc.start()
+        try:
+            train(net, (X, y), cfg, hinge)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
 
     def test_budget_enforced(self, hinge):
         data = toy_separable_data(n=10)

@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metriclab.errors import ParameterError
+from metriclab.errors import CertificationError, ParameterError
 from metriclab.gadgets import (
+    ProductGadget,
+    _product_net,
     build_hat_iterate,
     build_product_gadget,
     build_sign_approx,
     build_square_gadget,
     certification_grid,
+    certify_product,
     eval_scalar,
     sawtooth_depth_for,
 )
-from metriclab.relu_net import complexity
+from metriclab.relu_net import complexity, forward
+
+SQUARE = st.floats(min_value=-1.0, max_value=2.0)
+PHIS = {eps: build_product_gadget(eps) for eps in (1e-1, 1e-2, 1e-3)}
 
 
 class TestHatIterate:
@@ -121,6 +129,49 @@ class TestProductGadget:
     def test_epsilon_domain(self, eps):
         with pytest.raises(ParameterError):
             build_product_gadget(eps)
+
+
+class TestFactoredProduct:
+    """phi is evaluated as S(x+y) - (S(x) + S(y)) from the realized net's
+    squaring branch S; these pin it to the realized network."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.sampled_from(sorted(PHIS)), x=SQUARE, y=SQUARE)
+    def test_matches_realized_network(self, eps, x, y):
+        phi = PHIS[eps]
+        assert abs(phi(x, y) - forward(phi.net, np.array([x, y]))[0]) <= 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.sampled_from(sorted(PHIS)), x=SQUARE, y=SQUARE)
+    def test_zero_on_axes_and_symmetric(self, eps, x, y):
+        phi = PHIS[eps]
+        assert phi(0.0, y) == 0.0
+        assert phi(x, 0.0) == 0.0
+        assert phi(x, y) == phi(y, x)
+
+    def test_branch_is_four_wide(self):
+        phi = PHIS[1e-2]
+        assert phi.branch.input_dim == 1
+        assert [layer.out_width for layer in phi.branch.layers[1:-1]] == \
+            [4] * phi.sawtooth_depth
+
+    def test_rejects_a_net_off_the_polarization_layout(self):
+        net = _product_net(3)
+        net.layers[2].weights[0, 5] = 0.5  # couple branch 1 into branch 0
+        with pytest.raises(CertificationError, match="squaring branch"):
+            ProductGadget(net, 0.1, 3, certified_grid_error=np.nan)
+
+    def test_certification_catches_a_scaled_readout(self):
+        s = sawtooth_depth_for(1e-2)
+        net = _product_net(s)
+        net.layers[-1].weights *= 3.0  # still the layout, three times phi
+        with pytest.raises(CertificationError, match="grid error"):
+            certify_product(ProductGadget(net, 1e-2, s, certified_grid_error=np.nan))
+
+    def test_certification_checks_depth_against_epsilon(self):
+        gadget = ProductGadget(_product_net(3), 1e-2, 3, certified_grid_error=np.nan)
+        with pytest.raises(CertificationError, match="sawtooth depth"):
+            certify_product(gadget)
 
 
 class TestSignApprox:

@@ -1,9 +1,20 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metriclab.errors import DomainError, ParameterError
+from metriclab.errors import CertificationError, DomainError, ParameterError
 from metriclab.gadgets import build_product_gadget, build_sign_approx
-from metriclab.relu_net import DenseLayer, NetworkComplexity, ReluNetwork, complexity, forward
+from metriclab.relu_net import (
+    DenseLayer,
+    NetworkComplexity,
+    ReluNetwork,
+    backward,
+    complexity,
+    forward,
+)
 from metriclab.risk import excess_risk_identity
 from metriclab.structured import (
     HypothesisBudget,
@@ -14,6 +25,8 @@ from metriclab.structured import (
     glue_constants,
     load_manifest,
     make_structured_net,
+    pair_backward,
+    pair_forward,
     pair_values,
     pdim_bound,
     save_manifest,
@@ -59,6 +72,18 @@ class TestEvaluate:
         X, Xp = rng.random((100, 3)), rng.random((100, 3))
         assert np.array_equal(pair_values(net, X, Xp), pair_values(net, Xp, X))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3),
+           picks=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1,
+                          max_size=30))
+    def test_symmetry_bit_exact_with_repeated_points(self, seed, p, picks):
+        net = make_structured_net(p=p, m=2, depth=2, width=5, epsilon=1e-2, a=0.3,
+                                  seed=seed, init_scale=2.0)
+        points = np.random.default_rng(seed).random((8, p))
+        i, j = np.array(picks).T
+        assert np.array_equal(pair_values(net, points[i], points[j]),
+                              pair_values(net, points[j], points[i]))
+
     def test_range_on_random_pairs(self):
         net = make_structured_net(p=2, m=3, depth=2, width=6, epsilon=1e-2, a=0.2,
                                   seed=8, init_scale=3.0)
@@ -77,6 +102,57 @@ class TestEvaluate:
                 [constant_subnet(1, 0.0, depth=1), constant_subnet(1, 0.0, depth=2)],
                 phi, sign,
             )
+
+
+def reference_subnet_grads(net, X, Xp, upstream):
+    """Sub-network gradients of sum(upstream * d) from relu_net.backward on
+    every pair side, through the realized product and sign networks."""
+    sides = [(forward(h, X)[:, 0], forward(h, Xp)[:, 0]) for h in net.subnets]
+    pairs = [np.clip(np.column_stack(ab), -1.0, 2.0) for ab in sides]
+    t = 1.0 - 2.0 * sum(forward(net.product.net, pair)[:, 0] for pair in pairs)
+    g_t = backward(net.sign.net, t[:, None], upstream[:, None]).input_grad[:, 0]
+    grads = []
+    for h, (a, b), pair in zip(net.subnets, sides, pairs):
+        g_pair = backward(net.product.net, pair, -2.0 * g_t[:, None]).input_grad
+        g_a = g_pair[:, 0] * ((a > -1.0) & (a < 2.0))
+        g_b = g_pair[:, 1] * ((b > -1.0) & (b < 2.0))
+        rx, rxp = backward(h, X, g_a[:, None]), backward(h, Xp, g_b[:, None])
+        grads.append(([w + wp for w, wp in zip(rx.weight_grads, rxp.weight_grads)],
+                      [c + cp for c, cp in zip(rx.bias_grads, rxp.bias_grads)]))
+    return grads
+
+
+class TestPairBackward:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), distinct=st.integers(1, 12),
+           data=st.data())
+    def test_repeated_points_match_per_row_backward(self, seed, p, distinct, data):
+        net = make_structured_net(p=p, m=2, depth=3, width=5, epsilon=1e-2, a=1.5,
+                                  seed=seed, init_scale=1.5)
+        rng = np.random.default_rng(seed)
+        points = rng.random((distinct, p))
+        pick = st.lists(st.integers(0, distinct - 1), min_size=1, max_size=40)
+        i = np.array(data.draw(pick))
+        j = np.array(data.draw(st.lists(st.integers(0, distinct - 1),
+                                        min_size=i.size, max_size=i.size)))
+        X, Xp = points[i], points[j]
+        upstream = rng.standard_normal(i.size)
+        got = pair_backward(net, pair_forward(net, X, Xp), upstream)
+        want = reference_subnet_grads(net, X, Xp, upstream)
+        for (gw, gb), (rw, rb) in zip(got, want):
+            for ours, ref in zip(gw + gb, rw + rb):
+                tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(ours - ref)) <= tol
+
+    def test_raw_values_per_side(self):
+        net = make_structured_net(p=2, m=3, depth=2, width=4, epsilon=1e-2, a=0.2, seed=1)
+        rng = np.random.default_rng(4)
+        points = rng.random((5, 2))
+        X, Xp = points[[0, 1, 1, 4]], points[[4, 4, 0, 1]]
+        trace = pair_forward(net, X, Xp)
+        for h, rx, rxp in zip(net.subnets, trace.raw_x, trace.raw_xp):
+            assert np.allclose(rx, forward(h, X)[:, 0], rtol=0, atol=1e-15)
+            assert np.allclose(rxp, forward(h, Xp)[:, 0], rtol=0, atol=1e-15)
 
 
 class TestAggregateComplexity:
@@ -201,3 +277,24 @@ class TestPersistence:
         assert np.array_equal(pair_values(net, X, Xp), pair_values(loaded, X, Xp))
         assert loaded.sign.a == net.sign.a
         assert loaded.product.epsilon == net.product.epsilon
+
+    def test_load_rechecks_the_product_certificate(self, tmp_path):
+        net = make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2, a=0.2, seed=3)
+        save_manifest(net, tmp_path / "model")
+        path = tmp_path / "model" / "product.json"
+        doc = json.loads(path.read_text())
+        doc["layers"][-1]["weights_row_major"] = [
+            3.0 * w for w in doc["layers"][-1]["weights_row_major"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CertificationError):
+            load_manifest(tmp_path / "model")
+
+    def test_load_rejects_a_manifest_epsilon_the_net_does_not_meet(self, tmp_path):
+        net = make_structured_net(p=1, m=1, depth=2, width=4, epsilon=1e-2, a=0.2, seed=3)
+        save_manifest(net, tmp_path / "model")
+        path = tmp_path / "model" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["epsilon"] = 1e-3
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CertificationError):
+            load_manifest(tmp_path / "model")
