@@ -246,7 +246,7 @@ def cmd_gen_data(args) -> int:
     config = load_config(args.config)
     task_seed, _, _ = _effective_seeds(config, args.seed)
     task = config.build_task(seed_override=task_seed)
-    n = int(config.train.get("n", 1000))
+    n = config.train.get("n", 1000)
     X, y = sample_dataset(task, n)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "dataset.csv")
@@ -255,34 +255,19 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _build_net_from_config(config: ExperimentConfig, task, init_seed):
-    model = config.model
-    return make_structured_net(
-        p=task.p,
-        m=int(model.get("m", task.model.m)),
-        depth=int(model.get("depth", 2)),
-        width=int(model.get("width", 4)),
-        epsilon=float(model.get("epsilon", 1e-2)),
-        a=float(model.get("a", 0.1)),
-        clamp=bool(model.get("clamp", True)),
-        seed=init_seed,
-        init_scale=float(model.get("init_scale", 1.0)),
-    )
-
-
 def cmd_train_eval(args) -> int:
     config = load_config(args.config)
     task_seed, train_seed, eval_seed = _effective_seeds(config, args.seed)
     task = config.build_task(seed_override=task_seed)
     if "n" not in config.train:
         raise ValidationFailure(f"{config.source_path}: [train] needs 'n' for train-eval")
-    n = int(config.train["n"])
+    n = config.train["n"]
     train_cfg = config.build_train_config()
     init_ss, shuffle_ss = np.random.SeedSequence(train_seed).spawn(2)
     train_cfg.seed = int(shuffle_ss.generate_state(1)[0])
 
     data = sample_dataset(task, n)
-    net = _build_net_from_config(config, task, init_ss)
+    net = make_structured_net(p=task.p, seed=init_ss, **config.model_spec(task))
     loss = get_loss("hinge")
     trained, report = train(net, data, train_cfg, loss)
 
@@ -293,7 +278,7 @@ def cmd_train_eval(args) -> int:
               ["epoch", "risk", "grad_norm", "active_fraction", "a"],
               list(report.rows()), comments)
 
-    rep = risk_report(trained, task, loss, int(config.eval.get("mc_pairs", 100_000)), eval_seed)
+    rep = risk_report(trained, task, loss, config.eval.get("mc_pairs", 100_000), eval_seed)
     write_csv(os.path.join(args.out, "risk_report.csv"),
               ["risk", "risk_se", "bayes", "bayes_se", "excess_direct", "excess_direct_se",
                "excess_identity", "excess_identity_se", "mc_pairs", "seed"],
@@ -334,22 +319,19 @@ def cmd_rate_sweep(args) -> int:
         raise ValidationFailure(f"{config.source_path}: [eval] needs n_list and seeds")
     train_cfg = config.build_train_config()
     train_cfg.seed = train_seed
-    model = config.model
+    model = config.model_spec(task)
+    del model["depth"], model["width"]  # the budget recipe sizes each n's sub-networks
 
     result = rate_sweep(
         task,
-        n_list=[int(n) for n in ev["n_list"]],
-        seeds=[int(s) for s in ev["seeds"]],
+        n_list=ev["n_list"],
+        seeds=ev["seeds"],
         train_config=train_cfg,
-        mc_pairs=int(ev.get("mc_pairs", 100_000)),
-        m=int(model.get("m", task.model.m)),
-        epsilon=float(model.get("epsilon", 1e-2)),
-        a=float(model.get("a", 0.1)),
-        clamp=bool(model.get("clamp", True)),
-        init_scale=float(model.get("init_scale", 1.0)),
+        mc_pairs=ev.get("mc_pairs", 100_000),
         noise_t_grid=np.asarray(ev["t_grid"], dtype=np.float64) if "t_grid" in ev else None,
-        noise_mc_pairs=int(ev.get("noise_mc_pairs", 200_000)),
+        noise_mc_pairs=ev.get("noise_mc_pairs", 200_000),
         jobs=args.jobs,
+        **model,
     )
 
     os.makedirs(args.out, exist_ok=True)

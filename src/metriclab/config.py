@@ -8,13 +8,14 @@ is range-checked before any work starts.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError
-from .erm import PAIR_STRATEGIES, TrainConfig
+from .errors import ConfigError, ParameterError
+from .erm import TrainConfig
 from .synthetic import MODEL_FAMILIES, SyntheticTask, make_task
 
 _TASK_KEYS = {"family", "p", "m", "seed", "r", "A", "k", "beta", "rho",
@@ -25,6 +26,19 @@ _TRAIN_KEYS = {"n", "epochs", "pair_batch", "lr_init", "lr_decay", "pair_strateg
                "pairs_per_epoch", "seed"}
 _EVAL_KEYS = {"mc_pairs", "seed", "t_grid", "n_list", "seeds", "noise_mc_pairs"}
 _BLOCKS = {"task": _TASK_KEYS, "model": _MODEL_KEYS, "train": _TRAIN_KEYS, "eval": _EVAL_KEYS}
+
+# numeric keys, whichever block holds them; each value is type-checked and
+# cast here, once
+_INT_KEYS = {"p", "m", "seed", "r", "k", "depth", "width", "n", "epochs", "pair_batch",
+             "pairs_per_epoch", "mc_pairs", "noise_mc_pairs", "n_list", "seeds"}
+_FLOAT_KEYS = {"A", "beta", "rho", "p1_left", "p1_right", "epsilon", "a", "init_scale",
+               "lr_init", "lr_decay", "t_grid", "a_schedule", "start", "decay"}
+_LIST_KEYS = {"n_list", "seeds", "t_grid", "a_schedule"}
+
+# make_structured_net keywords besides p, seed and m (whose default is the
+# task's label count)
+_MODEL_DEFAULTS = {"depth": 2, "width": 4, "epsilon": 1e-2, "a": 0.1, "clamp": True,
+                   "init_scale": 1.0}
 
 
 @dataclass
@@ -42,34 +56,37 @@ class ExperimentConfig:
         seed = self.task.get("seed", 0) if seed_override is None else seed_override
         task = make_task(self.task["family"], p=self.task.get("p", 1), seed=seed, **params)
         declared_m = self.task.get("m")
-        if declared_m is not None and int(declared_m) != task.model.m:
+        if declared_m is not None and declared_m != task.model.m:
             raise ConfigError(
                 f"{self.source_path}: [task] m={declared_m} but family "
                 f"{self.task['family']!r} has {task.model.m} labels"
             )
         return task
 
-    def build_train_config(self, epochs_override: int | None = None) -> TrainConfig:
-        t = self.train
-        return TrainConfig(
-            epochs=epochs_override if epochs_override is not None else t.get("epochs", 100),
-            pair_batch=t.get("pair_batch", 512),
-            lr_init=t.get("lr_init", 0.5),
-            lr_decay=t.get("lr_decay", 1.0),
-            a_schedule=self.a_schedule(t.get("epochs", 100)),
-            seed=t.get("seed", 0),
-            pair_strategy=t.get("pair_strategy", "all-pairs"),
-            pairs_per_epoch=t.get("pairs_per_epoch"),
-        )
+    def model_spec(self, task: SyntheticTask) -> dict:
+        """make_structured_net's keywords besides p and seed: the [model]
+        block over its defaults."""
+        spec = {"m": task.model.m, **_MODEL_DEFAULTS}
+        spec.update((k, v) for k, v in self.model.items() if k in spec)
+        return spec
+
+    def build_train_config(self) -> TrainConfig:
+        """The [train] block (without n) and the sign-width schedule;
+        TrainConfig supplies the defaults and validates the values."""
+        params = {k: v for k, v in self.train.items() if k != "n"}
+        params["a_schedule"] = self.a_schedule(params.get("epochs", TrainConfig.epochs))
+        try:
+            return TrainConfig(**params)
+        except ParameterError as err:
+            raise ConfigError(f"{self.source_path}: {err}") from err
 
     def a_schedule(self, epochs: int) -> list | None:
         if "a_schedule" in self.model:
-            return [float(v) for v in self.model["a_schedule"]]
+            return list(self.model["a_schedule"])
         if "a_anneal" in self.model:
             spec = self.model["a_anneal"]
-            start, decay = float(spec["start"]), float(spec["decay"])
-            target = float(self.model.get("a", 0.1))
-            return [max(target, start * decay**e) for e in range(epochs)]
+            target = self.model.get("a", _MODEL_DEFAULTS["a"])
+            return [max(target, spec["start"] * spec["decay"]**e) for e in range(epochs)]
         return None
 
 
@@ -85,11 +102,39 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise ConfigError(f"{where}: {message}")
 
 
+def _as_number(value, integer: bool, where: str, name: str):
+    if integer:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        try:  # PyYAML reads exponent forms without a dot (1e-3) as strings
+            ok = not isinstance(value, bool) and math.isfinite(value := float(value))
+        except (TypeError, ValueError):
+            ok = False
+    _require(ok, where, f"{name} must be {'an integer' if integer else 'a finite number'}, "
+             f"got {value!r}")
+    return value
+
+
+def _cast_numbers(block: dict, where: str, name: str) -> None:
+    for key, value in block.items():
+        label = f"{name} {key}"
+        if key == "a_anneal" and isinstance(value, dict):
+            _cast_numbers(value, where, label)
+        elif key in _LIST_KEYS:
+            _require(isinstance(value, list), where, f"{label} must be a list, got {value!r}")
+            block[key] = [_as_number(v, key in _INT_KEYS, where, label) for v in value]
+        elif key in _INT_KEYS | _FLOAT_KEYS and not (key == "pairs_per_epoch" and value is None):
+            block[key] = _as_number(value, key in _INT_KEYS, where, label)
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a YAML experiment config."""
     where = str(path)
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as err:
+        raise ConfigError(f"{where}: cannot read config ({err.strerror})") from err
     try:
         doc = yaml.safe_load(raw)
     except yaml.YAMLError as err:
@@ -103,63 +148,56 @@ def load_config(path) -> ExperimentConfig:
         block = doc.get(name, {}) or {}
         _require(isinstance(block, dict), where, f"[{name}] must be a mapping")
         _reject_unknown(name, block, allowed, where)
+        _cast_numbers(block, where, f"[{name}]")
         blocks[name] = block
 
     task = blocks["task"]
     _require("family" in task, where, "[task] needs a 'family' key")
-    _require(task["family"] in MODEL_FAMILIES, where,
+    _require(isinstance(task["family"], str) and task["family"] in MODEL_FAMILIES, where,
              f"[task] unknown family {task['family']!r} (known: {sorted(MODEL_FAMILIES)})")
-    _require(int(task.get("p", 1)) >= 1, where, "[task] p must be >= 1")
+    _require(task.get("p", 1) >= 1, where, "[task] p must be >= 1")
 
     model = blocks["model"]
     if "epsilon" in model:
-        _require(0.0 < float(model["epsilon"]) < 0.5, where,
-                 "[model] epsilon must lie in (0, 1/2)")
+        _require(0.0 < model["epsilon"] < 0.5, where, "[model] epsilon must lie in (0, 1/2)")
     if "a" in model:
-        _require(float(model["a"]) > 0.0, where, "[model] a must be positive")
+        _require(model["a"] > 0.0, where, "[model] a must be positive")
     for key in ("m", "depth", "width"):
         if key in model:
-            _require(int(model[key]) >= 1, where, f"[model] {key} must be >= 1")
+            _require(model[key] >= 1, where, f"[model] {key} must be >= 1")
+    if "clamp" in model:
+        _require(isinstance(model["clamp"], bool), where, "[model] clamp must be true or false")
     if "a_anneal" in model:
         spec = model["a_anneal"]
         _require(isinstance(spec, dict) and {"start", "decay"} <= set(spec), where,
                  "[model] a_anneal needs 'start' and 'decay'")
         _require(set(spec) <= {"start", "decay"}, where,
                  "[model] a_anneal allows only 'start' and 'decay'")
-        _require(float(spec["start"]) > 0 and 0 < float(spec["decay"]) <= 1, where,
+        _require(spec["start"] > 0 and 0 < spec["decay"] <= 1, where,
                  "[model] a_anneal must have positive start and decay in (0, 1]")
 
     train = blocks["train"]
     if "n" in train:
-        _require(int(train["n"]) >= 2, where, "[train] n must be >= 2 (pair risk needs pairs)")
-    for key in ("epochs", "pair_batch", "pairs_per_epoch"):
-        if key in train and train[key] is not None:
-            _require(int(train[key]) >= 1, where, f"[train] {key} must be >= 1")
-    if "lr_init" in train:
-        _require(float(train["lr_init"]) >= 0.0, where, "[train] lr_init must be >= 0")
-    if "lr_decay" in train:
-        _require(float(train["lr_decay"]) > 0.0, where, "[train] lr_decay must be positive")
-    if "pair_strategy" in train:
-        _require(train["pair_strategy"] in PAIR_STRATEGIES, where,
-                 f"[train] pair_strategy must be one of {PAIR_STRATEGIES}")
+        _require(train["n"] >= 2, where, "[train] n must be >= 2 (pair risk needs pairs)")
 
     ev = blocks["eval"]
     if "mc_pairs" in ev:
-        _require(int(ev["mc_pairs"]) >= 100, where, "[eval] mc_pairs must be >= 100")
+        _require(ev["mc_pairs"] >= 100, where, "[eval] mc_pairs must be >= 100")
     if "n_list" in ev:
         nl = ev["n_list"]
-        _require(isinstance(nl, list) and len(set(nl)) >= 4, where,
+        _require(len(set(nl)) >= 4, where,
                  "[eval] n_list needs at least 4 distinct sample sizes")
-        _require(all(int(n) >= 8 for n in nl), where, "[eval] n_list entries must be >= 8")
+        _require(all(n >= 8 for n in nl), where, "[eval] n_list entries must be >= 8")
     if "seeds" in ev:
-        _require(isinstance(ev["seeds"], list) and len(ev["seeds"]) >= 3, where,
-                 "[eval] needs at least 3 seeds")
+        _require(len(ev["seeds"]) >= 3, where, "[eval] needs at least 3 seeds")
     if "t_grid" in ev:
         tg = np.asarray(ev["t_grid"], dtype=np.float64)
         _require(tg.size >= 4 and np.all(tg > 0) and np.all(tg < 0.5), where,
                  "[eval] t_grid needs >= 4 values in (0, 1/2)")
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         task=task, model=model, train=train, eval=ev,
         source_path=where, sha256=hashlib.sha256(raw).hexdigest(),
     )
+    config.build_train_config()  # TrainConfig validates the [train] block
+    return config

@@ -25,7 +25,6 @@ from .gadgets import build_sign_approx
 from .losses import LossFunction
 from .structured import (
     StructuredMetricNet,
-    aggregate_complexity,
     pair_backward,
     pair_forward,
     pair_values,
@@ -45,11 +44,12 @@ class TrainConfig:
     seed: int = 0
     pair_strategy: str = "all-pairs"
     pairs_per_epoch: int | None = None  # uniform-subsample only
-    init: str = "uniform_scaled"  # builder scheme: symmetric uniform / sqrt(fan_in)
 
     def __post_init__(self):
         if self.epochs < 1 or self.pair_batch < 1:
             raise ParameterError("epochs and pair_batch must be >= 1")
+        if self.pairs_per_epoch is not None and self.pairs_per_epoch < 1:
+            raise ParameterError("pairs_per_epoch must be >= 1")
         if self.lr_init < 0.0 or self.lr_decay <= 0.0:
             raise ParameterError("learning-rate schedule must be positive")
         if self.pair_strategy not in PAIR_STRATEGIES:
@@ -72,16 +72,6 @@ class TrainReport:
     def rows(self):
         for e in range(self.risk.size):
             yield (e, self.risk[e], self.grad_norm[e], self.active_fraction[e], self.a_values[e])
-
-
-def geometric_a_schedule(epochs: int, start: float = 3.0, decay: float = 0.93,
-                         target: float = 0.1) -> list:
-    """Annealing schedule for the sign width: wide early (so the linear band
-    covers the initial pre-activations and gradients stay alive), geometric
-    decay to the target hypothesis class."""
-    if start <= 0 or not 0 < decay <= 1 or target <= 0:
-        raise ParameterError("schedule parameters must be positive (decay in (0, 1])")
-    return [max(target, start * decay**e) for e in range(epochs)]
 
 
 def hinge_subgradient(tau, d_value):
@@ -165,7 +155,7 @@ def _restore(net: StructuredMetricNet, snap):
 
 
 def train(net: StructuredMetricNet, data, config: TrainConfig,
-          loss: LossFunction, budget=None) -> tuple[StructuredMetricNet, TrainReport]:
+          loss: LossFunction) -> tuple[StructuredMetricNet, TrainReport]:
     """Subgradient descent on the sub-networks; returns the best iterate.
 
     Deterministic for a fixed config seed.  Raises DivergenceError (with the
@@ -177,8 +167,6 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
     n = X.shape[0]
     if n < 2:
         raise ParameterError(f"training needs n >= 2 samples, got {n}")
-    if budget is not None and not budget.admits(aggregate_complexity(net)):
-        raise ParameterError("network exceeds its hypothesis budget")
 
     work = net.copy()
     target_a = net.sign.a

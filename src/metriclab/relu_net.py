@@ -136,6 +136,15 @@ def _as_batch(x, dim: int, what: str = "input"):
     return x, squeeze
 
 
+def _unit_cube_batch(x, dim: int) -> np.ndarray:
+    """Inputs as a (batch, dim) array of points of [0, 1]^dim; a vector is
+    one point.  The one check on the input domain of tasks and metrics."""
+    x, _ = _as_batch(x, dim)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise DomainError(f"input must lie in [0, 1]^{dim}")
+    return x
+
+
 def forward(net: ReluNetwork, x):
     """Evaluate the network; accepts a vector or a (batch, input_dim) array."""
     xb, squeeze = _as_batch(x, net.input_dim)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,9 +27,11 @@ from .structured import (
 )
 from .synthetic import (
     SyntheticTask,
+    bayes_risk_hinge,
     estimate_noise_exponent,
     eta_pairs,
     hinge_metric_values,
+    loglog_fit,
     make_task,
     sample_dataset,
     sample_inputs,
@@ -116,9 +118,7 @@ def risk_report(metric, task: SyntheticTask, loss: LossFunction,
     """Direct and identity-based excess risk on independent MC streams."""
     streams = [np.random.SeedSequence(seed, spawn_key=(k,)) for k in range(3)]
     risk, risk_se = generalization_risk(metric, task, loss, mc_pairs, streams[0])
-    X, Xp = _draw_pairs(task, mc_pairs, streams[1])
-    e = eta_pairs(task, X, Xp)
-    bayes, bayes_se = _mean_se(2.0 * np.minimum(e, 1.0 - e))
+    bayes, bayes_se = bayes_risk_hinge(task, mc_pairs, streams[1])
     ident, ident_se = excess_risk_identity(metric, task, mc_pairs, streams[2])
     return RiskReport(
         risk=risk, risk_se=risk_se, bayes=bayes, bayes_se=bayes_se,
@@ -255,40 +255,19 @@ class _SweepJob:
     task_spec: dict
     n: int
     seed_index: int
-    base_seed: int
-    depth: int
-    width: int
-    m: int
-    epsilon: float
-    a: float
-    clamp: bool
-    a_schedule: tuple | None
-    epochs: int
-    pair_batch: int
-    lr_init: float
-    lr_decay: float
-    pair_strategy: str
-    pairs_per_epoch: int | None
-    init_scale: float
+    train: TrainConfig  # its seed is the sweep's base seed
+    model: dict  # make_structured_net keywords besides p and seed
     mc_pairs: int
 
 
 def _run_sweep_job(job: _SweepJob) -> SweepRow:
     t0 = time.perf_counter()
     task = make_task(**job.task_spec)
-    ss = np.random.SeedSequence(job.base_seed, spawn_key=(job.n, job.seed_index))
+    ss = np.random.SeedSequence(job.train.seed, spawn_key=(job.n, job.seed_index))
     data_seed, init_seed, train_seed, eval_seed = ss.spawn(4)
     data = sample_dataset(task, job.n, seed=data_seed)
-    net = make_structured_net(
-        p=task.p, m=job.m, depth=job.depth, width=job.width, epsilon=job.epsilon,
-        a=job.a, clamp=job.clamp, seed=init_seed, init_scale=job.init_scale,
-    )
-    cfg = TrainConfig(
-        epochs=job.epochs, pair_batch=job.pair_batch, lr_init=job.lr_init,
-        lr_decay=job.lr_decay, a_schedule=list(job.a_schedule) if job.a_schedule else None,
-        seed=int(train_seed.generate_state(1)[0]), pair_strategy=job.pair_strategy,
-        pairs_per_epoch=job.pairs_per_epoch,
-    )
+    net = make_structured_net(p=task.p, seed=init_seed, **job.model)
+    cfg = replace(job.train, seed=int(train_seed.generate_state(1)[0]))
     agg = None
     try:
         trained, _ = train(net, data, cfg, hinge_loss())
@@ -300,8 +279,8 @@ def _run_sweep_job(job: _SweepJob) -> SweepRow:
     if agg is None:
         agg = aggregate_complexity(net)
     return SweepRow(
-        n=job.n, seed=job.seed_index, excess=excess, stderr=se, epochs=job.epochs,
-        subnet_depth=job.depth, subnet_width=job.width,
+        n=job.n, seed=job.seed_index, excess=excess, stderr=se, epochs=job.train.epochs,
+        subnet_depth=job.model["depth"], subnet_width=job.model["width"],
         agg_L=agg.depth, agg_W=agg.nonzero_weights, agg_U=agg.units,
         diverged=diverged, wall_time=time.perf_counter() - t0,
     )
@@ -318,12 +297,12 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
                mc_pairs: int = 100_000, m: int = 2, epsilon: float = 1e-2,
                a: float = 0.1, clamp: bool = True, init_scale: float = 1.0,
                theta: float | None = None, noise_t_grid=None,
-               noise_mc_pairs: int = 200_000, budgets=None, jobs: int = 1) -> SweepResult:
+               noise_mc_pairs: int = 200_000, jobs: int = 1) -> SweepResult:
     """Train-and-evaluate ladder over sample sizes with a log-log slope fit.
 
-    Per-n budgets follow the unit-constant recipe unless supplied; every
-    (n, seed) job is independently and deterministically seeded, so results
-    do not depend on the number of workers.
+    Per-n budgets follow the unit-constant recipe; every (n, seed) job is
+    independently and deterministically seeded, so results do not depend on
+    the number of workers.
     """
     # imported here: scipy.special costs a third of a second at import time
     from scipy.special import stdtrit
@@ -349,19 +328,10 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
 
     jobs_list = []
     for n in n_list:
-        budget = budgets[n] if budgets is not None else theorem_budget(n, task.p, task.model.r, theta)
-        depth, width = subnet_shape_for_budget(budget)
-        for si in seeds:
-            jobs_list.append(_SweepJob(
-                task_spec=task.spec, n=n, seed_index=si, base_seed=train_config.seed,
-                depth=depth, width=width, m=m, epsilon=epsilon, a=a, clamp=clamp,
-                a_schedule=tuple(train_config.a_schedule) if train_config.a_schedule else None,
-                epochs=train_config.epochs, pair_batch=train_config.pair_batch,
-                lr_init=train_config.lr_init, lr_decay=train_config.lr_decay,
-                pair_strategy=train_config.pair_strategy,
-                pairs_per_epoch=train_config.pairs_per_epoch,
-                init_scale=init_scale, mc_pairs=mc_pairs,
-            ))
+        depth, width = subnet_shape_for_budget(theorem_budget(n, task.p, task.model.r, theta))
+        model = {"m": m, "depth": depth, "width": width, "epsilon": epsilon, "a": a,
+                 "clamp": clamp, "init_scale": init_scale}
+        jobs_list += [_SweepJob(task.spec, n, si, train_config, model, mc_pairs) for si in seeds]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -392,16 +362,8 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
     medians = np.array(medians)
     med_se = np.array(med_se)
 
-    x = np.log(n_vals)
-    yv = np.log(medians)
-    xbar = x.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (yv - yv.mean())) / sxx)
-    intercept = float(yv.mean() - slope * xbar)
-    resid = yv - (intercept + slope * x)
-    dof = max(x.size - 2, 1)
-    slope_se = math.sqrt(float(resid @ resid) / dof / sxx)
-    tcrit = float(stdtrit(dof, 0.95))
+    fit = loglog_fit(n_vals, medians)
+    tcrit = float(stdtrit(fit.dof, 0.95))
 
     adjacent = []
     for k in range(len(n_vals) - 1):
@@ -410,8 +372,8 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
 
     return SweepResult(
         rows=rows, n_values=n_vals, medians=medians, median_stderr=med_se,
-        slope=slope, intercept=intercept, slope_se=slope_se,
-        slope_upper95=slope + tcrit * slope_se,
+        slope=fit.slope, intercept=fit.intercept, slope_se=fit.slope_se,
+        slope_upper95=fit.slope + tcrit * fit.slope_se,
         ref_exponent=reference_exponent(task.p, task.model.r, theta),
         theta_hat=theta, adjacent_non_increasing=adjacent,
     )

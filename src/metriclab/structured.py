@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputShapeError, ParameterError
+from .errors import InputShapeError, ParameterError
 from .gadgets import (
     ProductGadget,
     SignApprox,
@@ -55,7 +55,7 @@ from .relu_net import (
     load_model,
     save_model,
 )
-from .relu_net import _backprop, _forward_trace, _input_grad
+from .relu_net import _backprop, _forward_trace, _input_grad, _unit_cube_batch
 
 CLAMP_LO, CLAMP_HI = -1.0, 2.0
 
@@ -134,17 +134,6 @@ class PairTrace:
         return [v[self.index[self.d.size:]] for v in self.values]
 
 
-def _check_domain(X, p: int) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != p:
-        raise InputShapeError(f"expected inputs of dimension {p}, got shape {X.shape}")
-    if np.any(X < 0.0) or np.any(X > 1.0) or not np.isfinite(X).all():
-        raise DomainError("pair inputs must lie in [0, 1]^p")
-    return X
-
-
 def _distinct_rows(sides: np.ndarray):
     """Distinct rows, feature-major (p, k), and each row's index among them."""
     if sides.shape[1] == 1:
@@ -155,8 +144,8 @@ def _distinct_rows(sides: np.ndarray):
 
 
 def pair_forward(net: StructuredMetricNet, X, Xp) -> PairTrace:
-    X = _check_domain(X, net.input_dim)
-    Xp = _check_domain(Xp, net.input_dim)
+    X = _unit_cube_batch(X, net.input_dim)
+    Xp = _unit_cube_batch(Xp, net.input_dim)
     if X.shape != Xp.shape:
         raise InputShapeError("pair batches must have matching shapes")
     batch = X.shape[0]

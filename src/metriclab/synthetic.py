@@ -12,10 +12,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ExecutionError, ParameterError
+from .errors import ExecutionError, ParameterError
+from .relu_net import _unit_cube_batch
 
 _SIMPLEX_TOL = 1e-12
 
@@ -65,21 +67,9 @@ class PairSample:
         self.tau = 1 if self.y == self.yp else -1
 
 
-def _check_inputs(X, p: int) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != p:
-        raise DomainError(f"inputs must have dimension {p}, got shape {X.shape}")
-    if np.any(X < 0.0) or np.any(X > 1.0) or not np.isfinite(X).all():
-        raise DomainError("inputs must lie in [0, 1]^p")
-    return X
-
-
 def conditional_probs(task: SyntheticTask, X) -> np.ndarray:
     """P_x rows for a batch of inputs, validated against the simplex."""
-    Xb = _check_inputs(X, task.p)
+    Xb = _unit_cube_batch(X, task.p)
     P = np.asarray(task.model.prob(Xb), dtype=np.float64)
     if P.shape != (Xb.shape[0], task.model.m):
         raise ParameterError(
@@ -95,7 +85,7 @@ def conditional_probs(task: SyntheticTask, X) -> np.ndarray:
 def sample_inputs(task: SyntheticTask, n: int, rng: np.random.Generator) -> np.ndarray:
     if task.marginal is not None:
         X = np.asarray(task.marginal(rng, n), dtype=np.float64)
-        return _check_inputs(X, task.p)
+        return _unit_cube_batch(X, task.p)
     return rng.random((n, task.p))
 
 
@@ -161,6 +151,38 @@ def sample_dataset(task: SyntheticTask, n: int, seed: int | None = None):
     return X, y.astype(np.int64)
 
 
+class LogLogFit(NamedTuple):
+    slope: float
+    intercept: float
+    slope_se: float
+    intercept_se: float
+    residuals: np.ndarray
+    r_squared: float
+    dof: int
+
+
+def loglog_fit(u, v) -> LogLogFit:
+    """Ordinary least squares of log v on log u, with standard errors."""
+    x, y = np.log(u), np.log(v)
+    xbar, ybar = x.mean(), y.mean()
+    sxx = float(np.sum((x - xbar) ** 2))
+    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
+    intercept = float(ybar - slope * xbar)
+    resid = y - (intercept + slope * x)
+    dof = max(x.size - 2, 1)
+    sigma2 = float(resid @ resid) / dof
+    sst = float(np.sum((y - ybar) ** 2))
+    return LogLogFit(
+        slope=slope,
+        intercept=intercept,
+        slope_se=math.sqrt(sigma2 / sxx),
+        intercept_se=math.sqrt(sigma2 * (1.0 / x.size + xbar**2 / sxx)),
+        residuals=resid,
+        r_squared=1.0 - float(resid @ resid) / sst if sst > 0 else 1.0,
+        dof=dof,
+    )
+
+
 @dataclass
 class NoiseExponentFit:
     theta_hat: float
@@ -207,32 +229,19 @@ def estimate_noise_exponent(task: SyntheticTask, mc_pairs: int, t_grid,
     if usable.sum() < 2:
         raise ExecutionError("too few grid points with positive margin mass to fit")
 
-    x = np.log(t_grid[usable])
-    ylog = np.log(F[usable])
-    n = x.size
-    xbar = x.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (ylog - ylog.mean())) / sxx)
-    intercept = float(ylog.mean() - slope * xbar)
-    resid = ylog - (intercept + slope * x)
-    dof = max(n - 2, 1)
-    sigma2 = float(resid @ resid) / dof
-    slope_se = math.sqrt(sigma2 / sxx)
-    int_se = math.sqrt(sigma2 * (1.0 / n + xbar**2 / sxx))
-    sst = float(np.sum((ylog - ylog.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / sst if sst > 0 else 1.0
+    fit = loglog_fit(t_grid[usable], F[usable])
     return NoiseExponentFit(
-        theta_hat=slope,
-        c_theta_hat=math.exp(intercept),
-        theta_se=slope_se,
-        log_c_se=int_se,
-        theta_lower=slope - 1.96 * slope_se,
-        theta_upper=slope + 1.96 * slope_se,
-        c_theta_upper=math.exp(intercept + 1.96 * int_se),
+        theta_hat=fit.slope,
+        c_theta_hat=math.exp(fit.intercept),
+        theta_se=fit.slope_se,
+        log_c_se=fit.intercept_se,
+        theta_lower=fit.slope - 1.96 * fit.slope_se,
+        theta_upper=fit.slope + 1.96 * fit.slope_se,
+        c_theta_upper=math.exp(fit.intercept + 1.96 * fit.intercept_se),
         t_used=t_grid[usable],
         f_values=F,
-        residuals=resid,
-        r_squared=r2,
+        residuals=fit.residuals,
+        r_squared=fit.r_squared,
         mc_pairs=mc_pairs,
     )
 

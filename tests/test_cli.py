@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -193,6 +195,18 @@ def test_cli_import_skips_scipy_stats():
     assert out.strip() == "False False"
 
 
+def test_traced_bindings_exist():
+    # the benchmark's tracer wraps these names; a refactor that drops one
+    # fails every traced run
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{module}.{attr}" for module, attr, *_ in spans.HOOKS
+               if not hasattr(importlib.import_module(f"metriclab.{module}"), attr)]
+    assert missing == []
+
+
 class TestExitCodes:
     def test_property_failures_map_to_three(self, monkeypatch):
         import metriclab.cli as cli
@@ -225,6 +239,37 @@ class TestConfigValidation:
         cfg = write(tmp_path, "bad.yaml", TINY_CONFIG.replace("epsilon: 1.0e-2",
                                                               "epsilon: 0.7"))
         with pytest.raises(ConfigError, match="epsilon"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("  p: 1\n", "  p: abc\n", r"\[task\] p must be an integer, got 'abc'"),
+        ("  depth: 2\n", "  depth: 2.7\n", r"\[model\] depth must be an integer, got 2.7"),
+        ("  lr_init: 0.5\n", "  lr_init: .nan\n", r"\[train\] lr_init must be a finite"),
+        ("  n_list: [16, 32", "  n_list: [16.5, 32", r"\[eval\] n_list must be an integer"),
+    ])
+    def test_scalar_types_checked_with_location(self, tmp_path, capsys, old, new, message):
+        cfg = write(tmp_path, "bad.yaml", SWEEP_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+        assert main(["rate-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) \
+            == EXIT_VALIDATION
+        assert "bad.yaml" in capsys.readouterr().err
+
+    def test_missing_config_file_exits_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.yaml")
+        assert main(["train-eval", "--config", missing, "--out", str(tmp_path / "o")]) \
+            == EXIT_VALIDATION
+        assert "absent.yaml" in capsys.readouterr().err
+
+    def test_exponent_without_dot_is_a_number(self, tmp_path):
+        # PyYAML reads 1e-2 as a string; it is still the number 0.01
+        cfg = write(tmp_path, "c.yaml", TINY_CONFIG.replace("epsilon: 1.0e-2", "epsilon: 1e-2"))
+        assert load_config(cfg).model["epsilon"] == 0.01
+
+    def test_train_block_validated_by_train_config(self, tmp_path):
+        cfg = write(tmp_path, "bad.yaml", TINY_CONFIG.replace("pairs_per_epoch: 2048",
+                                                              "pairs_per_epoch: 0"))
+        with pytest.raises(ConfigError, match=r"bad\.yaml: pairs_per_epoch must be >= 1"):
             load_config(cfg)
 
     def test_seed_override_changes_outputs(self, tmp_path):

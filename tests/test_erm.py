@@ -6,7 +6,6 @@ import pytest
 from metriclab.erm import (
     TrainConfig,
     empirical_risk,
-    geometric_a_schedule,
     hinge_subgradient,
     train,
 )
@@ -17,6 +16,7 @@ from metriclab.relu_net import DenseLayer, ReluNetwork
 from metriclab.structured import (
     HypothesisBudget,
     StructuredMetricNet,
+    aggregate_complexity,
     evaluate,
     make_structured_net,
     pair_backward,
@@ -169,7 +169,7 @@ class TestTrain:
         data = toy_separable_data()
         net = small_net(seed=7)
         cfg = TrainConfig(epochs=200, pair_batch=256, lr_init=0.5, lr_decay=0.99,
-                          a_schedule=geometric_a_schedule(200), seed=11)
+                          a_schedule=[max(0.1, 3.0 * 0.93**e) for e in range(200)], seed=11)
         trained, report = train(net, data, cfg, hinge)
         assert empirical_risk(trained, data, hinge) <= 0.05
 
@@ -232,15 +232,15 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < 20e6, peak
 
-    def test_budget_enforced(self, hinge):
-        data = toy_separable_data(n=10)
-        net = small_net()
-        cfg = TrainConfig(epochs=1, pair_batch=16, lr_init=0.1, seed=0)
-        with pytest.raises(ParameterError):
-            train(net, data, cfg, hinge, budget=HypothesisBudget(1, 1, 1))
+    def test_budget_enforced(self):
+        assert HypothesisBudget(1, 1, 1).admits(aggregate_complexity(small_net())) is False
 
 
 class TestTrainConfigValidation:
+    def test_rejects_zero_pairs_per_epoch(self):
+        with pytest.raises(ParameterError, match="pairs_per_epoch"):
+            TrainConfig(pair_strategy="uniform-subsample", pairs_per_epoch=0)
+
     def test_rejects_negative_lr(self):
         with pytest.raises(ParameterError):
             TrainConfig(lr_init=-0.1)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab.errors import CertificationError, DomainError, ParameterError
+from metriclab.errors import (
+    CertificationError,
+    DomainError,
+    InputShapeError,
+    ParameterError,
+    ValidationFailure,
+)
 from metriclab.gadgets import build_product_gadget, build_sign_approx
 from metriclab.relu_net import (
     DenseLayer,
@@ -31,7 +37,13 @@ from metriclab.structured import (
     pdim_bound,
     save_manifest,
 )
-from metriclab.synthetic import SyntheticTask, atom_marginal, two_value_model
+from metriclab.synthetic import (
+    SyntheticTask,
+    atom_marginal,
+    eta_pairs,
+    make_task,
+    two_value_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +107,28 @@ class TestEvaluate:
         net = StructuredMetricNet([constant_subnet(1, 0.0)], phi, sign)
         with pytest.raises(DomainError):
             evaluate(net, [1.4], [0.5])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), batch=st.integers(1, 6),
+           fault=st.sampled_from(["nan", "below", "above", "width"]), first=st.booleans())
+    def test_one_domain_check_for_tasks_and_metrics(self, phi, sign, seed, p, batch, fault,
+                                                     first):
+        rng = np.random.default_rng(seed)
+        good = rng.random((batch, p))
+        bad = rng.random((batch, p + 1 if fault == "width" else p))
+        row, col = rng.integers(batch), rng.integers(p)
+        bad[row, col] = {"nan": np.nan, "below": -1e-12, "above": 1.0 + 1e-12,
+                         "width": 0.5}[fault]
+        expected = InputShapeError if fault == "width" else DomainError
+        assert issubclass(expected, ValidationFailure)
+        pair = (bad, good) if first else (good, bad)
+        task = make_task("cosine", p=p, A=0.05, k=1, r=1)
+        net = make_structured_net(p=p, m=1, depth=1, width=2, epsilon=1e-3, a=0.1,
+                                  seed=seed, product=phi, sign=sign)
+        with pytest.raises(expected):
+            eta_pairs(task, *pair)
+        with pytest.raises(expected):
+            pair_values(net, *pair)
 
     def test_equal_depth_required(self, phi, sign):
         with pytest.raises(ParameterError):
