@@ -12,7 +12,6 @@ from .relu_net import DenseLayer, NetworkComplexity, ReluNetwork, backward, comp
 from .gadgets import (
     ProductGadget,
     SignApprox,
-    build_hat_iterate,
     build_product_gadget,
     build_sign_approx,
     build_square_gadget,
@@ -31,7 +30,6 @@ from .losses import (
 )
 from .synthetic import (
     ConditionalModel,
-    PairSample,
     SyntheticTask,
     bayes_risk_hinge,
     estimate_noise_exponent,
@@ -44,11 +42,10 @@ from .structured import (
     HypothesisBudget,
     StructuredMetricNet,
     aggregate_complexity,
-    evaluate,
     make_structured_net,
     pdim_bound,
 )
-from .erm import TrainConfig, TrainReport, empirical_risk, hinge_subgradient, train
+from .erm import TrainConfig, TrainReport, empirical_risk, train
 from .risk import (
     RiskReport,
     SweepResult,

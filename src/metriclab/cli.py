@@ -80,6 +80,14 @@ def _args_digest(*values) -> str:
     return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _make_out_dir(path) -> None:
+    """Create the --out directory before any work; failing to is a validation error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ValidationFailure(f"cannot use --out {path}: {err.strerror or err}") from err
+
+
 # ---------------------------------------------------------------------------
 # verify-gadgets
 # ---------------------------------------------------------------------------
@@ -87,6 +95,8 @@ def _args_digest(*values) -> str:
 def cmd_verify_gadgets(args) -> int:
     eps_list = [float(e) for e in args.epsilons]
     a_list = [float(a) for a in args.a_values]
+    if args.out:
+        _make_out_dir(args.out)
     rows, failures = [], []
 
     c_depth = None
@@ -120,7 +130,6 @@ def cmd_verify_gadgets(args) -> int:
         rows.append(["sign", a, err, "", comp.depth, comp.nonzero_weights, comp.units, ""])
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         write_csv(
             os.path.join(args.out, "gadget_certificates.csv"),
             ["component", "parameter", "certified_error", "sawtooth_depth", "L", "W", "U", "C_depth"],
@@ -147,7 +156,10 @@ def cmd_metric_lab(args) -> int:
     for name in loss_names:
         if name not in LOSSES:
             raise ValidationFailure(f"unknown loss {name!r}; registered: {sorted(LOSSES)}")
-    os.makedirs(args.out, exist_ok=True)
+    if args.eta_points < 1 or args.pairs < 0:
+        raise ValidationFailure(f"--eta-points must be >= 1 and --pairs >= 0, got "
+                                f"{args.eta_points} and {args.pairs}")
+    _make_out_dir(args.out)
     comments = _provenance(args.seed, extra=f"args_digest={_args_digest(loss_names, args.eta_points)}")
     # rounded so the midpoint is exactly 1/2 (hinge's convention point)
     eta_grid = np.round(np.linspace(0.005, 0.995, args.eta_points), 12)
@@ -246,9 +258,9 @@ def cmd_gen_data(args) -> int:
     config = load_config(args.config)
     task_seed, _, _ = _effective_seeds(config, args.seed)
     task = config.build_task(seed_override=task_seed)
+    _make_out_dir(args.out)
     n = config.train.get("n", 1000)
     X, y = sample_dataset(task, n)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "dataset.csv")
     write_dataset_csv(path, X, y, _provenance(task_seed, config))
     print(f"wrote {path}: n={n}, p={task.p}, labels={len(np.unique(y))}")
@@ -265,13 +277,13 @@ def cmd_train_eval(args) -> int:
     train_cfg = config.build_train_config()
     init_ss, shuffle_ss = np.random.SeedSequence(train_seed).spawn(2)
     train_cfg.seed = int(shuffle_ss.generate_state(1)[0])
+    _make_out_dir(args.out)
 
     data = sample_dataset(task, n)
     net = make_structured_net(p=task.p, seed=init_ss, **config.model_spec(task))
     loss = get_loss("hinge")
     trained, report = train(net, data, train_cfg, loss)
 
-    os.makedirs(args.out, exist_ok=True)
     comments = _provenance(f"{task_seed}/{train_seed}/{eval_seed}", config)
     manifest_path = save_manifest(trained, os.path.join(args.out, "model"))
     write_csv(os.path.join(args.out, "train_report.csv"),
@@ -321,6 +333,7 @@ def cmd_rate_sweep(args) -> int:
     train_cfg.seed = train_seed
     model = config.model_spec(task)
     del model["depth"], model["width"]  # the budget recipe sizes each n's sub-networks
+    _make_out_dir(args.out)
 
     result = rate_sweep(
         task,
@@ -334,7 +347,6 @@ def cmd_rate_sweep(args) -> int:
         **model,
     )
 
-    os.makedirs(args.out, exist_ok=True)
     comments = _provenance(f"{task_seed}/{train_seed}/{eval_seed}", config)
     write_csv(os.path.join(args.out, "sweep_rows.csv"),
               ["n", "seed", "excess", "stderr", "epochs", "subnet_depth", "subnet_width",

@@ -74,20 +74,6 @@ class TrainReport:
             yield (e, self.risk[e], self.grad_norm[e], self.active_fraction[e], self.a_values[e])
 
 
-def hinge_subgradient(tau, d_value):
-    """d/dd of (1 + tau*d)_+ : tau on the active branch, 0 at and past the kink."""
-    tau = np.asarray(tau, dtype=np.float64)
-    d_value = np.asarray(d_value, dtype=np.float64)
-    out = np.where(1.0 + tau * d_value > 0.0, tau, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def _pair_loss_values(net, X, y, loss, iu, ju):
-    trace = pair_forward(net, X[iu], X[ju])
-    tau = np.where(y[iu] == y[ju], 1.0, -1.0)
-    return loss.eval(tau * trace.d), trace, tau
-
-
 def _metric_values(metric, Xa, Xb):
     if isinstance(metric, StructuredMetricNet):
         return pair_values(metric, Xa, Xb)
@@ -136,13 +122,6 @@ def _sample_ordered_pairs(rng, n, k):
     return i, j
 
 
-def _epoch_a(config: TrainConfig, epoch: int, default_a: float) -> float:
-    if config.a_schedule is None:
-        return default_a
-    sched = config.a_schedule
-    return float(sched[min(epoch, len(sched) - 1)])
-
-
 def _snapshot(net: StructuredMetricNet):
     return [[(l.weights.copy(), l.bias.copy()) for l in h.layers] for h in net.subnets]
 
@@ -176,8 +155,9 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
 
     risks, gnorms, actives, a_vals = [], [], [], []
     best = (math.inf, None, -1)
+    sched = config.a_schedule
     for epoch in range(config.epochs):
-        a_now = _epoch_a(config, epoch, target_a)
+        a_now = target_a if sched is None else float(sched[min(epoch, len(sched) - 1)])
         if a_now != work.sign.a:
             work.sign = build_sign_approx(a_now)
         lr = config.lr_init * config.lr_decay**epoch
@@ -194,8 +174,9 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
         for lo in range(0, i_stream.size, config.pair_batch):
             iu = i_stream[lo:lo + config.pair_batch]
             ju = j_stream[lo:lo + config.pair_batch]
-            vals, trace, tau = _pair_loss_values(work, X, y, loss, iu, ju)
-            obj = float(vals.mean())
+            trace = pair_forward(work, X[iu], X[ju])
+            tau = np.where(y[iu] == y[ju], 1.0, -1.0)
+            obj = float(loss.eval(tau * trace.d).mean())
             if not math.isfinite(obj):
                 raise DivergenceError(f"non-finite objective at epoch {epoch}", epoch=epoch)
             upstream = tau * np.asarray(loss.subgradient(tau * trace.d)) / iu.size

@@ -23,43 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, ParameterError
-from .relu_net import DenseLayer, NetworkComplexity, ReluNetwork, complexity, forward
+from .relu_net import (DenseLayer, NetworkComplexity, ReluNetwork, complexity, forward,
+                       same_network)
 
 PRODUCT_DOMAIN = (-1.0, 2.0)
 CERT_GRID_POINTS = 401
 _M = 2.0  # rescale factor: squaring inputs are |.| / (2M) with M = 2
-
-
-def eval_scalar(net: ReluNetwork, t):
-    """Evaluate a 1-input/1-output network on a scalar or 1-D array."""
-    arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    out = forward(net, arr.reshape(-1, 1))[:, 0]
-    return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-
-def _hat_entry_layer() -> DenseLayer:
-    # units: s(v), s(v - 1/2), s(v - 1) on a scalar input
-    return DenseLayer(np.array([[1.0], [1.0], [1.0]]), np.array([0.0, -0.5, -1.0]))
-
-
-def _hat_chain_layer() -> DenseLayer:
-    # previous hat triple -> next hat triple, v = 2u1 - 4u2 + 2u3
-    row = np.array([2.0, -4.0, 2.0])
-    return DenseLayer(np.vstack([row, row, row]), np.array([0.0, -0.5, -1.0]))
-
-
-def build_hat_iterate(s: int) -> ReluNetwork:
-    """s-fold composition of the hat function as a ReLU network on [0, 1].
-
-    The result has s hat stages plus a scalar affine read-out; g_s has
-    2^(s-1) teeth of height 1.
-    """
-    if s < 1:
-        raise ParameterError(f"hat iterate needs s >= 1, got {s}")
-    layers = [_hat_entry_layer()]
-    layers += [_hat_chain_layer() for _ in range(s - 1)]
-    layers.append(DenseLayer(np.array([[2.0, -4.0, 2.0]]), np.array([0.0])))
-    return ReluNetwork(layers, input_dim=1, apply_final_relu=False)
 
 
 def _square_entry_layer() -> DenseLayer:
@@ -84,12 +53,6 @@ def _square_stage_layer(stage: int) -> DenseLayer:
     return DenseLayer(w, np.array([0.0, -0.5, -1.0, 0.0]))
 
 
-def _square_readout_row(s: int) -> np.ndarray:
-    # sq_s = A_{s-1} - g_s/4^s, from the final (hat triple, carry) block
-    c = 4.0 ** -s
-    return np.array([-2.0 * c, 4.0 * c, -2.0 * c, 1.0])
-
-
 def build_square_gadget(s: int) -> ReluNetwork:
     """Squaring approximant on [0, 1]: |sq_s(u) - u^2| <= 2^(-2s-2),
     with sq_s(0) = 0 and sq_s(1) = 1 exactly."""
@@ -97,7 +60,9 @@ def build_square_gadget(s: int) -> ReluNetwork:
         raise ParameterError(f"square gadget needs s >= 1, got {s}")
     layers = [_square_entry_layer()]
     layers += [_square_stage_layer(l) for l in range(2, s + 1)]
-    layers.append(DenseLayer(_square_readout_row(s)[None, :], np.array([0.0])))
+    # sq_s = A_{s-1} - g_s/4^s, from the final (hat triple, carry) block
+    c = 4.0 ** -s
+    layers.append(DenseLayer(np.array([[-2.0 * c, 4.0 * c, -2.0 * c, 1.0]]), np.array([0.0])))
     return ReluNetwork(layers, input_dim=1, apply_final_relu=False)
 
 
@@ -107,23 +72,27 @@ class ProductGadget:
 
     ``net`` is the realized polarization network: three copies of one
     squaring branch S, fed x+y, x and y, read out as S(x+y) - S(x) - S(y).
-    Calls evaluate exactly that factored form with ``branch`` = S, derived
-    once from ``net``.  Since x+y and S(x)+S(y) are commutative in floating
-    point, phi(x, y) and phi(y, x) are bit-identical by construction, and
-    S(0) = 0 makes phi exactly zero on the axes.  A net without this layout
-    raises CertificationError.
+    S is fixed by ``sawtooth_depth`` alone, and ``net`` must equal the
+    network that S determines bit for bit, or construction raises
+    CertificationError.  Calls evaluate the factored form with ``branch`` =
+    S.  Since x+y and S(x)+S(y) are commutative in floating point, phi(x, y)
+    and phi(y, x) are bit-identical by construction, and S(0) = 0 makes phi
+    exactly zero on the axes.
     """
 
     net: ReluNetwork
     epsilon: float
     sawtooth_depth: int
     certified_grid_error: float
-    domain: tuple = PRODUCT_DOMAIN
     metadata: dict = field(default_factory=dict)
     branch: ReluNetwork = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.branch = _squaring_branch_of(self.net)
+        self.branch = _squaring_branch(self.sawtooth_depth)
+        if not same_network(self.net, _polarization_net(self.branch)):
+            raise CertificationError(
+                f"product network is not the depth-{self.sawtooth_depth} polarization net: "
+                "three copies of one squaring branch read out as S(x+y) - S(x) - S(y)")
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=np.float64)
@@ -146,14 +115,18 @@ def sawtooth_depth_for(epsilon: float) -> int:
 
 
 def _squaring_branch(s: int) -> ReluNetwork:
-    """S(v) = 2M^2 * sq_s(|v| / 2M) on a scalar v: one branch of phi."""
+    """S(v) = 2M^2 * sq_s(|v| / 2M) on a scalar v: one branch of phi.
+
+    Built from the square gadget: a two-unit layer computes s(v / 2M) and
+    s(-v / 2M), the gadget's entry layer reads their sum |v| / 2M, and its
+    read-out is scaled by 2M^2.
+    """
+    entry, *stages, readout = build_square_gadget(s).layers
     q = 1.0 / (2.0 * _M)
     abs_layer = DenseLayer(np.array([[q], [-q]]), np.zeros(2))
-    first_sq = DenseLayer(np.ones((4, 2)), np.array([0.0, -0.5, -1.0, 0.0]))
-    stages = [_square_stage_layer(stage) for stage in range(2, s + 1)]
-    readout = DenseLayer(2.0 * _M * _M * _square_readout_row(s)[None, :], np.array([0.0]))
-    return ReluNetwork([abs_layer, first_sq, *stages, readout], input_dim=1,
-                       apply_final_relu=False)
+    layers = [abs_layer, DenseLayer(entry.weights @ np.ones((1, 2)), entry.bias), *stages,
+              DenseLayer(2.0 * _M * _M * readout.weights, readout.bias)]
+    return ReluNetwork(layers, input_dim=1, apply_final_relu=False)
 
 
 def _polarization_net(branch: ReluNetwork) -> ReluNetwork:
@@ -175,31 +148,6 @@ def _polarization_net(branch: ReluNetwork) -> ReluNetwork:
     return ReluNetwork(layers, input_dim=2, apply_final_relu=False)
 
 
-def _squaring_branch_of(net: ReluNetwork) -> ReluNetwork:
-    """Block 0 of each layer of a realized product network, as a scalar
-    network; raises CertificationError unless ``net`` is exactly that branch
-    in the polarization layout."""
-    layers = net.layers
-    widths = [layer.out_width for layer in layers[:-1]]
-    if (net.input_dim != 2 or net.output_dim != 1 or net.apply_final_relu
-            or len(layers) < 3 or any(w % 3 for w in widths)):
-        raise CertificationError("product network is not in the polarization layout")
-    k = [w // 3 for w in widths]
-    branch_layers = [DenseLayer(layers[0].weights[:k[0], :1].copy(),
-                                layers[0].bias[:k[0]].copy())]
-    for j, layer in enumerate(layers[1:-1], start=1):
-        branch_layers.append(DenseLayer(layer.weights[:k[j], :k[j - 1]].copy(),
-                                        layer.bias[:k[j]].copy()))
-    branch_layers.append(DenseLayer(layers[-1].weights[:, :k[-1]].copy(), np.zeros(1)))
-    branch = ReluNetwork(branch_layers, input_dim=1, apply_final_relu=False)
-    rebuilt = _polarization_net(branch)
-    if not all(np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
-               for a, b in zip(rebuilt.layers, layers)):
-        raise CertificationError("product network is not three copies of one squaring "
-                                 "branch read out as S(x+y) - S(x) - S(y)")
-    return branch
-
-
 def _product_net(s: int) -> ReluNetwork:
     return _polarization_net(_squaring_branch(s))
 
@@ -212,18 +160,15 @@ def certify_product(gadget: ProductGadget) -> tuple[float, float]:
     """Certify the phi that calls evaluate; returns (grid error, axis error).
 
     Checks that epsilon lies in (0, 1/2), that sawtooth_depth is the one
-    epsilon asks for and matches the net's depth (and the net's own
-    metadata, when it records them), that the grid error on [-1, 2]^2 is at
-    most epsilon and that phi is exactly zero on both axes.  Raises
-    CertificationError on any failure.
+    epsilon asks for (and the one the net's own metadata records, when it
+    does), that the grid error on [-1, 2]^2 is at most epsilon and that phi
+    is exactly zero on both axes.  Raises CertificationError on any failure.
     """
     eps, s = gadget.epsilon, gadget.sawtooth_depth
     if not (0.0 < eps < 0.5):
         raise CertificationError(f"epsilon must lie in (0, 1/2), got {eps}")
-    if s != sawtooth_depth_for(eps) or len(gadget.branch.layers) != s + 2:
-        raise CertificationError(
-            f"sawtooth depth {s} disagrees with epsilon {eps:g} "
-            f"or with the {len(gadget.branch.layers)}-layer net")
+    if s != sawtooth_depth_for(eps):
+        raise CertificationError(f"sawtooth depth {s} disagrees with epsilon {eps:g}")
     for key, value in (("epsilon", eps), ("sawtooth_depth", s)):
         if gadget.net.metadata.get(key, value) != value:
             raise CertificationError(f"product net records {key}="
@@ -255,12 +200,11 @@ def build_product_gadget(epsilon: float) -> ProductGadget:
     if not (0.0 < epsilon < 0.5):
         raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     s = sawtooth_depth_for(epsilon)
-    net = _product_net(s)
-    gadget = ProductGadget(net, epsilon, s, certified_grid_error=np.nan)
+    gadget = ProductGadget(_product_net(s), epsilon, s, certified_grid_error=np.nan)
     err, axis_err = certify_product(gadget)
 
     gadget.certified_grid_error = err
-    comp = complexity(net)
+    comp = gadget.complexity
     log_inv_eps = math.log(1.0 / epsilon)
     gadget.metadata = {
         "epsilon": epsilon,
@@ -286,9 +230,10 @@ class SignApprox:
     net: ReluNetwork
 
     def __call__(self, t):
-        raw = eval_scalar(self.net, t)
+        t = np.asarray(t, dtype=np.float64)
         # the exact F_a never leaves [-1, 1]; clip removes float overshoot only
-        return np.clip(raw, -1.0, 1.0) if isinstance(raw, np.ndarray) else min(1.0, max(-1.0, raw))
+        out = np.clip(forward(self.net, t.reshape(-1, 1))[:, 0], -1.0, 1.0)
+        return float(out[0]) if t.ndim == 0 else out
 
     @property
     def complexity(self) -> NetworkComplexity:

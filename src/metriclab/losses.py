@@ -186,11 +186,6 @@ def tstar_oracle(loss: LossFunction, eta: float, t_range=T_RANGE) -> float:
         lambda t: eta * loss.subgradient(t) - (1.0 - eta) * loss.subgradient(-t), t_range)
 
 
-def q_minimum(loss: LossFunction, eta: float, t_range=T_RANGE) -> float:
-    """min_t Q(eta, t), evaluated at the oracle's minimizer."""
-    return float(q_value(loss, eta, tstar_oracle(loss, eta, t_range)))
-
-
 def tstar_analytic(loss: LossFunction, eta: float, hinge_convention: str = "infimum"):
     """Closed-form minimizer where one is registered; None otherwise."""
     if not 0.0 <= eta <= 1.0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InputShapeError, ParameterError
+from .errors import DomainError, InputShapeError, ParameterError, ValidationFailure
 
 MODEL_FORMAT_VERSION = 1
 
@@ -70,13 +70,6 @@ class NetworkComplexity:
             raise ParameterError("complexity components must be nonnegative")
         if self.units < self.depth:
             raise ParameterError("units < depth impossible (each layer has width >= 1)")
-
-    def __add__(self, other: "NetworkComplexity") -> "NetworkComplexity":
-        return NetworkComplexity(
-            self.depth + other.depth,
-            self.nonzero_weights + other.nonzero_weights,
-            self.units + other.units,
-        )
 
 
 @dataclass
@@ -225,20 +218,13 @@ def complexity(net: ReluNetwork) -> NetworkComplexity:
     return NetworkComplexity(depth, nnz, units)
 
 
-def stack(first: ReluNetwork, second: ReluNetwork) -> ReluNetwork:
-    """Concatenate two networks; complexity is additive under stacking."""
-    if second.input_dim != first.output_dim:
-        raise InputShapeError(
-            f"cannot stack: first outputs {first.output_dim}, second expects {second.input_dim}"
-        )
-    if not first.apply_final_relu:
-        # the seam would silently lose the affine read-out semantics
-        raise ParameterError("first network must end in ReLU to stack")
-    return ReluNetwork(
-        [l.copy() for l in first.layers] + [l.copy() for l in second.layers],
-        first.input_dim,
-        second.apply_final_relu,
-    )
+def same_network(a: ReluNetwork, b: ReluNetwork) -> bool:
+    """True when two networks compute with identical parameters, bit for bit
+    (metadata aside)."""
+    return (a.input_dim == b.input_dim and a.apply_final_relu == b.apply_final_relu
+            and len(a.layers) == len(b.layers)
+            and all(np.array_equal(x.weights, y.weights) and np.array_equal(x.bias, y.bias)
+                    for x, y in zip(a.layers, b.layers)))
 
 
 def save_model(net: ReluNetwork, path) -> None:
@@ -264,14 +250,22 @@ def save_model(net: ReluNetwork, path) -> None:
 
 
 def load_model(path) -> ReluNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ParameterError(f"unsupported model format version {doc.get('format_version')!r}")
-    layers = []
-    for spec in doc["layers"]:
-        w = np.array(spec["weights_row_major"], dtype=np.float64).reshape(
-            spec["out_width"], spec["in_width"]
-        )
-        layers.append(DenseLayer(w, np.array(spec["bias"], dtype=np.float64)))
-    return ReluNetwork(layers, doc["input_dim"], doc["apply_final_relu"], doc.get("metadata", {}))
+    """Read a model file; a malformed one raises a ValidationFailure."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc.get("format_version") != MODEL_FORMAT_VERSION:
+            raise ParameterError(
+                f"unsupported model format version {doc.get('format_version')!r}")
+        layers = []
+        for spec in doc["layers"]:
+            w = np.array(spec["weights_row_major"], dtype=np.float64).reshape(
+                spec["out_width"], spec["in_width"]
+            )
+            layers.append(DenseLayer(w, np.array(spec["bias"], dtype=np.float64)))
+        return ReluNetwork(layers, doc["input_dim"], doc["apply_final_relu"],
+                           doc.get("metadata", {}))
+    except ValidationFailure:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ParameterError(f"malformed model file {path}: {err!r}") from err

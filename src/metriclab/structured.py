@@ -13,8 +13,8 @@ phi(u, v) = S(u+v) - (S(u) + S(v)) with its squaring branch S applied once
 per point and once per pair sum.
 
 Exact symmetry holds by construction, not by an argument sort: u+v and
-S(u) + S(v) are commutative in floating point, so evaluate(x, x') and
-evaluate(x', x) are bit-identical.
+S(u) + S(v) are commutative in floating point, so pair_values(X, X') and
+pair_values(X', X) are bit-identical.
 
 Complexity accounting (documented here because the hand counts in the test
 suite rely on it).  Realized as one monolithic ReLU network, the assembly
@@ -39,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputShapeError, ParameterError
+from .errors import CertificationError, InputShapeError, ParameterError
 from .gadgets import (
+    PRODUCT_DOMAIN,
     ProductGadget,
     SignApprox,
     build_product_gadget,
@@ -53,11 +54,10 @@ from .relu_net import (
     ReluNetwork,
     complexity,
     load_model,
+    same_network,
     save_model,
 )
 from .relu_net import _backprop, _forward_trace, _input_grad, _unit_cube_batch
-
-CLAMP_LO, CLAMP_HI = -1.0, 2.0
 
 
 @dataclass
@@ -125,14 +125,6 @@ class PairTrace:
     sign_trace: list
     d: np.ndarray
 
-    @property
-    def raw_x(self) -> list:
-        return [v[self.index[:self.d.size]] for v in self.values]
-
-    @property
-    def raw_xp(self) -> list:
-        return [v[self.index[self.d.size:]] for v in self.values]
-
 
 def _distinct_rows(sides: np.ndarray):
     """Distinct rows, feature-major (p, k), and each row's index among them."""
@@ -156,7 +148,7 @@ def pair_forward(net: StructuredMetricNet, X, Xp) -> PairTrace:
     for h in net.subnets:
         trace = _forward_trace(h, points)
         v = trace[-1][0]
-        c = np.clip(v, CLAMP_LO, CLAMP_HI) if net.clamp_subnet_output else v
+        c = np.clip(v, *PRODUCT_DOMAIN) if net.clamp_subnet_output else v
         values.append(v)
         subnet_traces.append(trace)
         clamped.append(c)
@@ -180,11 +172,6 @@ def pair_forward(net: StructuredMetricNet, X, Xp) -> PairTrace:
 def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
     """Batched metric values in [-1, 1]."""
     return pair_forward(net, X, Xp).d
-
-
-def evaluate(net: StructuredMetricNet, x, xp) -> float:
-    """Metric value for a single pair."""
-    return float(pair_values(net, np.atleast_2d(x), np.atleast_2d(xp))[0])
 
 
 def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarray):
@@ -216,7 +203,7 @@ def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarr
         g = g_c[i * k:(i + 1) * k]
         if net.clamp_subnet_output:
             v = trace.values[i]
-            g = g * ((v > CLAMP_LO) & (v < CLAMP_HI))
+            g = g * ((v > PRODUCT_DOMAIN[0]) & (v < PRODUCT_DOMAIN[1]))
         wg, bg, _ = _backprop(h, trace.subnet_traces[i], g[None, :])
         grads.append((wg, bg))
     return grads
@@ -305,6 +292,13 @@ def make_structured_net(p: int, m: int, depth: int, width: int, epsilon: float,
 # persistence
 # ---------------------------------------------------------------------------
 
+def _recorded_counts(net: StructuredMetricNet) -> dict:
+    """The counts a manifest records, as recomputed from the nets."""
+    agg = aggregate_complexity(net)
+    return {"aggregated_complexity": {"L": agg.depth, "W": agg.nonzero_weights, "U": agg.units},
+            "glue_constants": glue_constants(net)}
+
+
 def save_manifest(net: StructuredMetricNet, out_dir) -> str:
     """Write the composite as a manifest plus one model file per component."""
     os.makedirs(out_dir, exist_ok=True)
@@ -315,7 +309,6 @@ def save_manifest(net: StructuredMetricNet, out_dir) -> str:
         subnet_files.append(fname)
     save_model(net.product.net, os.path.join(out_dir, "product.json"))
     save_model(net.sign.net, os.path.join(out_dir, "sign.json"))
-    agg = aggregate_complexity(net)
     manifest = {
         "m": net.m,
         "a": net.sign.a,
@@ -323,8 +316,7 @@ def save_manifest(net: StructuredMetricNet, out_dir) -> str:
         "sawtooth_depth": net.product.sawtooth_depth,
         "certified_grid_error": net.product.certified_grid_error,
         "clamp_subnet_output": net.clamp_subnet_output,
-        "aggregated_complexity": {"L": agg.depth, "W": agg.nonzero_weights, "U": agg.units},
-        "glue_constants": glue_constants(net),
+        **_recorded_counts(net),
         "subnets": subnet_files,
         "product": "product.json",
         "sign": "sign.json",
@@ -337,17 +329,35 @@ def save_manifest(net: StructuredMetricNet, out_dir) -> str:
 
 
 def load_manifest(out_dir) -> StructuredMetricNet:
-    with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    subnets = [load_model(os.path.join(out_dir, f)) for f in manifest["subnets"]]
-    product = ProductGadget(
-        net=load_model(os.path.join(out_dir, manifest["product"])),
-        epsilon=manifest["epsilon"],
-        sawtooth_depth=manifest["sawtooth_depth"],
-        certified_grid_error=manifest["certified_grid_error"],
-    )
-    # a saved gadget is certified again, not trusted
-    product.certified_grid_error, _ = certify_product(product)
-    sign_net = load_model(os.path.join(out_dir, manifest["sign"]))
-    sign = SignApprox(manifest["a"], sign_net)
-    return StructuredMetricNet(subnets, product, sign, manifest["clamp_subnet_output"])
+    """Load a saved composite and check it instead of trusting it.
+
+    The product net must be the one its sawtooth depth determines and pass
+    certification again, the sign net must be F_a for the recorded a, and
+    the recorded complexity and glue constants must equal the recomputed
+    ones; otherwise CertificationError.  A file with a missing key or a
+    malformed network raises a ValidationFailure.
+    """
+    path = os.path.join(out_dir, "manifest.json")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        subnets = [load_model(os.path.join(out_dir, f)) for f in manifest["subnets"]]
+        product = ProductGadget(
+            net=load_model(os.path.join(out_dir, manifest["product"])),
+            epsilon=manifest["epsilon"],
+            sawtooth_depth=manifest["sawtooth_depth"],
+            certified_grid_error=manifest["certified_grid_error"],
+        )
+        product.certified_grid_error, _ = certify_product(product)
+        sign = build_sign_approx(manifest["a"])
+        if not same_network(load_model(os.path.join(out_dir, manifest["sign"])), sign.net):
+            raise CertificationError(f"{manifest['sign']} is not the sign net F_a for "
+                                     f"a={sign.a!r}")
+        net = StructuredMetricNet(subnets, product, sign, manifest["clamp_subnet_output"])
+        for key, value in _recorded_counts(net).items():
+            if manifest[key] != value:
+                raise CertificationError(f"manifest records {key}={manifest[key]!r}, "
+                                         f"the loaded nets give {value!r}")
+    except (KeyError, TypeError, json.JSONDecodeError) as err:
+        raise ParameterError(f"malformed manifest in {out_dir}: {err!r}") from err
+    return net

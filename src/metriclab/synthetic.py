@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -53,18 +53,6 @@ class SyntheticTask:
 
     def rng(self, salt: int = 0) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(salt,)))
-
-
-@dataclass
-class PairSample:
-    x: np.ndarray
-    xp: np.ndarray
-    y: int
-    yp: int
-    tau: int = field(init=False)
-
-    def __post_init__(self):
-        self.tau = 1 if self.y == self.yp else -1
 
 
 def conditional_probs(task: SyntheticTask, X) -> np.ndarray:
@@ -381,13 +369,9 @@ def make_task(family: str, p: int = 1, seed: int = 0, **params) -> SyntheticTask
         raise ParameterError(f"unknown task family {family!r}; known: {sorted(MODEL_FAMILIES)}")
     if family == "cosine":
         model = cosine_model(p=p, **params)
-    elif family == "linear":
-        if p != 1:
-            raise ParameterError("linear family is defined on p = 1")
-        model = linear_model(**params)
+    elif p != 1:
+        raise ParameterError(f"{family} family is defined on p = 1")
     else:
-        if p != 1:
-            raise ParameterError(f"{family} family is defined on p = 1")
         model = MODEL_FAMILIES[family](**params)
     spec = {"family": family, "p": p, "seed": seed, **params}
     return SyntheticTask(p=p, model=model, seed=seed, spec=spec)

@@ -23,7 +23,7 @@ from metriclab.losses import (
     get_loss,
     tstar_analytic,
 )
-from metriclab.relu_net import DenseLayer, ReluNetwork, complexity
+from metriclab.relu_net import DenseLayer, ReluNetwork, complexity, forward
 from metriclab.risk import rate_sweep, risk_report, variance_expectation_check
 from metriclab.structured import (
     HypothesisBudget,
@@ -218,8 +218,8 @@ def _pair_margin(net, x, xp):
             margin = min(margin, _min_kink_margin(h, point))
     trace = pair_forward(net, x[None, :], xp[None, :])
     for i in range(net.m):
-        a = float(trace.raw_x[i][0])
-        b = float(trace.raw_xp[i][0])
+        a = float(forward(net.subnets[i], x)[0])
+        b = float(forward(net.subnets[i], xp)[0])
         margin = min(margin, abs(a - b),              # argument-sort switch
                      abs(a + 1.0), abs(2.0 - a),      # clamp corners
                      abs(b + 1.0), abs(2.0 - b))
@@ -233,8 +233,6 @@ def _pair_margin(net, x, xp):
 
 def _constant_subnet_present(net, rng):
     probes = rng.random((16, net.input_dim))
-    from metriclab.relu_net import forward
-
     return any(float(np.ptp(forward(h, probes)[:, 0])) < 1e-9 for h in net.subnets)
 
 

@@ -87,6 +87,12 @@ class TestMetricLab:
         code = main(["metric-lab", "--losses", "perceptron", "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flag,value", [("--eta-points", "0"), ("--pairs", "-1")])
+    def test_out_of_range_counts_rejected(self, tmp_path, capsys, flag, value):
+        code = main(["metric-lab", flag, value, "--out", str(tmp_path / "lab")])
+        assert code == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+
 
 class TestGenData:
     def test_writes_csv_with_header(self, tmp_path):
@@ -184,6 +190,23 @@ class TestRateSweepCommand:
 
     def test_report_needs_sweep_outputs(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path)]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-eval", "rate-sweep", "metric-lab",
+                                     "verify-gadgets"])
+def test_out_naming_a_file_exits_two_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{command} started work before checking --out")
+
+    for name in ("sample_dataset", "train", "rate_sweep", "get_loss", "build_product_gadget"):
+        monkeypatch.setattr(f"metriclab.cli.{name}", work)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    args = [command, "--out", str(taken)]
+    if command in ("gen-data", "train-eval", "rate-sweep"):
+        args += ["--config", write(tmp_path, "c.yaml", SWEEP_CONFIG)]
+    assert main(args) == EXIT_VALIDATION
+    assert str(taken) in capsys.readouterr().err
 
 
 def test_cli_import_skips_scipy_stats():

@@ -6,7 +6,6 @@ import pytest
 from metriclab.erm import (
     TrainConfig,
     empirical_risk,
-    hinge_subgradient,
     train,
 )
 from metriclab.errors import ParameterError
@@ -17,7 +16,6 @@ from metriclab.structured import (
     HypothesisBudget,
     StructuredMetricNet,
     aggregate_complexity,
-    evaluate,
     make_structured_net,
     pair_backward,
     pair_forward,
@@ -68,7 +66,7 @@ class TestEmpiricalRisk:
                 if i == j:
                     continue
                 tau = 1.0 if y[i] == y[j] else -1.0
-                total += max(0.0, 1.0 + tau * evaluate(net, X[i], X[j]))
+                total += max(0.0, 1.0 + tau * pair_values(net, X[i:i + 1], X[j:j + 1])[0])
         assert empirical_risk(net, (X, y), hinge) == pytest.approx(total / 12.0, abs=1e-12)
 
     def test_permutation_invariance(self, hinge):
@@ -111,21 +109,27 @@ class TestEmpiricalRisk:
 
 
 class TestHingeSubgradient:
-    def test_active_similar(self):
-        assert hinge_subgradient(1, 0.0) == 1.0
+    """tau * l'(tau * d) for the hinge loss: the upstream factor train() uses."""
 
-    def test_inactive(self):
-        assert hinge_subgradient(1, -2.0) == 0.0
+    def test_active_similar(self, hinge):
+        tau, d = 1.0, 0.0
+        assert tau * hinge.subgradient(tau * d) == 1.0
 
-    def test_dissimilar_active(self):
-        assert hinge_subgradient(-1, 0.5) == -1.0
+    def test_inactive(self, hinge):
+        tau, d = 1.0, -2.0
+        assert tau * hinge.subgradient(tau * d) == 0.0
 
-    def test_kink_convention(self):
-        assert hinge_subgradient(1, -1.0) == 0.0
+    def test_dissimilar_active(self, hinge):
+        tau, d = -1.0, 0.5
+        assert tau * hinge.subgradient(tau * d) == -1.0
 
-    def test_vectorized(self):
-        out = hinge_subgradient(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
-        assert np.array_equal(out, [1.0, -1.0])
+    def test_kink_convention(self, hinge):
+        tau, d = 1.0, -1.0
+        assert tau * hinge.subgradient(tau * d) == 0.0
+
+    def test_vectorized(self, hinge):
+        tau, d = np.array([1.0, -1.0]), np.array([0.0, 0.0])
+        assert np.array_equal(tau * hinge.subgradient(tau * d), [1.0, -1.0])
 
 
 class TestTrain:

@@ -5,64 +5,36 @@ from hypothesis import strategies as st
 
 from metriclab.errors import CertificationError, ParameterError
 from metriclab.gadgets import (
+    PRODUCT_DOMAIN,
     ProductGadget,
     _product_net,
-    build_hat_iterate,
+    _squaring_branch,
     build_product_gadget,
     build_sign_approx,
     build_square_gadget,
     certification_grid,
     certify_product,
-    eval_scalar,
     sawtooth_depth_for,
 )
-from metriclab.relu_net import complexity, forward
+from metriclab.relu_net import DenseLayer, ReluNetwork, complexity, forward
 
-SQUARE = st.floats(min_value=-1.0, max_value=2.0)
+SQUARE = st.floats(min_value=PRODUCT_DOMAIN[0], max_value=PRODUCT_DOMAIN[1])
 PHIS = {eps: build_product_gadget(eps) for eps in (1e-1, 1e-2, 1e-3)}
+BRANCHES = {s: _squaring_branch(s) for s in range(1, 9)}
 
-
-class TestHatIterate:
-    def test_single_hat_peak_and_endpoints(self):
-        g = build_hat_iterate(1)
-        assert eval_scalar(g, 0.5) == pytest.approx(1.0, abs=1e-14)
-        assert eval_scalar(g, 0.0) == pytest.approx(0.0, abs=1e-14)
-        assert eval_scalar(g, 1.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_two_fold_composition(self):
-        g2 = build_hat_iterate(2)
-        # hand evaluation: g(g(1/4)) = g(1/2) = 1 and g(g(1/2)) = g(1) = 0
-        assert eval_scalar(g2, 0.25) == pytest.approx(1.0, abs=1e-14)
-        assert eval_scalar(g2, 0.5) == pytest.approx(0.0, abs=1e-14)
-
-    def test_three_fold_alternates_on_eighths(self):
-        g3 = build_hat_iterate(3)
-        vals = eval_scalar(g3, np.arange(9) / 8.0)
-        assert np.allclose(vals, [0, 1, 0, 1, 0, 1, 0, 1, 0], atol=1e-12)
-
-    def test_teeth_count(self):
-        # g_s has 2^(s-1) teeth: peaks at (2k+1)/2^s
-        for s in (1, 2, 3, 4):
-            g = build_hat_iterate(s)
-            peaks = (2 * np.arange(2 ** (s - 1)) + 1) / 2.0**s
-            assert np.allclose(eval_scalar(g, peaks), 1.0, atol=1e-12)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ParameterError):
-            build_hat_iterate(0)
 
 
 class TestSquareGadget:
     @pytest.mark.parametrize("s", [1, 2, 4, 6])
     def test_exact_at_endpoints(self, s):
         sq = build_square_gadget(s)
-        assert eval_scalar(sq, 0.0) == 0.0
-        assert eval_scalar(sq, 1.0) == 1.0
+        assert forward(sq, [0.0])[0] == 0.0
+        assert forward(sq, [1.0])[0] == 1.0
 
     def test_error_bound_s4(self):
         sq = build_square_gadget(4)
         u = np.linspace(0.0, 1.0, 10_000)
-        err = np.max(np.abs(eval_scalar(sq, u) - u * u))
+        err = np.max(np.abs(forward(sq, u[:, None])[:, 0] - u * u))
         assert err <= 2.0**-10
 
     def test_accuracy_monotone_in_s(self):
@@ -70,14 +42,18 @@ class TestSquareGadget:
         errs = []
         for s in range(1, 7):
             sq = build_square_gadget(s)
-            errs.append(np.max(np.abs(eval_scalar(sq, u) - u * u)))
+            errs.append(np.max(np.abs(forward(sq, u[:, None])[:, 0] - u * u)))
         assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
 
     @pytest.mark.parametrize("s", [1, 3, 5])
     def test_analytic_error_bound(self, s):
         sq = build_square_gadget(s)
         u = np.linspace(0.0, 1.0, 20_001)
-        assert np.max(np.abs(eval_scalar(sq, u) - u * u)) <= 2.0 ** (-2 * s - 2) + 1e-15
+        assert np.max(np.abs(forward(sq, u[:, None])[:, 0] - u * u)) <= 2.0 ** (-2 * s - 2) + 1e-15
+
+    def test_rejects_zero(self):
+        with pytest.raises(ParameterError):
+            build_square_gadget(0)
 
 
 class TestProductGadget:
@@ -132,8 +108,8 @@ class TestProductGadget:
 
 
 class TestFactoredProduct:
-    """phi is evaluated as S(x+y) - (S(x) + S(y)) from the realized net's
-    squaring branch S; these pin it to the realized network."""
+    """phi is evaluated as S(x+y) - (S(x) + S(y)) with the squaring branch S
+    its depth determines; these pin it to the realized network."""
 
     @settings(max_examples=200, deadline=None)
     @given(eps=st.sampled_from(sorted(PHIS)), x=SQUARE, y=SQUARE)
@@ -148,6 +124,28 @@ class TestFactoredProduct:
         assert phi(0.0, y) == 0.0
         assert phi(x, 0.0) == 0.0
         assert phi(x, y) == phi(y, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.sampled_from(sorted(BRANCHES)), v=st.floats(min_value=-4.0, max_value=4.0))
+    def test_branch_error_within_analytic_bound(self, s, v):
+        # S(v) = 8 sq_s(|v|/4) and |sq_s(u) - u^2| <= 2^(-2s-2), so the bound is 2^(1-2s)
+        got = forward(BRANCHES[s], [v])[0]
+        assert abs(got - v * v / 2.0) <= 2.0 ** (1 - 2 * s) + 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.sampled_from(sorted(BRANCHES)),
+           v=st.floats(min_value=-4.0, max_value=4.0).filter(lambda v: abs(v) > 2.0 ** -900))
+    def test_branch_is_the_scaled_square_gadget(self, s, v):
+        # the abs fold and the read-out scale by 8 = 2M^2 are exact in binary,
+        # away from subnormal products
+        sq = forward(build_square_gadget(s), [abs(v) / 4.0])[0]
+        assert forward(BRANCHES[s], [v])[0] == 8.0 * sq
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps=st.sampled_from(sorted(PHIS)), x=SQUARE, y=SQUARE)
+    def test_product_error_within_analytic_bound(self, eps, x, y):
+        phi = PHIS[eps]
+        assert abs(phi(x, y) - x * y) <= 6.0 * 2.0 ** (-2 * phi.sawtooth_depth)
 
     def test_branch_is_four_wide(self):
         phi = PHIS[1e-2]
@@ -165,8 +163,21 @@ class TestFactoredProduct:
         s = sawtooth_depth_for(1e-2)
         net = _product_net(s)
         net.layers[-1].weights *= 3.0  # still the layout, three times phi
+        with pytest.raises(CertificationError, match="polarization net"):
+            ProductGadget(net, 1e-2, s, certified_grid_error=np.nan)
+
+    def test_construction_rejects_a_depth_other_than_sawtooth_depth(self):
+        with pytest.raises(CertificationError, match="depth-4 polarization net"):
+            ProductGadget(_product_net(3), 1e-2, 4, certified_grid_error=np.nan)
+
+    def test_certification_catches_a_scaled_branch(self):
+        # construction pins the net; the grid check still guards the branch calls run
+        gadget = build_product_gadget(1e-2)
+        *hidden, readout = gadget.branch.layers
+        gadget.branch = ReluNetwork([*hidden, DenseLayer(3.0 * readout.weights, readout.bias)],
+                                    input_dim=1, apply_final_relu=False)
         with pytest.raises(CertificationError, match="grid error"):
-            certify_product(ProductGadget(net, 1e-2, s, certified_grid_error=np.nan))
+            certify_product(gadget)
 
     def test_certification_checks_depth_against_epsilon(self):
         gadget = ProductGadget(_product_net(3), 1e-2, 3, certified_grid_error=np.nan)

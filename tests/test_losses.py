@@ -15,7 +15,6 @@ from metriclab.losses import (
     check_self_distance,
     continuous_label_degeneracy,
     get_loss,
-    q_minimum,
     q_value,
     tstar_analytic,
     tstar_oracle,
@@ -96,7 +95,8 @@ class TestOracle:
         for eta in (0.0, 0.13, 0.5, 0.88, 1.0):
             if eta == 1.0:
                 continue  # argmin unbounded below; handled by the sentinel path
-            assert q_minimum(hinge, eta) == pytest.approx(2 * min(eta, 1 - eta), abs=1e-9)
+            q_min = q_value(hinge, eta, tstar_oracle(hinge, eta))
+            assert q_min == pytest.approx(2 * min(eta, 1 - eta), abs=1e-9)
 
 
 class TestOracleProperties:

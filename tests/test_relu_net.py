@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from metriclab.errors import DomainError, InputShapeError
+from metriclab.errors import DomainError, InputShapeError, ValidationFailure
 from metriclab.relu_net import (
     DenseLayer,
     ReluNetwork,
@@ -9,8 +11,8 @@ from metriclab.relu_net import (
     complexity,
     forward,
     load_model,
+    same_network,
     save_model,
-    stack,
 )
 
 
@@ -142,15 +144,6 @@ class TestComplexity:
         c = complexity(net)
         assert (c.depth, c.nonzero_weights, c.units) == (1, 9, 3)
 
-    def test_additive_under_stacking(self):
-        rng = np.random.default_rng(1)
-        a = random_net(rng, [2, 3], final_relu=True)
-        b = random_net(rng, [3, 4, 1])
-        ca, cb, cs = complexity(a), complexity(b), complexity(stack(a, b))
-        assert cs.depth == ca.depth + cb.depth
-        assert cs.nonzero_weights == ca.nonzero_weights + cb.nonzero_weights
-        assert cs.units == ca.units + cb.units
-
 
 class TestPiecewiseLinearity:
     def test_segment_interpolation_without_pattern_change(self):
@@ -192,3 +185,28 @@ class TestPersistence:
         out_b = forward(loaded, X)
         assert np.array_equal(out_a, out_b)
         assert loaded.metadata["note"] == "round-trip"
+        assert same_network(net, loaded)
+
+    def test_same_network_sees_one_changed_bit(self):
+        net = random_net(np.random.default_rng(3), [2, 4, 1])
+        other = net.copy()
+        assert same_network(net, other)
+        other.layers[1].bias[0] = np.nextafter(other.layers[1].bias[0], np.inf)
+        assert not same_network(net, other)
+        assert not same_network(net, ReluNetwork(net.layers[:1], input_dim=2))
+
+    @pytest.mark.parametrize("fault", ["missing key", "wrong shape", "broken chain", "not json"])
+    def test_malformed_file_is_a_validation_failure(self, tmp_path, fault):
+        path = tmp_path / "model.json"
+        save_model(random_net(np.random.default_rng(5), [2, 3, 1]), path)
+        doc = json.loads(path.read_text())
+        if fault == "missing key":
+            del doc["layers"][0]["bias"]
+        elif fault == "wrong shape":
+            doc["layers"][0]["out_width"] = 4
+        elif fault == "broken chain":
+            doc["input_dim"] = 5
+        text = "{not json" if fault == "not json" else json.dumps(doc)
+        path.write_text(text)
+        with pytest.raises(ValidationFailure):
+            load_model(path)

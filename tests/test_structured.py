@@ -27,7 +27,6 @@ from metriclab.structured import (
     StructuredMetricNet,
     aggregate_complexity,
     constant_subnet,
-    evaluate,
     glue_constants,
     load_manifest,
     make_structured_net,
@@ -70,12 +69,12 @@ class TestEvaluate:
     def test_zero_subnets_give_plus_one(self, phi, sign):
         net = StructuredMetricNet([constant_subnet(1, 0.0), constant_subnet(1, 0.0)], phi, sign)
         # phi vanishes on the axes, so the sign net sees exactly 1
-        assert evaluate(net, [0.3], [0.8]) == pytest.approx(1.0, abs=1e-12)
+        assert pair_values(net, [0.3], [0.8])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_one_subnet_saturates_negative(self, phi, sign):
         net = StructuredMetricNet([constant_subnet(1, 1.0)], phi, sign)
         # phi(1,1) within eps of 1, so F_a(-1 +- 2eps) = -1 for a = 0.1
-        assert evaluate(net, [0.3], [0.8]) == -1.0
+        assert pair_values(net, [0.3], [0.8])[0] == -1.0
 
     def test_symmetry_bit_exact(self):
         net = make_structured_net(p=3, m=2, depth=2, width=5, epsilon=1e-2, a=0.3,
@@ -106,7 +105,7 @@ class TestEvaluate:
     def test_domain_error(self, phi, sign):
         net = StructuredMetricNet([constant_subnet(1, 0.0)], phi, sign)
         with pytest.raises(DomainError):
-            evaluate(net, [1.4], [0.5])
+            pair_values(net, [1.4], [0.5])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), batch=st.integers(1, 6),
@@ -184,7 +183,9 @@ class TestPairBackward:
         points = rng.random((5, 2))
         X, Xp = points[[0, 1, 1, 4]], points[[4, 4, 0, 1]]
         trace = pair_forward(net, X, Xp)
-        for h, rx, rxp in zip(net.subnets, trace.raw_x, trace.raw_xp):
+        raw_x = [v[trace.index[:len(X)]] for v in trace.values]
+        raw_xp = [v[trace.index[len(X):]] for v in trace.values]
+        for h, rx, rxp in zip(net.subnets, raw_x, raw_xp):
             assert np.allclose(rx, forward(h, X)[:, 0], rtol=0, atol=1e-15)
             assert np.allclose(rxp, forward(h, Xp)[:, 0], rtol=0, atol=1e-15)
 
@@ -332,3 +333,55 @@ class TestPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(CertificationError):
             load_manifest(tmp_path / "model")
+
+    @staticmethod
+    def saved(tmp_path):
+        net = make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2, a=0.2, seed=3)
+        save_manifest(net, tmp_path / "model")
+        return tmp_path / "model"
+
+    @staticmethod
+    def tamper(path, *keys, value=None):
+        """Set one nested entry of a JSON file, or delete it when value is None."""
+        doc = json.loads(path.read_text())
+        *parents, last = keys
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+        path.write_text(json.dumps(doc))
+
+    def test_load_rejects_a_sign_net_other_than_f_a(self, tmp_path):
+        model = self.saved(tmp_path)
+        self.tamper(model / "sign.json", "layers", 1, "bias", 0, value=-0.5)
+        with pytest.raises(CertificationError, match="sign net"):
+            load_manifest(model)
+
+    def test_load_rejects_a_recorded_a_the_sign_net_does_not_realize(self, tmp_path):
+        model = self.saved(tmp_path)
+        self.tamper(model / "manifest.json", "a", value=0.3)
+        with pytest.raises(CertificationError, match="sign net"):
+            load_manifest(model)
+
+    @pytest.mark.parametrize("key,field", [("aggregated_complexity", "W"),
+                                           ("glue_constants", "c_U")])
+    def test_load_rejects_recorded_counts_the_nets_do_not_have(self, tmp_path, key, field):
+        model = self.saved(tmp_path)
+        self.tamper(model / "manifest.json", key, field, value=10**6)
+        with pytest.raises(CertificationError, match=key):
+            load_manifest(model)
+
+    def test_load_rejects_a_manifest_with_a_missing_key(self, tmp_path):
+        model = self.saved(tmp_path)
+        self.tamper(model / "manifest.json", "sawtooth_depth")
+        with pytest.raises(ValidationFailure, match="sawtooth_depth"):
+            load_manifest(model)
+
+    def test_load_rejects_a_model_file_with_wrongly_shaped_layers(self, tmp_path):
+        model = self.saved(tmp_path)
+        self.tamper(model / "product.json", "layers", 1, "in_width", value=5)
+        with pytest.raises(ValidationFailure, match="product.json"):
+            load_manifest(model)

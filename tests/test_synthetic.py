@@ -5,7 +5,6 @@ import pytest
 
 from metriclab.errors import DomainError, ParameterError
 from metriclab.synthetic import (
-    PairSample,
     SyntheticTask,
     atom_marginal,
     bayes_risk_hinge,
@@ -204,14 +203,6 @@ class TestFamilies:
     def test_linear_requires_p1(self):
         with pytest.raises(ParameterError):
             make_task("linear", p=2, seed=0)
-
-
-class TestPairSample:
-    def test_tau_reduces_labels(self):
-        same = PairSample(np.array([0.1]), np.array([0.9]), y=2, yp=2)
-        diff = PairSample(np.array([0.1]), np.array([0.9]), y=2, yp=0)
-        assert same.tau == 1
-        assert diff.tau == -1
 
 
 class TestCsvExport:
