@@ -156,6 +156,17 @@ def certification_grid(n: int = CERT_GRID_POINTS) -> np.ndarray:
     return np.linspace(PRODUCT_DOMAIN[0], PRODUCT_DOMAIN[1], n)
 
 
+def check_depth(epsilon: float, sawtooth_depth: int) -> None:
+    """Raise CertificationError unless epsilon lies in (0, 1/2) and
+    sawtooth_depth is the one it asks for.  Cheap, so a saved gadget can be
+    checked before its branch, whose size grows with the depth, is built."""
+    if not (0.0 < epsilon < 0.5):
+        raise CertificationError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    if sawtooth_depth != sawtooth_depth_for(epsilon):
+        raise CertificationError(f"sawtooth depth {sawtooth_depth} disagrees with "
+                                 f"epsilon {epsilon:g}")
+
+
 def certify_product(gadget: ProductGadget) -> tuple[float, float]:
     """Certify the phi that calls evaluate; returns (grid error, axis error).
 
@@ -165,10 +176,7 @@ def certify_product(gadget: ProductGadget) -> tuple[float, float]:
     is exactly zero on both axes.  Raises CertificationError on any failure.
     """
     eps, s = gadget.epsilon, gadget.sawtooth_depth
-    if not (0.0 < eps < 0.5):
-        raise CertificationError(f"epsilon must lie in (0, 1/2), got {eps}")
-    if s != sawtooth_depth_for(eps):
-        raise CertificationError(f"sawtooth depth {s} disagrees with epsilon {eps:g}")
+    check_depth(eps, s)
     for key, value in (("epsilon", eps), ("sawtooth_depth", s)):
         if gadget.net.metadata.get(key, value) != value:
             raise CertificationError(f"product net records {key}="

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import structured
 from .errors import ContractError, ExecutionError, ParameterError
 from .erm import TrainConfig, train
 from .losses import LossFunction, hinge_loss
@@ -326,11 +327,14 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
     if not math.isfinite(theta) or theta <= 0.0:
         raise ExecutionError(f"unusable noise exponent {theta} for the budget recipe")
 
+    # phi depends on epsilon alone, so every job shares one certified gadget
+    # (called through the structured module, the binding bench/spans.py traces)
+    product = structured.build_product_gadget(epsilon)
     jobs_list = []
     for n in n_list:
         depth, width = subnet_shape_for_budget(theorem_budget(n, task.p, task.model.r, theta))
         model = {"m": m, "depth": depth, "width": width, "epsilon": epsilon, "a": a,
-                 "clamp": clamp, "init_scale": init_scale}
+                 "clamp": clamp, "init_scale": init_scale, "product": product}
         jobs_list += [_SweepJob(task.spec, n, si, train_config, model, mc_pairs) for si in seeds]
 
     if jobs > 1:

@@ -47,6 +47,7 @@ from .gadgets import (
     build_product_gadget,
     build_sign_approx,
     certify_product,
+    check_depth,
 )
 from .relu_net import (
     DenseLayer,
@@ -58,6 +59,12 @@ from .relu_net import (
     save_model,
 )
 from .relu_net import _backprop, _forward_trace, _input_grad, _unit_cube_batch
+
+# pair_values runs pair_forward on at most this many pairs at a time, for two
+# reasons: every activation of the squaring branch stays cache-sized (4 rows
+# of at most 3m * 2048 values, 12,288 at m = 2), and no matmul grows to the
+# size at which OpenBLAS hands work to a second thread, which then spins.
+_EVAL_BLOCK = 2048
 
 
 @dataclass
@@ -135,11 +142,17 @@ def _distinct_rows(sides: np.ndarray):
     return points.T, index.reshape(-1)
 
 
-def pair_forward(net: StructuredMetricNet, X, Xp) -> PairTrace:
+def _pair_batches(net: StructuredMetricNet, X, Xp):
+    """Both sides as checked (batch, p) arrays of one shape."""
     X = _unit_cube_batch(X, net.input_dim)
     Xp = _unit_cube_batch(Xp, net.input_dim)
     if X.shape != Xp.shape:
         raise InputShapeError("pair batches must have matching shapes")
+    return X, Xp
+
+
+def pair_forward(net: StructuredMetricNet, X, Xp) -> PairTrace:
+    X, Xp = _pair_batches(net, X, Xp)
     batch = X.shape[0]
     points, index = _distinct_rows(np.concatenate([X, Xp]))
     ix, ixp = index[:batch], index[batch:]
@@ -170,8 +183,19 @@ def pair_forward(net: StructuredMetricNet, X, Xp) -> PairTrace:
 
 
 def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
-    """Batched metric values in [-1, 1]."""
-    return pair_forward(net, X, Xp).d
+    """Batched metric values in [-1, 1].
+
+    The inputs are checked once, then evaluated in blocks of _EVAL_BLOCK =
+    2048 pairs, keeping only each block's d: a large Monte Carlo stream
+    neither holds every layer's trace at once nor runs matmuls big enough to
+    start a second BLAS thread, which would oversubscribe the CPUs under
+    rate-sweep's worker pool.
+    """
+    X, Xp = _pair_batches(net, X, Xp)
+    if X.shape[0] <= _EVAL_BLOCK:
+        return pair_forward(net, X, Xp).d
+    return np.concatenate([pair_forward(net, X[lo:lo + _EVAL_BLOCK], Xp[lo:lo + _EVAL_BLOCK]).d
+                           for lo in range(0, X.shape[0], _EVAL_BLOCK)])
 
 
 def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarray):
@@ -342,6 +366,8 @@ def load_manifest(out_dir) -> StructuredMetricNet:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         subnets = [load_model(os.path.join(out_dir, f)) for f in manifest["subnets"]]
+        # before ProductGadget builds a branch as deep as the recorded depth
+        check_depth(manifest["epsilon"], manifest["sawtooth_depth"])
         product = ProductGadget(
             net=load_model(os.path.join(out_dir, manifest["product"])),
             epsilon=manifest["epsilon"],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metriclab import gadgets
 from metriclab.erm import TrainConfig
 from metriclab.errors import ContractError, ParameterError
 from metriclab.losses import get_loss
@@ -183,6 +184,18 @@ class TestRateSweep:
         par = mini_sweep(linear_task, jobs=2)
         for a, b in zip(seq.rows, par.rows):
             assert (a.n, a.seed, a.excess) == (b.n, b.seed, b.excess)
+
+    def test_certifies_the_product_gadget_once_per_sweep(self, linear_task, monkeypatch):
+        calls = []
+        certify = gadgets.certify_product
+
+        def counted(gadget):
+            calls.append(gadget.epsilon)
+            return certify(gadget)
+
+        monkeypatch.setattr(gadgets, "certify_product", counted)
+        result = mini_sweep(linear_task)
+        assert calls == [1e-2] and len(result.rows) == 12
 
     def test_validation(self, linear_task):
         cfg = TrainConfig(epochs=1, pair_batch=64, lr_init=0.1, seed=0)

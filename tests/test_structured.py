@@ -1,4 +1,7 @@
 import json
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from metriclab.structured import (
     pdim_bound,
     save_manifest,
 )
+from metriclab.structured import _EVAL_BLOCK
 from metriclab.synthetic import (
     SyntheticTask,
     atom_marginal,
@@ -48,6 +52,11 @@ from metriclab.synthetic import (
 @pytest.fixture(scope="module")
 def phi():
     return build_product_gadget(1e-3)
+
+
+@pytest.fixture(scope="module")
+def gadgets():
+    return {eps: build_product_gadget(eps) for eps in (1e-1, 1e-2)}
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +144,75 @@ class TestEvaluate:
                 [constant_subnet(1, 0.0, depth=1), constant_subnet(1, 0.0, depth=2)],
                 phi, sign,
             )
+
+
+def dyadic_net(p):
+    """A metric net on which every sum is exact in floating point.
+
+    Sub-network weights lie on a 1/8 grid, epsilon = 0.1 gives a sawtooth
+    depth of 4 and a = 2 makes 1/a exact.  On inputs from a 1/256 grid no
+    value then depends on how BLAS orders or fuses a sum, so comparing two
+    evaluations checks only which pairs meet which points.  (On float
+    weights, OpenBLAS reads the last n mod 4 columns of a one-row matmul
+    through another kernel, so one pass and a blocked pass can differ in
+    the last bit.)  With a = 2 most pairs fall in F_a's linear band, so d
+    takes thousands of distinct values.
+    """
+    net = make_structured_net(p=p, m=2, depth=2, width=4, epsilon=0.1, a=2.0, seed=p,
+                              init_scale=2.0)
+    for h in net.subnets:
+        for layer in h.layers:
+            layer.weights = np.round(8.0 * layer.weights) / 8.0
+            layer.bias = np.round(8.0 * layer.bias) / 8.0
+    return net
+
+
+class TestBlockedEvaluation:
+    B = _EVAL_BLOCK
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+    def test_blocks_match_one_pass_bit_for_bit(self, p, n):
+        net = dyadic_net(p)
+        X, Xp = np.random.default_rng(n).integers(0, 257, (2, n, p)) / 256.0
+        d = pair_values(net, X, Xp)
+        assert d.shape == (n,)
+        assert np.array_equal(d, pair_forward(net, X, Xp).d)
+
+    def test_dyadic_net_values_vary(self):
+        # guards the test above against a net that saturates every pair
+        X, Xp = np.random.default_rng(0).integers(0, 257, (2, 3 * self.B, 3)) / 256.0
+        d = pair_values(dyadic_net(3), X, Xp)
+        assert np.unique(d).size > 1000 and np.mean(np.abs(d) < 1.0) > 0.3
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_blocks_match_one_pass_on_float_weights(self, p):
+        net = make_structured_net(p=p, m=2, depth=3, width=6, epsilon=1e-2, a=0.1, seed=p,
+                                  init_scale=2.0)
+        X, Xp = np.random.default_rng(p).random((2, 3 * self.B + 5, p))
+        # the last-bit read-out differences dyadic_net describes, scaled up by S' and 1/a
+        np.testing.assert_allclose(pair_values(net, X, Xp), pair_forward(net, X, Xp).d,
+                                   rtol=0.0, atol=1e-13)
+
+    def test_memory_stays_flat_in_the_number_of_pairs(self):
+        net = make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2, a=0.1, seed=0)
+        X, Xp = np.random.default_rng(0).random((2, 100_000, 1))
+        tracemalloc.start()
+        try:
+            pair_values(net, X, Xp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+
+    @pytest.mark.parametrize("n", [10, B + 10])
+    def test_mismatched_shapes_still_rejected(self, n):
+        net = make_structured_net(p=2, m=1, depth=1, width=2, epsilon=1e-1, a=0.1, seed=0)
+        rng = np.random.default_rng(0)
+        with pytest.raises(InputShapeError):
+            pair_values(net, rng.random((n, 2)), rng.random((n - 1, 2)))
+        with pytest.raises(InputShapeError):
+            pair_values(net, rng.random((n, 2)), rng.random((n, 3)))
 
 
 def reference_subnet_grads(net, X, Xp, upstream):
@@ -379,6 +457,47 @@ class TestPersistence:
         self.tamper(model / "manifest.json", "sawtooth_depth")
         with pytest.raises(ValidationFailure, match="sawtooth_depth"):
             load_manifest(model)
+
+    def test_load_checks_the_depth_before_building_it(self, tmp_path):
+        model = self.saved(tmp_path)
+        self.tamper(model / "manifest.json", "sawtooth_depth", value=20_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CertificationError, match="sawtooth depth 20000 disagrees"):
+                load_manifest(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+
+    def test_load_rejects_an_epsilon_outside_the_open_half_interval(self, tmp_path):
+        model = self.saved(tmp_path)
+        self.tamper(model / "manifest.json", "epsilon", value=0.5)
+        with pytest.raises(CertificationError, match="epsilon must lie in"):
+            load_manifest(model)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 3), p=st.integers(1, 2), depth=st.integers(1, 3),
+           width=st.integers(1, 5), epsilon=st.sampled_from([1e-1, 1e-2]),
+           a=st.floats(0.01, 2.0), clamp=st.booleans(), seed=st.integers(0, 2**16))
+    def test_manifest_round_trip_property(self, gadgets, m, p, depth, width, epsilon, a, clamp,
+                                          seed):
+        net = make_structured_net(p=p, m=m, depth=depth, width=width, epsilon=epsilon, a=a,
+                                  clamp=clamp, seed=seed, init_scale=2.0,
+                                  product=gadgets[epsilon])
+        X, Xp = np.random.default_rng(seed).random((2, 500, p))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "first"), os.path.join(tmp, "second")
+            save_manifest(net, first)
+            loaded = load_manifest(first)
+            assert np.array_equal(pair_values(loaded, X, Xp), pair_values(net, X, Xp))
+            save_manifest(loaded, second)
+            names = sorted(os.listdir(first))
+            assert names == sorted(os.listdir(second))
+            for name in names:
+                with open(os.path.join(first, name), "rb") as a_fh, \
+                        open(os.path.join(second, name), "rb") as b_fh:
+                    assert a_fh.read() == b_fh.read(), name
 
     def test_load_rejects_a_model_file_with_wrongly_shaped_layers(self, tmp_path):
         model = self.saved(tmp_path)
