@@ -407,6 +407,14 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: numpy seeds must be non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metriclab",
@@ -424,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-values", nargs="+", type=float, default=[0.05, 0.2, 1.0],
                    help="sign-approximator widths to certify")
     p.add_argument("--out", default="", help="optional output directory for the certificate CSV")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify_gadgets)
 
     p = sub.add_parser("metric-lab", help="general-loss true-metric property study")
@@ -433,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-points", type=int, default=101, help="profile grid size")
     p.add_argument("--pairs", type=int, default=1000, help="random simplex pairs for the sweep")
     p.add_argument("--out", default="metric_lab_out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_metric_lab)
 
     for name, fn, needs_jobs in (("gen-data", cmd_gen_data, False),
@@ -442,14 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} from an experiment config")
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--out", default=f"{name.replace('-', '_')}_out")
-        p.add_argument("--seed", type=int, default=None, help="override all config seeds")
+        p.add_argument("--seed", type=_seed, default=None, help="override all config seeds")
         if needs_jobs:
             p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("report", help="emit plot data from a finished sweep")
     p.add_argument("--dir", required=True, help="directory holding sweep_rows.csv + sweep_fit.csv")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -20,8 +20,7 @@ from .synthetic import MODEL_FAMILIES, SyntheticTask, make_task
 
 _TASK_KEYS = {"family", "p", "m", "seed", "r", "A", "k", "beta", "rho",
               "p1_left", "p1_right"}
-_MODEL_KEYS = {"m", "depth", "width", "epsilon", "a", "clamp", "init_scale",
-               "a_schedule", "a_anneal"}
+_MODEL_KEYS = {"m", "depth", "width", "epsilon", "a", "clamp", "init_scale", "a_anneal"}
 _TRAIN_KEYS = {"n", "epochs", "pair_batch", "lr_init", "lr_decay", "pair_strategy",
                "pairs_per_epoch", "seed"}
 _EVAL_KEYS = {"mc_pairs", "seed", "t_grid", "n_list", "seeds", "noise_mc_pairs"}
@@ -32,8 +31,8 @@ _BLOCKS = {"task": _TASK_KEYS, "model": _MODEL_KEYS, "train": _TRAIN_KEYS, "eval
 _INT_KEYS = {"p", "m", "seed", "r", "k", "depth", "width", "n", "epochs", "pair_batch",
              "pairs_per_epoch", "mc_pairs", "noise_mc_pairs", "n_list", "seeds"}
 _FLOAT_KEYS = {"A", "beta", "rho", "p1_left", "p1_right", "epsilon", "a", "init_scale",
-               "lr_init", "lr_decay", "t_grid", "a_schedule", "start", "decay"}
-_LIST_KEYS = {"n_list", "seeds", "t_grid", "a_schedule"}
+               "lr_init", "lr_decay", "t_grid", "start", "decay"}
+_LIST_KEYS = {"n_list", "seeds", "t_grid"}
 
 # make_structured_net keywords besides p, seed and m (whose default is the
 # task's label count)
@@ -81,8 +80,6 @@ class ExperimentConfig:
             raise ConfigError(f"{self.source_path}: {err}") from err
 
     def a_schedule(self, epochs: int) -> list | None:
-        if "a_schedule" in self.model:
-            return list(self.model["a_schedule"])
         if "a_anneal" in self.model:
             spec = self.model["a_anneal"]
             target = self.model.get("a", _MODEL_DEFAULTS["a"])
@@ -149,6 +146,8 @@ def load_config(path) -> ExperimentConfig:
         _require(isinstance(block, dict), where, f"[{name}] must be a mapping")
         _reject_unknown(name, block, allowed, where)
         _cast_numbers(block, where, f"[{name}]")
+        # numpy seeds and SeedSequence spawn keys must be non-negative
+        _require(block.get("seed", 0) >= 0, where, f"[{name}] seed must be >= 0")
         blocks[name] = block
 
     task = blocks["task"]
@@ -190,6 +189,7 @@ def load_config(path) -> ExperimentConfig:
         _require(all(n >= 8 for n in nl), where, "[eval] n_list entries must be >= 8")
     if "seeds" in ev:
         _require(len(ev["seeds"]) >= 3, where, "[eval] needs at least 3 seeds")
+        _require(min(ev["seeds"]) >= 0, where, "[eval] seeds entries must be >= 0")
     if "t_grid" in ev:
         tg = np.asarray(ev["t_grid"], dtype=np.float64)
         _require(tg.size >= 4 and np.all(tg > 0) and np.all(tg < 0.5), where,

@@ -84,7 +84,6 @@ class ProductGadget:
     epsilon: float
     sawtooth_depth: int
     certified_grid_error: float
-    metadata: dict = field(default_factory=dict)
     branch: ReluNetwork = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -167,20 +166,16 @@ def check_depth(epsilon: float, sawtooth_depth: int) -> None:
                                  f"epsilon {epsilon:g}")
 
 
-def certify_product(gadget: ProductGadget) -> tuple[float, float]:
-    """Certify the phi that calls evaluate; returns (grid error, axis error).
+def certify_product(gadget: ProductGadget) -> float:
+    """Certify the phi that calls evaluate; returns the grid error.
 
     Checks that epsilon lies in (0, 1/2), that sawtooth_depth is the one
-    epsilon asks for (and the one the net's own metadata records, when it
-    does), that the grid error on [-1, 2]^2 is at most epsilon and that phi
-    is exactly zero on both axes.  Raises CertificationError on any failure.
+    epsilon asks for, that the grid error on [-1, 2]^2 is at most epsilon
+    and that phi is exactly zero on both axes.  Raises CertificationError on
+    any failure.
     """
-    eps, s = gadget.epsilon, gadget.sawtooth_depth
-    check_depth(eps, s)
-    for key, value in (("epsilon", eps), ("sawtooth_depth", s)):
-        if gadget.net.metadata.get(key, value) != value:
-            raise CertificationError(f"product net records {key}="
-                                     f"{gadget.net.metadata[key]!r}, expected {value!r}")
+    eps = gadget.epsilon
+    check_depth(eps, gadget.sawtooth_depth)
 
     # phi(x, y) = S(x+y) - (S(x) + S(y)), with S run once per distinct value
     g = certification_grid()
@@ -200,7 +195,7 @@ def certify_product(gadget: ProductGadget) -> tuple[float, float]:
     )
     if axis_err != 0.0:
         raise CertificationError(f"zero-on-axes violated: |phi| up to {axis_err:.3e}")
-    return err, axis_err
+    return err
 
 
 def build_product_gadget(epsilon: float) -> ProductGadget:
@@ -209,24 +204,7 @@ def build_product_gadget(epsilon: float) -> ProductGadget:
         raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     s = sawtooth_depth_for(epsilon)
     gadget = ProductGadget(_product_net(s), epsilon, s, certified_grid_error=np.nan)
-    err, axis_err = certify_product(gadget)
-
-    gadget.certified_grid_error = err
-    comp = gadget.complexity
-    log_inv_eps = math.log(1.0 / epsilon)
-    gadget.metadata = {
-        "epsilon": epsilon,
-        "sawtooth_depth": s,
-        "certified_grid_error": err,
-        "axis_error": axis_err,
-        "complexity": {"L": comp.depth, "W": comp.nonzero_weights, "U": comp.units},
-        "log_law_constants": {
-            "depth": comp.depth / log_inv_eps,
-            "weights": comp.nonzero_weights / log_inv_eps,
-            "units": comp.units / log_inv_eps,
-        },
-    }
-    gadget.net.metadata = dict(gadget.metadata)
+    gadget.certified_grid_error = certify_product(gadget)
     return gadget
 
 
@@ -255,5 +233,4 @@ def build_sign_approx(a: float) -> SignApprox:
         DenseLayer(np.array([[1.0], [1.0]]), np.array([a, -a])),
         DenseLayer(np.array([[1.0 / a, -1.0 / a]]), np.array([-1.0])),
     ]
-    net = ReluNetwork(layers, input_dim=1, apply_final_relu=False, metadata={"a": a})
-    return SignApprox(a, net)
+    return SignApprox(a, ReluNetwork(layers, input_dim=1, apply_final_relu=False))

@@ -319,6 +319,8 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
         raise ParameterError("need at least 3 seeds")
     if task.spec is None:
         raise ParameterError("rate_sweep needs a task built by make_task (picklable spec)")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
 
     if theta is None:
         grid = noise_t_grid if noise_t_grid is not None else np.geomspace(0.02, 0.3, 8)
@@ -337,8 +339,10 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
                  "clamp": clamp, "init_scale": init_scale, "product": product}
         jobs_list += [_SweepJob(task.spec, n, si, train_config, model, mc_pairs) for si in seeds]
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool starts all its workers at once: never more than there are jobs
+    workers = min(jobs, len(jobs_list))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_job, jobs_list))
     else:
         rows = [_run_sweep_job(j) for j in jobs_list]

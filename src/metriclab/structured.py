@@ -46,7 +46,6 @@ from .gadgets import (
     SignApprox,
     build_product_gadget,
     build_sign_approx,
-    certify_product,
     check_depth,
 )
 from .relu_net import (
@@ -55,7 +54,6 @@ from .relu_net import (
     ReluNetwork,
     complexity,
     load_model,
-    same_network,
     save_model,
 )
 from .relu_net import _backprop, _forward_trace, _input_grad, _unit_cube_batch
@@ -316,38 +314,37 @@ def make_structured_net(p: int, m: int, depth: int, width: int, epsilon: float,
 # persistence
 # ---------------------------------------------------------------------------
 
-def _recorded_counts(net: StructuredMetricNet) -> dict:
-    """The counts a manifest records, as recomputed from the nets."""
+def _manifest(net: StructuredMetricNet, subnet_files: list) -> dict:
+    """The manifest of net, every value recomputed from the nets."""
     agg = aggregate_complexity(net)
-    return {"aggregated_complexity": {"L": agg.depth, "W": agg.nonzero_weights, "U": agg.units},
-            "glue_constants": glue_constants(net)}
-
-
-def save_manifest(net: StructuredMetricNet, out_dir) -> str:
-    """Write the composite as a manifest plus one model file per component."""
-    os.makedirs(out_dir, exist_ok=True)
-    subnet_files = []
-    for i, h in enumerate(net.subnets):
-        fname = f"subnet_{i}.json"
-        save_model(h, os.path.join(out_dir, fname))
-        subnet_files.append(fname)
-    save_model(net.product.net, os.path.join(out_dir, "product.json"))
-    save_model(net.sign.net, os.path.join(out_dir, "sign.json"))
-    manifest = {
+    return {
         "m": net.m,
         "a": net.sign.a,
         "epsilon": net.product.epsilon,
         "sawtooth_depth": net.product.sawtooth_depth,
         "certified_grid_error": net.product.certified_grid_error,
         "clamp_subnet_output": net.clamp_subnet_output,
-        **_recorded_counts(net),
+        "aggregated_complexity": {"L": agg.depth, "W": agg.nonzero_weights, "U": agg.units},
+        "glue_constants": glue_constants(net),
         "subnets": subnet_files,
-        "product": "product.json",
-        "sign": "sign.json",
     }
+
+
+def save_manifest(net: StructuredMetricNet, out_dir) -> str:
+    """Write the composite as a manifest plus one model file per sub-network.
+
+    The gadgets are not written: phi is fixed by epsilon and F_a by a, and
+    load_manifest rebuilds both from the manifest.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    subnet_files = []
+    for i, h in enumerate(net.subnets):
+        fname = f"subnet_{i}.json"
+        save_model(h, os.path.join(out_dir, fname))
+        subnet_files.append(fname)
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
+        json.dump(_manifest(net, subnet_files), fh, indent=1)
         fh.write("\n")
     return path
 
@@ -355,35 +352,26 @@ def save_manifest(net: StructuredMetricNet, out_dir) -> str:
 def load_manifest(out_dir) -> StructuredMetricNet:
     """Load a saved composite and check it instead of trusting it.
 
-    The product net must be the one its sawtooth depth determines and pass
-    certification again, the sign net must be F_a for the recorded a, and
-    the recorded complexity and glue constants must equal the recomputed
-    ones; otherwise CertificationError.  A file with a missing key or a
-    malformed network raises a ValidationFailure.
+    phi is rebuilt and certified from the recorded epsilon, F_a from the
+    recorded a, and every recorded value (m, sawtooth depth, grid error,
+    complexity, glue constants) must equal the one the rebuilt model gives;
+    otherwise CertificationError.  A file with a missing key or a malformed
+    network raises a ValidationFailure.
     """
     path = os.path.join(out_dir, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        subnets = [load_model(os.path.join(out_dir, f)) for f in manifest["subnets"]]
-        # before ProductGadget builds a branch as deep as the recorded depth
+        # before build_product_gadget builds a branch as deep as epsilon asks
         check_depth(manifest["epsilon"], manifest["sawtooth_depth"])
-        product = ProductGadget(
-            net=load_model(os.path.join(out_dir, manifest["product"])),
-            epsilon=manifest["epsilon"],
-            sawtooth_depth=manifest["sawtooth_depth"],
-            certified_grid_error=manifest["certified_grid_error"],
-        )
-        product.certified_grid_error, _ = certify_product(product)
-        sign = build_sign_approx(manifest["a"])
-        if not same_network(load_model(os.path.join(out_dir, manifest["sign"])), sign.net):
-            raise CertificationError(f"{manifest['sign']} is not the sign net F_a for "
-                                     f"a={sign.a!r}")
-        net = StructuredMetricNet(subnets, product, sign, manifest["clamp_subnet_output"])
-        for key, value in _recorded_counts(net).items():
+        subnets = [load_model(os.path.join(out_dir, f)) for f in manifest["subnets"]]
+        net = StructuredMetricNet(subnets, build_product_gadget(manifest["epsilon"]),
+                                  build_sign_approx(manifest["a"]),
+                                  manifest["clamp_subnet_output"])
+        for key, value in _manifest(net, manifest["subnets"]).items():
             if manifest[key] != value:
                 raise CertificationError(f"manifest records {key}={manifest[key]!r}, "
-                                         f"the loaded nets give {value!r}")
+                                         f"the rebuilt model gives {value!r}")
     except (KeyError, TypeError, json.JSONDecodeError) as err:
         raise ParameterError(f"malformed manifest in {out_dir}: {err!r}") from err
     return net

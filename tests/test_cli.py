@@ -4,9 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metriclab
 from metriclab.cli import EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main
@@ -49,6 +52,14 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def exit_code(argv):
+    """main's exit code, including argparse's exit 2 for a rejected flag value."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestVerifyGadgets:
@@ -301,3 +312,53 @@ class TestConfigValidation:
         main(["gen-data", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "99"])
         assert (tmp_path / "a" / "dataset.csv").read_bytes() != \
             (tmp_path / "b" / "dataset.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, old, new, flags, message", [
+        pytest.param("gen-data", "  seed: 3\n", "  seed: -1\n", [],
+                     "[task] seed must be >= 0", id="task-seed"),
+        pytest.param("train-eval", "  seed: 100\n", "  seed: -4\n", [],
+                     "[train] seed must be >= 0", id="train-seed"),
+        pytest.param("train-eval", "  seed: 7\n", "  seed: -2\n", [],
+                     "[eval] seed must be >= 0", id="eval-seed"),
+        pytest.param("rate-sweep", "seeds: [0, 1, 2]", "seeds: [0, -1, 2]", [],
+                     "[eval] seeds entries must be >= 0", id="eval-seeds"),
+        pytest.param("gen-data", "", "", ["--seed", "-7"], "seed must be >= 0, got -7",
+                     id="gen-data-flag"),
+        pytest.param("metric-lab", "", "", ["--seed", "-3"], "seed must be >= 0, got -3",
+                     id="metric-lab-flag"),
+    ])
+    def test_negative_seeds_exit_two(self, tmp_path, capsys, command, old, new, flags, message):
+        args = [command, "--out", str(tmp_path / "o"), *flags]
+        if command != "metric-lab":
+            args += ["--config", write(tmp_path, "c.yaml", SWEEP_CONFIG.replace(old, new))]
+        assert exit_code(args) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    def test_a_schedule_is_an_unknown_model_key(self, tmp_path, capsys):
+        cfg = write(tmp_path, "bad.yaml", TINY_CONFIG.replace(
+            "  a: 0.1\n", "  a: 0.1\n  a_schedule: [0.5, 0.2]\n"))
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) \
+            == EXIT_VALIDATION
+        assert "[model] unknown key 'a_schedule'" in capsys.readouterr().err
+
+    def test_jobs_below_one_exit_two(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.yaml", SWEEP_CONFIG)
+        assert main(["rate-sweep", "--config", cfg, "--jobs", "0",
+                     "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
+    # every "key: value" line of TINY_CONFIG, and the values put in its place
+    FUZZ_LINES = [i for i, line in enumerate(TINY_CONFIG.splitlines()) if line.startswith("  ")]
+    FUZZ_VALUES = ["-1", "0", "2.5", '"abc"', "[]", "{}", "null", "true", ".nan", ".inf"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=st.sampled_from(FUZZ_LINES), value=st.sampled_from(FUZZ_VALUES))
+    def test_one_bad_value_exits_zero_or_two(self, line, value):
+        lines = TINY_CONFIG.splitlines()
+        lines[line] = f"{lines[line].split(':')[0]}: {value}"
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "c.yaml")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            assert main(["gen-data", "--config", cfg, "--out", os.path.join(tmp, "o")]) \
+                in (EXIT_OK, EXIT_VALIDATION)

@@ -70,7 +70,7 @@ class TestProductGadget:
     def test_certificate(self):
         phi = build_product_gadget(1e-3)
         assert phi.certified_grid_error <= 1e-3
-        assert phi.metadata["complexity"]["L"] == phi.sawtooth_depth + 2
+        assert phi.complexity.depth == phi.sawtooth_depth + 2
 
     def test_symmetry_bit_exact(self):
         phi = build_product_gadget(1e-2)

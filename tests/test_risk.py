@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metriclab import gadgets
+from metriclab import gadgets, risk
 from metriclab.erm import TrainConfig
 from metriclab.errors import ContractError, ParameterError
 from metriclab.losses import get_loss
@@ -196,6 +196,27 @@ class TestRateSweep:
         monkeypatch.setattr(gadgets, "certify_product", counted)
         result = mini_sweep(linear_task)
         assert calls == [1e-2] and len(result.rows) == 12
+
+    def test_pool_has_no_more_workers_than_jobs(self, linear_task, monkeypatch):
+        # a serial stand-in records the pool size; no real pool is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(risk, "ProcessPoolExecutor", SerialPool)
+        result = mini_sweep(linear_task, jobs=5000)
+        assert sizes == [12] and len(result.rows) == 12
 
     def test_validation(self, linear_task):
         cfg = TrainConfig(epochs=1, pair_batch=64, lr_init=0.1, seed=0)

@@ -391,17 +391,6 @@ class TestPersistence:
         assert loaded.sign.a == net.sign.a
         assert loaded.product.epsilon == net.product.epsilon
 
-    def test_load_rechecks_the_product_certificate(self, tmp_path):
-        net = make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2, a=0.2, seed=3)
-        save_manifest(net, tmp_path / "model")
-        path = tmp_path / "model" / "product.json"
-        doc = json.loads(path.read_text())
-        doc["layers"][-1]["weights_row_major"] = [
-            3.0 * w for w in doc["layers"][-1]["weights_row_major"]]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CertificationError):
-            load_manifest(tmp_path / "model")
-
     def test_load_rejects_a_manifest_epsilon_the_net_does_not_meet(self, tmp_path):
         net = make_structured_net(p=1, m=1, depth=2, width=4, epsilon=1e-2, a=0.2, seed=3)
         save_manifest(net, tmp_path / "model")
@@ -432,18 +421,6 @@ class TestPersistence:
             node[last] = value
         path.write_text(json.dumps(doc))
 
-    def test_load_rejects_a_sign_net_other_than_f_a(self, tmp_path):
-        model = self.saved(tmp_path)
-        self.tamper(model / "sign.json", "layers", 1, "bias", 0, value=-0.5)
-        with pytest.raises(CertificationError, match="sign net"):
-            load_manifest(model)
-
-    def test_load_rejects_a_recorded_a_the_sign_net_does_not_realize(self, tmp_path):
-        model = self.saved(tmp_path)
-        self.tamper(model / "manifest.json", "a", value=0.3)
-        with pytest.raises(CertificationError, match="sign net"):
-            load_manifest(model)
-
     @pytest.mark.parametrize("key,field", [("aggregated_complexity", "W"),
                                            ("glue_constants", "c_U")])
     def test_load_rejects_recorded_counts_the_nets_do_not_have(self, tmp_path, key, field):
@@ -451,6 +428,19 @@ class TestPersistence:
         self.tamper(model / "manifest.json", key, field, value=10**6)
         with pytest.raises(CertificationError, match=key):
             load_manifest(model)
+
+    @pytest.mark.parametrize("key,value", [("certified_grid_error", 1e-9), ("m", 3)])
+    def test_load_rejects_a_recorded_value_the_rebuild_does_not_give(self, tmp_path, key, value):
+        model = self.saved(tmp_path)
+        self.tamper(model / "manifest.json", key, value=value)
+        with pytest.raises(CertificationError, match=key):
+            load_manifest(model)
+
+    def test_saves_only_the_manifest_and_the_subnets(self, tmp_path):
+        model = self.saved(tmp_path)
+        assert sorted(os.listdir(model)) == ["manifest.json", "subnet_0.json", "subnet_1.json"]
+        manifest = json.loads((model / "manifest.json").read_text())
+        assert "product" not in manifest and "sign" not in manifest
 
     def test_load_rejects_a_manifest_with_a_missing_key(self, tmp_path):
         model = self.saved(tmp_path)
@@ -501,6 +491,6 @@ class TestPersistence:
 
     def test_load_rejects_a_model_file_with_wrongly_shaped_layers(self, tmp_path):
         model = self.saved(tmp_path)
-        self.tamper(model / "product.json", "layers", 1, "in_width", value=5)
-        with pytest.raises(ValidationFailure, match="product.json"):
+        self.tamper(model / "subnet_0.json", "layers", 1, "in_width", value=5)
+        with pytest.raises(ValidationFailure, match="subnet_0.json"):
             load_manifest(model)
