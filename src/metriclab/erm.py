@@ -20,15 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, InputShapeError, ParameterError
 from .gadgets import build_sign_approx
 from .losses import LossFunction
+from .relu_net import _unit_cube_batch
 from .structured import (
     StructuredMetricNet,
     pair_backward,
     pair_forward,
     pair_values,
 )
+from .structured import _distinct_rows
 
 PAIR_STRATEGIES = ("all-pairs", "uniform-subsample")
 _CHUNK = 1 << 17
@@ -137,15 +139,24 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
           loss: LossFunction) -> tuple[StructuredMetricNet, TrainReport]:
     """Subgradient descent on the sub-networks; returns the best iterate.
 
-    Deterministic for a fixed config seed.  Raises DivergenceError (with the
-    epoch index) on non-finite losses or gradients.
+    Deterministic for a fixed config seed.  The inputs are checked once,
+    before the first epoch: X must be n points of [0, 1]^p and y must have
+    shape (n,).  X is deduplicated once, too, and each batch is traced from
+    its pairs' row indices with pair_forward(net, i, j, distinct), which
+    keeps the points in value order, so the trace is bit-identical to
+    pair_forward(net, X[i], X[j]).
+    Raises DivergenceError (with the epoch index) on non-finite losses or
+    gradients.
     """
     X, y = data
-    X = np.asarray(X, dtype=np.float64)
+    X = _unit_cube_batch(X, net.input_dim)
     y = np.asarray(y)
     n = X.shape[0]
     if n < 2:
         raise ParameterError(f"training needs n >= 2 samples, got {n}")
+    if y.shape != (n,):
+        raise InputShapeError(f"labels must have shape ({n},), got {y.shape}")
+    distinct = _distinct_rows(X)
 
     work = net.copy()
     target_a = net.sign.a
@@ -174,26 +185,33 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
         for lo in range(0, i_stream.size, config.pair_batch):
             iu = i_stream[lo:lo + config.pair_batch]
             ju = j_stream[lo:lo + config.pair_batch]
-            trace = pair_forward(work, X[iu], X[ju])
+            trace = pair_forward(work, iu, ju, distinct)
             tau = np.where(y[iu] == y[ju], 1.0, -1.0)
-            obj = float(loss.eval(tau * trace.d).mean())
+            margin = tau * trace.d
+            obj = float(loss.eval(margin).mean())
             if not math.isfinite(obj):
                 raise DivergenceError(f"non-finite objective at epoch {epoch}", epoch=epoch)
-            upstream = tau * np.asarray(loss.subgradient(tau * trace.d)) / iu.size
+            upstream = tau * np.asarray(loss.subgradient(margin)) / iu.size
             grads = pair_backward(work, trace, upstream)
             gsq = 0.0
-            for h, (wg, bg) in zip(work.subnets, grads):
-                for layer, gw, gb in zip(h.layers, wg, bg):
-                    if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-                        raise DivergenceError(f"non-finite gradient at epoch {epoch}", epoch=epoch)
+            for wg, bg in grads:
+                for gw, gb in zip(wg, bg):
                     gsq += float((gw * gw).sum() + (gb * gb).sum())
-                    if lr != 0.0:
+            # a finite sum of squares has finite terms; an infinite one may
+            # only have overflowed
+            if not math.isfinite(gsq) and not all(
+                    np.isfinite(g).all() for wg, bg in grads for g in wg + bg):
+                raise DivergenceError(f"non-finite gradient at epoch {epoch}", epoch=epoch)
+            if lr != 0.0:
+                for h, (wg, bg) in zip(work.subnets, grads):
+                    for layer, gw, gb in zip(h.layers, wg, bg):
                         layer.weights -= lr * gw
                         layer.bias -= lr * gb
             batch_risks.append(obj)
             batch_sizes.append(iu.size)
             batch_gnorms.append(math.sqrt(gsq))
-            batch_active.append(float(np.mean(np.abs(trace.t_pre) <= a_now)))
+            batch_active.append(
+                np.count_nonzero(np.abs(trace.t_pre) <= a_now) / trace.t_pre.size)
 
         # pair-weighted epoch risk: invariant to the shuffle when lr = 0
         risks.append(float(np.average(batch_risks, weights=batch_sizes)))

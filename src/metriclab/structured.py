@@ -132,12 +132,40 @@ class PairTrace:
 
 
 def _distinct_rows(sides: np.ndarray):
-    """Distinct rows, feature-major (p, k), and each row's index among them."""
+    """Distinct rows, value-sorted and feature-major (p, k), and each row's
+    index among them.  A subset of them keeps that order, so _select_points
+    can pick a batch's points from them without sorting again."""
     if sides.shape[1] == 1:
         points, index = np.unique(sides[:, 0], return_inverse=True)
         return points[None, :], index
     points, index = np.unique(sides, axis=0, return_inverse=True)
     return points.T, index.reshape(-1)
+
+
+# _select_points scans one flag per distinct point of the dataset while there
+# are at most this many per stacked side, and sorts the sides' point ids
+# beyond; the two cost the same near 131,072 points for 1,024-pair batches
+# (numpy 2.4 on a 2-vCPU Xeon VM)
+_SCAN_LIMIT = 64
+
+
+def _select_points(points: np.ndarray, point_id: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """What _distinct_rows gives for the stacked sides X[i], X[j], where
+    (points, point_id) = _distinct_rows(X): the distinct points the pairs
+    use, in value order and the same memory layout, and the sides' index
+    among them.  A subset of a sorted set stays sorted, so neither branch
+    sorts a point's coordinates again."""
+    sides = np.concatenate([point_id[i], point_id[j]])
+    k = points.shape[1]
+    if k > _SCAN_LIMIT * sides.size:
+        ids, index = np.unique(sides, return_inverse=True)
+        return points[:, ids], index
+    used = np.zeros(k, dtype=bool)
+    used[sides] = True
+    ids = np.flatnonzero(used)
+    rank = np.empty(k, dtype=np.intp)
+    rank[ids] = np.arange(ids.size)
+    return points[:, ids], rank[sides]
 
 
 def _pair_batches(net: StructuredMetricNet, X, Xp):
@@ -149,10 +177,25 @@ def _pair_batches(net: StructuredMetricNet, X, Xp):
     return X, Xp
 
 
-def pair_forward(net: StructuredMetricNet, X, Xp) -> PairTrace:
-    X, Xp = _pair_batches(net, X, Xp)
-    batch = X.shape[0]
-    points, index = _distinct_rows(np.concatenate([X, Xp]))
+def pair_forward(net: StructuredMetricNet, X, Xp, distinct=None) -> PairTrace:
+    """Trace of the pairs (X[j], Xp[j]) for pair_backward.
+
+    X and Xp are (batch, p) points; both are checked, stacked and
+    deduplicated with _distinct_rows.  Given distinct = _distinct_rows(D)
+    of a checked dataset D, X and Xp are instead row indices into D: the
+    pairs are (D[X[j]], D[Xp[j]]), nothing is checked or sorted again, and
+    _select_points keeps the points in the order _distinct_rows would give
+    D[X], D[Xp], so the trace is bit-identical to
+    pair_forward(net, D[X], D[Xp]).  The order matters because results
+    depend in the last bit on the column a point sits in (BLAS kernels
+    round the last columns of a one-row matmul differently).
+    """
+    if distinct is None:
+        X, Xp = _pair_batches(net, X, Xp)
+        points, index = _distinct_rows(np.concatenate([X, Xp]))
+    else:
+        points, index = _select_points(*distinct, X, Xp)
+    batch = index.size // 2
     ix, ixp = index[:batch], index[batch:]
 
     values, subnet_traces, clamped, sums = [], [], [], []
@@ -212,7 +255,7 @@ def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarr
     g_phi = -2.0 * g_t  # t = 1 - 2 * sum_i phi_i
     # phi_i = S(s_i) - (S(c_i)[x] + S(c_i)[x']): both sides of a pair carry -g_phi
     g_sq_c = -np.bincount(index, weights=np.concatenate([g_phi, g_phi]), minlength=k)
-    g_sq = np.concatenate([np.tile(g_sq_c, m), np.tile(g_phi, m)])
+    g_sq = np.concatenate([g_sq_c] * m + [g_phi] * m)
     g_u = _input_grad(net.product.branch, trace.branch_trace, g_sq[None, :])[0]
     # s_i = c_i[x] + c_i[x']: scatter each pair's sum gradient onto both sides' points
     g_s = g_u[m * k:].reshape(m, batch)
@@ -330,6 +373,11 @@ def _manifest(net: StructuredMetricNet, subnet_files: list) -> dict:
     }
 
 
+def _subnet_files(m: int) -> list:
+    """The sub-network file names of a saved model, the only ones load accepts."""
+    return [f"subnet_{i}.json" for i in range(m)]
+
+
 def save_manifest(net: StructuredMetricNet, out_dir) -> str:
     """Write the composite as a manifest plus one model file per sub-network.
 
@@ -337,11 +385,9 @@ def save_manifest(net: StructuredMetricNet, out_dir) -> str:
     load_manifest rebuilds both from the manifest.
     """
     os.makedirs(out_dir, exist_ok=True)
-    subnet_files = []
-    for i, h in enumerate(net.subnets):
-        fname = f"subnet_{i}.json"
+    subnet_files = _subnet_files(net.m)
+    for h, fname in zip(net.subnets, subnet_files):
         save_model(h, os.path.join(out_dir, fname))
-        subnet_files.append(fname)
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_manifest(net, subnet_files), fh, indent=1)
@@ -355,8 +401,10 @@ def load_manifest(out_dir) -> StructuredMetricNet:
     phi is rebuilt and certified from the recorded epsilon, F_a from the
     recorded a, and every recorded value (m, sawtooth depth, grid error,
     complexity, glue constants) must equal the one the rebuilt model gives;
-    otherwise CertificationError.  A file with a missing key or a malformed
-    network raises a ValidationFailure.
+    otherwise CertificationError.  So must the sub-network list: exactly
+    subnet_0.json ... subnet_<m-1>.json, checked before any file is opened.
+    A file with a missing key or a malformed network raises a
+    ValidationFailure.
     """
     path = os.path.join(out_dir, "manifest.json")
     try:
@@ -364,7 +412,12 @@ def load_manifest(out_dir) -> StructuredMetricNet:
             manifest = json.load(fh)
         # before build_product_gadget builds a branch as deep as epsilon asks
         check_depth(manifest["epsilon"], manifest["sawtooth_depth"])
-        subnets = [load_model(os.path.join(out_dir, f)) for f in manifest["subnets"]]
+        # only the names save_manifest writes, so no entry reaches outside out_dir
+        files = manifest["subnets"]
+        if files != _subnet_files(len(files)):
+            raise CertificationError(f"manifest lists sub-network files {files!r}, not "
+                                     f"subnet_0.json ... subnet_<m-1>.json in out_dir")
+        subnets = [load_model(os.path.join(out_dir, f)) for f in files]
         net = StructuredMetricNet(subnets, build_product_gadget(manifest["epsilon"]),
                                   build_sign_approx(manifest["a"]),
                                   manifest["clamp_subnet_output"])

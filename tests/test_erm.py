@@ -8,7 +8,7 @@ from metriclab.erm import (
     empirical_risk,
     train,
 )
-from metriclab.errors import ParameterError
+from metriclab.errors import DivergenceError, DomainError, InputShapeError, ParameterError
 from metriclab.gadgets import build_product_gadget, build_sign_approx
 from metriclab.losses import get_loss
 from metriclab.relu_net import DenseLayer, ReluNetwork
@@ -235,6 +235,43 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 20e6, peak
+
+    def test_rejects_a_row_outside_the_cube_that_no_batch_samples(self, hinge):
+        X, y = toy_separable_data(n=40)
+        X = X.copy()
+        X[0, 0] = 1.5
+        # one epoch of two sampled pairs, none of which uses row 0
+        cfg = TrainConfig(epochs=1, pair_batch=2, lr_init=0.1, seed=0,
+                          pair_strategy="uniform-subsample", pairs_per_epoch=2)
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            train(small_net(), (X, y), cfg, hinge)
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_rejects_labels_of_another_length(self, hinge, extra):
+        X, y = toy_separable_data(n=40)
+        y = np.resize(y, y.size + extra)
+        cfg = TrainConfig(epochs=1, pair_batch=64, lr_init=0.1, seed=0)
+        with pytest.raises(InputShapeError, match=r"labels must have shape \(40,\)"):
+            train(small_net(), (X, y), cfg, hinge)
+
+    def test_nan_gradient_raises_divergence_at_its_epoch(self, hinge):
+        # h(x) = relu(1e308 x + 1e308) overflows to inf for x > ~0.8; the clamp
+        # keeps the forward pass finite, but the weight gradient of the read-out
+        # layer is 0 * inf = nan
+        def overflowing():
+            return ReluNetwork([DenseLayer(np.array([[1e308]]), np.array([1e308])),
+                                DenseLayer(np.array([[1.0]]), np.array([0.0]))],
+                               input_dim=1, apply_final_relu=False)
+
+        net = StructuredMetricNet([overflowing(), overflowing()], build_product_gadget(1e-2),
+                                  build_sign_approx(0.1))
+        X, y = toy_separable_data(n=20)
+        cfg = TrainConfig(epochs=3, pair_batch=64, lr_init=0.1, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.all(np.isfinite(pair_values(net, X[:10], X[10:])))
+            with pytest.raises(DivergenceError, match="non-finite gradient") as err:
+                train(net, (X, y), cfg, hinge)
+        assert err.value.epoch == 0
 
     def test_budget_enforced(self):
         assert HypothesisBudget(1, 1, 1).admits(aggregate_complexity(small_net())) is False

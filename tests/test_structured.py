@@ -39,7 +39,7 @@ from metriclab.structured import (
     pdim_bound,
     save_manifest,
 )
-from metriclab.structured import _EVAL_BLOCK
+from metriclab.structured import _EVAL_BLOCK, _SCAN_LIMIT, _distinct_rows, _select_points
 from metriclab.synthetic import (
     SyntheticTask,
     atom_marginal,
@@ -268,6 +268,50 @@ class TestPairBackward:
             assert np.allclose(rxp, forward(h, Xp)[:, 0], rtol=0, atol=1e-15)
 
 
+class TestIndexPath:
+    """train's path: deduplicate X once, then trace each batch from row indices."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), distinct=st.integers(1, 12),
+           n=st.integers(2, 40), batch=st.integers(1, 60))
+    def test_matches_pair_forward_bit_for_bit(self, seed, p, distinct, n, batch):
+        net = make_structured_net(p=p, m=2, depth=3, width=5, epsilon=1e-2, a=1.5,
+                                  seed=seed, init_scale=1.5)
+        rng = np.random.default_rng(seed)
+        X = rng.random((distinct, p))[rng.integers(distinct, size=n)]  # repeated rows
+        dedup = _distinct_rows(X)
+        iu, ju = rng.integers(n, size=(2, batch))
+        want = pair_forward(net, X[iu], X[ju])
+        got = pair_forward(net, iu, ju, dedup)
+        assert np.array_equal(got.index, want.index)
+        for ours, ref in zip(got.values, want.values):
+            assert np.array_equal(ours, ref)
+        assert np.array_equal(got.t_pre, want.t_pre)
+        assert np.array_equal(got.d, want.d)
+        upstream = rng.standard_normal(batch)
+        for (gw, gb), (rw, rb) in zip(pair_backward(net, got, upstream),
+                                      pair_backward(net, want, upstream)):
+            for ours, ref in zip(gw + gb, rw + rb):
+                assert np.array_equal(ours, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), sort=st.booleans(),
+           batch=st.integers(1, 8))
+    def test_selects_what_distinct_rows_gives_the_gathered_sides(self, seed, p, sort, batch):
+        # both branches: a flag scan over few points, a sort of the ids over many
+        distinct = _SCAN_LIMIT * 2 * batch + 1 if sort else 2 * batch
+        rng = np.random.default_rng(seed)
+        rows = np.concatenate([np.arange(distinct), rng.integers(distinct, size=distinct)])
+        X = rng.random((distinct, p))[rows]  # every point, some repeated
+        iu, ju = rng.integers(X.shape[0], size=(2, batch))
+        points, index = _select_points(*_distinct_rows(X), iu, ju)
+        ref_points, ref_index = _distinct_rows(np.concatenate([X[iu], X[ju]]))
+        assert np.array_equal(points, ref_points) and np.array_equal(index, ref_index)
+        # BLAS rounding depends on the memory layout as well as on the column order
+        assert points.flags["C_CONTIGUOUS"] == ref_points.flags["C_CONTIGUOUS"]
+        assert points.flags["F_CONTIGUOUS"] == ref_points.flags["F_CONTIGUOUS"]
+
+
 class TestAggregateComplexity:
     def test_depth_is_component_sum(self, phi, sign):
         # depth formula: L_h + L_phi + L_Fa (no clamp stage here)
@@ -441,6 +485,17 @@ class TestPersistence:
         assert sorted(os.listdir(model)) == ["manifest.json", "subnet_0.json", "subnet_1.json"]
         manifest = json.loads((model / "manifest.json").read_text())
         assert "product" not in manifest and "sign" not in manifest
+
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    def test_load_rejects_a_subnet_file_outside_the_model_directory(self, tmp_path, where):
+        model = self.saved(tmp_path)
+        os.makedirs(tmp_path / "elsewhere")
+        os.replace(model / "subnet_1.json", tmp_path / "elsewhere" / "subnet_1.json")
+        entry = (str(tmp_path / "elsewhere" / "subnet_1.json") if where == "absolute"
+                 else os.path.join("..", "elsewhere", "subnet_1.json"))
+        self.tamper(model / "manifest.json", "subnets", 1, value=entry)
+        with pytest.raises(CertificationError, match="subnet_0.json ... subnet_<m-1>.json"):
+            load_manifest(model)
 
     def test_load_rejects_a_manifest_with_a_missing_key(self, tmp_path):
         model = self.saved(tmp_path)
