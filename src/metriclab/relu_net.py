@@ -218,15 +218,6 @@ def complexity(net: ReluNetwork) -> NetworkComplexity:
     return NetworkComplexity(depth, nnz, units)
 
 
-def same_network(a: ReluNetwork, b: ReluNetwork) -> bool:
-    """True when two networks compute with identical parameters, bit for bit
-    (metadata aside)."""
-    return (a.input_dim == b.input_dim and a.apply_final_relu == b.apply_final_relu
-            and len(a.layers) == len(b.layers)
-            and all(np.array_equal(x.weights, y.weights) and np.array_equal(x.bias, y.bias)
-                    for x, y in zip(a.layers, b.layers)))
-
-
 def save_model(net: ReluNetwork, path) -> None:
     """Write the versioned model file (JSON; floats at full repr precision)."""
     doc = {

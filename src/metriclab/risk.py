@@ -58,16 +58,20 @@ def _draw_pairs(task: SyntheticTask, mc_pairs: int, seed):
     return sample_inputs(task, mc_pairs, rng), sample_inputs(task, mc_pairs, rng)
 
 
-def generalization_risk(metric, task: SyntheticTask, loss: LossFunction,
-                        mc_pairs: int, seed) -> tuple[float, float]:
-    """Monte Carlo risk with labels integrated out:
-    E[ eta*l(d) + (1 - eta)*l(-d) ] over input pairs."""
+def _eta_and_values(metric, task: SyntheticTask, mc_pairs: int, seed):
+    """eta and the metric's values d on mc_pairs freshly drawn input pairs."""
     if mc_pairs < 100:
         raise ParameterError("need at least 100 Monte Carlo pairs")
     fn = as_pair_fn(metric)
     X, Xp = _draw_pairs(task, mc_pairs, seed)
-    e = eta_pairs(task, X, Xp)
-    d = np.asarray(fn(X, Xp), dtype=np.float64)
+    return eta_pairs(task, X, Xp), np.asarray(fn(X, Xp), dtype=np.float64)
+
+
+def generalization_risk(metric, task: SyntheticTask, loss: LossFunction,
+                        mc_pairs: int, seed) -> tuple[float, float]:
+    """Monte Carlo risk with labels integrated out:
+    E[ eta*l(d) + (1 - eta)*l(-d) ] over input pairs."""
+    e, d = _eta_and_values(metric, task, mc_pairs, seed)
     return _mean_se(e * loss.eval(d) + (1.0 - e) * loss.eval(-d))
 
 
@@ -77,12 +81,7 @@ def excess_risk_identity(metric, task: SyntheticTask, mc_pairs: int, seed) -> tu
     Valid for the hinge loss and metrics bounded by 1 in sup norm; a metric
     leaving [-1, 1] violates the identity's contract and is rejected.
     """
-    if mc_pairs < 100:
-        raise ParameterError("need at least 100 Monte Carlo pairs")
-    fn = as_pair_fn(metric)
-    X, Xp = _draw_pairs(task, mc_pairs, seed)
-    e = eta_pairs(task, X, Xp)
-    d = np.asarray(fn(X, Xp), dtype=np.float64)
+    e, d = _eta_and_values(metric, task, mc_pairs, seed)
     if np.max(np.abs(d)) > 1.0 + D_SUP_TOL:
         raise ContractError("excess-risk identity requires sup|d| <= 1")
     return _mean_se(np.abs(2.0 * e - 1.0) * np.abs(d - np.sign(1.0 - 2.0 * e)))

@@ -83,7 +83,7 @@ def test_criterion_01_product_gadget_certification():
         t0 = time.perf_counter()
         gadgets = {eps: build_product_gadget(eps) for eps in (1e-2, 1e-3)}
         for eps, g in gadgets.items():
-            assert g.certified_grid_error <= eps
+            assert g.certified_sup_error <= eps
             grid = np.linspace(-1.0, 2.0, 401)
             zeros = np.zeros_like(grid)
             assert np.max(np.abs(g(grid, zeros))) <= 1e-12
@@ -314,10 +314,9 @@ def test_criterion_10_learning_curve_shape(sweep_result):
 def test_criterion_11_complexity_accounting():
     with criterion(11, "aggregate complexity matches the documented hand count "
                        "and pdim bound reproduces L*W*log2(U)"):
-        from metriclab.gadgets import ProductGadget, _product_net
+        from metriclab.gadgets import ProductGadget
 
-        phi1 = ProductGadget(_product_net(1), epsilon=0.4, sawtooth_depth=1,
-                             certified_grid_error=np.nan)
+        phi1 = ProductGadget(0.4, 1)
         sign = build_sign_approx(0.1)
         subnet = lambda: ReluNetwork([DenseLayer(np.array([[1.0]]), np.array([0.5]))],
                                      input_dim=1, apply_final_relu=False)

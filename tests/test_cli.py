@@ -74,6 +74,17 @@ class TestVerifyGadgets:
     def test_rejects_epsilon_outside_range(self):
         assert main(["verify-gadgets", "--epsilons", "0.6"]) == EXIT_VALIDATION
 
+    def test_verdict_does_not_depend_on_epsilon_order(self, capsys):
+        # each gadget is held to its own depth law, not to the first one's
+        assert main(["verify-gadgets", "--epsilons", "1e-3", "1e-2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "PASS phi eps=0.001 sup_error=2.441e-04" in out
+        assert "PASS phi eps=0.01 sup_error=9.766e-04" in out
+
+    def test_rejects_an_epsilon_deeper_than_the_knot_check_certifies(self, capsys):
+        assert main(["verify-gadgets", "--epsilons", "1e-12"]) == EXIT_VALIDATION
+        assert "sawtooth depth 22" in capsys.readouterr().err
+
     def test_complexity_grows_logarithmically(self, tmp_path, capsys):
         code = main(["verify-gadgets", "--epsilons", "1e-1", "1e-2", "1e-3"])
         assert code == EXIT_OK

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,15 +7,16 @@ from hypothesis import strategies as st
 
 from metriclab.errors import CertificationError, ParameterError
 from metriclab.gadgets import (
+    MAX_SAWTOOTH_DEPTH,
     PRODUCT_DOMAIN,
     ProductGadget,
-    _product_net,
     _squaring_branch,
+    _sup_error,
     build_product_gadget,
     build_sign_approx,
     build_square_gadget,
-    certification_grid,
     certify_product,
+    check_depth,
     sawtooth_depth_for,
 )
 from metriclab.relu_net import DenseLayer, ReluNetwork, complexity, forward
@@ -22,6 +25,14 @@ SQUARE = st.floats(min_value=PRODUCT_DOMAIN[0], max_value=PRODUCT_DOMAIN[1])
 PHIS = {eps: build_product_gadget(eps) for eps in (1e-1, 1e-2, 1e-3)}
 BRANCHES = {s: _squaring_branch(s) for s in range(1, 9)}
 
+
+def square_grid(n):
+    return np.linspace(PRODUCT_DOMAIN[0], PRODUCT_DOMAIN[1], n)
+
+
+def eps_for_depth(s):
+    """The smallest epsilon whose sawtooth depth is s (s >= 3 for epsilon < 1/2)."""
+    return 12.0 * 4.0 ** -s
 
 
 class TestSquareGadget:
@@ -69,12 +80,12 @@ class TestProductGadget:
 
     def test_certificate(self):
         phi = build_product_gadget(1e-3)
-        assert phi.certified_grid_error <= 1e-3
+        assert phi.certified_sup_error <= 1e-3
         assert phi.complexity.depth == phi.sawtooth_depth + 2
 
     def test_symmetry_bit_exact(self):
         phi = build_product_gadget(1e-2)
-        g = certification_grid(101)
+        g = square_grid(101)
         xx, yy = np.meshgrid(g, g)
         a = phi(xx.ravel(), yy.ravel())
         b = phi(yy.ravel(), xx.ravel())
@@ -82,7 +93,7 @@ class TestProductGadget:
 
     def test_boundedness(self):
         phi = build_product_gadget(1e-2)
-        g = certification_grid(201)
+        g = square_grid(201)
         xx, yy = np.meshgrid(g, g)
         assert np.max(np.abs(phi(xx.ravel(), yy.ravel()))) <= 4.0 + phi.epsilon
 
@@ -105,6 +116,79 @@ class TestProductGadget:
     def test_epsilon_domain(self, eps):
         with pytest.raises(ParameterError):
             build_product_gadget(eps)
+
+    def test_is_a_value_of_epsilon_and_depth(self):
+        phi = ProductGadget(1e-2, 6)
+        assert phi == build_product_gadget(1e-2) and phi != ProductGadget(1e-2, 5)
+        assert phi.complexity.depth == 6 + 2
+
+
+class TestSupCertificate:
+    """certify_product returns the exact sup of |phi - xy| on [-1, 2]^2,
+    4^(1-s), from the 1.5 * 2^s + 1 knots of S."""
+
+    @pytest.mark.parametrize("eps,sup", [(1e-1, 1.5625e-2), (1e-2, 9.765625e-4),
+                                         (1e-3, 2.44140625e-4)])
+    def test_certificate_values(self, eps, sup):
+        assert build_product_gadget(eps).certified_sup_error == sup
+
+    @pytest.mark.parametrize("s", range(1, 17))
+    def test_closed_form(self, s):
+        assert _sup_error(_squaring_branch(s), s) == 4.0 ** (1 - s)
+        if s >= 3:  # shallower depths belong to no epsilon in (0, 1/2)
+            assert certify_product(ProductGadget(eps_for_depth(s), s)) == 4.0 ** (1 - s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps=st.sampled_from(sorted(PHIS)), x=SQUARE, y=SQUARE)
+    def test_bounds_the_error_at_random_points(self, eps, x, y):
+        phi = PHIS[eps]
+        assert abs(phi(x, y) - x * y) <= phi.certified_sup_error + 1e-14
+
+    @pytest.mark.parametrize("eps", sorted(PHIS))
+    def test_attained_at_half_a_knot_step(self, eps):
+        phi = PHIS[eps]
+        c = 2.0 / 2.0 ** phi.sawtooth_depth  # h/2
+        assert abs(abs(phi(c, c) - c * c) - phi.certified_sup_error) <= 1e-15
+
+    def test_stays_a_bound_when_the_knots_move(self):
+        # a read-out off by one part in 2^20 moves every knot; the certificate
+        # grows by three times the largest move and still bounds the error
+        phi = ProductGadget(1e-2, 6)
+        *hidden, readout = phi.branch.layers
+        phi.branch = ReluNetwork([*hidden, DenseLayer((1 + 2.0**-20) * readout.weights,
+                                                      readout.bias)],
+                                 input_dim=1, apply_final_relu=False)
+        sup = certify_product(phi)
+        assert sup > 4.0 ** (1 - 6)
+        g = square_grid(301)
+        xx, yy = np.meshgrid(g, g)
+        assert np.max(np.abs(phi(xx.ravel(), yy.ravel()) - xx.ravel() * yy.ravel())) <= sup
+
+    def test_rejects_a_depth_beyond_the_cap_before_any_knot(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="sawtooth depth 22"):
+                build_product_gadget(1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(CertificationError, match="sawtooth depth 22"):
+            check_depth(1e-12, sawtooth_depth_for(1e-12))
+        assert sawtooth_depth_for(0.999 * eps_for_depth(MAX_SAWTOOTH_DEPTH)) \
+            == MAX_SAWTOOTH_DEPTH + 1
+
+    def test_certifies_the_deepest_depth_in_flat_memory(self):
+        eps = eps_for_depth(MAX_SAWTOOTH_DEPTH)
+        tracemalloc.start()
+        try:
+            phi = build_product_gadget(eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phi.sawtooth_depth == MAX_SAWTOOTH_DEPTH
+        assert phi.certified_sup_error == 4.0 ** (1 - MAX_SAWTOOTH_DEPTH)
+        assert peak < 64 << 20
 
 
 class TestFactoredProduct:
@@ -153,35 +237,26 @@ class TestFactoredProduct:
         assert [layer.out_width for layer in phi.branch.layers[1:-1]] == \
             [4] * phi.sawtooth_depth
 
-    def test_rejects_a_net_off_the_polarization_layout(self):
-        net = _product_net(3)
-        net.layers[2].weights[0, 5] = 0.5  # couple branch 1 into branch 0
-        with pytest.raises(CertificationError, match="squaring branch"):
-            ProductGadget(net, 0.1, 3, certified_grid_error=np.nan)
-
-    def test_certification_catches_a_scaled_readout(self):
-        s = sawtooth_depth_for(1e-2)
-        net = _product_net(s)
-        net.layers[-1].weights *= 3.0  # still the layout, three times phi
-        with pytest.raises(CertificationError, match="polarization net"):
-            ProductGadget(net, 1e-2, s, certified_grid_error=np.nan)
-
-    def test_construction_rejects_a_depth_other_than_sawtooth_depth(self):
-        with pytest.raises(CertificationError, match="depth-4 polarization net"):
-            ProductGadget(_product_net(3), 1e-2, 4, certified_grid_error=np.nan)
-
     def test_certification_catches_a_scaled_branch(self):
-        # construction pins the net; the grid check still guards the branch calls run
+        # the knot check guards the branch that calls run
         gadget = build_product_gadget(1e-2)
         *hidden, readout = gadget.branch.layers
         gadget.branch = ReluNetwork([*hidden, DenseLayer(3.0 * readout.weights, readout.bias)],
                                     input_dim=1, apply_final_relu=False)
-        with pytest.raises(CertificationError, match="grid error"):
+        with pytest.raises(CertificationError, match="sup error"):
             certify_product(gadget)
 
     def test_certification_checks_depth_against_epsilon(self):
-        gadget = ProductGadget(_product_net(3), 1e-2, 3, certified_grid_error=np.nan)
+        gadget = ProductGadget(1e-2, 3)
         with pytest.raises(CertificationError, match="sawtooth depth"):
+            certify_product(gadget)
+
+    def test_certification_checks_the_branch_at_zero(self):
+        gadget = ProductGadget(1e-2, 6)
+        *hidden, readout = gadget.branch.layers
+        gadget.branch = ReluNetwork([*hidden, DenseLayer(readout.weights, readout.bias + 1e-300)],
+                                    input_dim=1, apply_final_relu=False)
+        with pytest.raises(CertificationError, match="zero-on-axes"):
             certify_product(gadget)
 
 

@@ -39,7 +39,7 @@ from metriclab.structured import (
     pdim_bound,
     save_manifest,
 )
-from metriclab.structured import _EVAL_BLOCK, _SCAN_LIMIT, _distinct_rows, _select_points
+from metriclab.structured import _EVAL_BLOCK, _distinct_rows, _select_points
 from metriclab.synthetic import (
     SyntheticTask,
     atom_marginal,
@@ -295,11 +295,12 @@ class TestIndexPath:
                 assert np.array_equal(ours, ref)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), sort=st.booleans(),
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), large=st.booleans(),
            batch=st.integers(1, 8))
-    def test_selects_what_distinct_rows_gives_the_gathered_sides(self, seed, p, sort, batch):
-        # both branches: a flag scan over few points, a sort of the ids over many
-        distinct = _SCAN_LIMIT * 2 * batch + 1 if sort else 2 * batch
+    def test_selects_what_distinct_rows_gives_the_gathered_sides(self, seed, p, large, batch):
+        # the flag scan over a dataset about as large as the batch, and over
+        # one with far more distinct points than the batch's sides
+        distinct = 64 * 2 * batch + 1 if large else 2 * batch
         rng = np.random.default_rng(seed)
         rows = np.concatenate([np.arange(distinct), rng.integers(distinct, size=distinct)])
         X = rng.random((distinct, p))[rows]  # every point, some repeated
@@ -343,11 +344,10 @@ class TestAggregateComplexity:
         Clamp on adds 2 layers, 16m-2 = 30 vs 2m-2 = 2 extra weights
         (+8m clamp, +6m bias fill), and 4m = 8 units.
         """
-        from metriclab.gadgets import ProductGadget, _product_net
+        from metriclab.gadgets import ProductGadget
 
         # s=1 instance built directly: too coarse to certify, fine to count
-        phi1 = ProductGadget(_product_net(1), epsilon=0.4, sawtooth_depth=1,
-                             certified_grid_error=np.nan)
+        phi1 = ProductGadget(0.4, 1)
         assert (complexity(phi1.net).depth, complexity(phi1.net).nonzero_weights,
                 complexity(phi1.net).units) == (3, 50, 19)
         sign = build_sign_approx(0.1)
@@ -473,7 +473,7 @@ class TestPersistence:
         with pytest.raises(CertificationError, match=key):
             load_manifest(model)
 
-    @pytest.mark.parametrize("key,value", [("certified_grid_error", 1e-9), ("m", 3)])
+    @pytest.mark.parametrize("key,value", [("certified_sup_error", 1e-9), ("m", 3)])
     def test_load_rejects_a_recorded_value_the_rebuild_does_not_give(self, tmp_path, key, value):
         model = self.saved(tmp_path)
         self.tamper(model / "manifest.json", key, value=value)
@@ -514,6 +514,22 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         assert peak < 1e6, peak
+
+    def test_load_rejects_an_epsilon_deeper_than_the_knot_check_certifies(self, tmp_path):
+        model = self.saved(tmp_path)
+        self.tamper(model / "manifest.json", "epsilon", value=1e-12)
+        self.tamper(model / "manifest.json", "sawtooth_depth", value=22)
+        with pytest.raises(CertificationError, match="certifies depths up to 20"):
+            load_manifest(model)
+
+    def test_load_rejects_the_grid_error_key_of_older_manifests(self, tmp_path):
+        model = self.saved(tmp_path)
+        path = model / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["certified_grid_error"] = doc.pop("certified_sup_error")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationFailure, match="certified_sup_error"):
+            load_manifest(model)
 
     def test_load_rejects_an_epsilon_outside_the_open_half_interval(self, tmp_path):
         model = self.saved(tmp_path)
