@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, load_config
 from .errors import ExecutionError, PropertyFailure, PropertyViolation, ValidationFailure
-from .gadgets import build_product_gadget, build_sign_approx, sawtooth_depth_for
+from .gadgets import build_product_gadget, build_sign_approx, product_depth, sawtooth_depth_for
 from .losses import (
     LOSSES,
     check_bias_shift,
@@ -95,6 +95,10 @@ def _make_out_dir(path) -> None:
 def cmd_verify_gadgets(args) -> int:
     eps_list = [float(e) for e in args.epsilons]
     a_list = [float(a) for a in args.a_values]
+    # all or nothing: every value is checked before any gadget is built or printed
+    for eps in eps_list:
+        product_depth(eps)
+    signs = [build_sign_approx(a) for a in a_list]
     if args.out:
         _make_out_dir(args.out)
     rows, failures = [], []
@@ -115,8 +119,7 @@ def cmd_verify_gadgets(args) -> int:
                      comp.depth, comp.nonzero_weights, comp.units, c_depth])
 
     grid = np.linspace(-5.0, 5.0, 10_001)
-    for a in a_list:
-        fa = build_sign_approx(a)
+    for a, fa in zip(a_list, signs):
         expected = np.where(grid >= a, 1.0, np.where(grid <= -a, -1.0, grid / a))
         err = float(np.max(np.abs(fa(grid) - expected)))
         comp = fa.complexity

@@ -12,24 +12,29 @@ cancel bit-for-bit.  All constant coefficients are exact binary fractions.
 
 The three squaring branches are copies of one 4-wide network S on a scalar
 input, fed x+y, x and y; the product is evaluated in that factored form,
-phi(x, y) = S(x+y) - (S(x) + S(y)).  S interpolates v^2/2 at its knots,
-which gives the exact sup of |phi - xy|; certify_product checks the knots.
+phi(x, y) = S(x+y) - (S(x) + S(y)).  S is piecewise linear with kinks only
+at its knots k*h, h = 4/2^s, and interpolates v^2/2 there, which gives the
+exact sup of |phi - xy|.  certify_product evaluates the network at the
+knots of [0, 4] and checks them; the values and subgradients it finds are
+the gadget's KnotTable, from which every call evaluates S and S' with one
+gather and one multiply-add per value instead of running the network.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import CertificationError, ParameterError
 from .relu_net import DenseLayer, NetworkComplexity, ReluNetwork, complexity, forward
+from .relu_net import _forward_trace, _input_grad
 
 PRODUCT_DOMAIN = (-1.0, 2.0)
-# the knot check evaluates 1.5 * 2^s + 1 knots: 1.57M at s = 20, in 0.56 s
-# (2-vCPU Xeon VM, numpy 2.4)
+# certification evaluates S and its subgradient at the 2^s + 1 knots of
+# [0, 4] and keeps three tables of that length: at s = 20, 1.05M knots in
+# 0.66 s, 25.2 MB of tables and a 39 MB traced peak (2-vCPU Xeon VM, numpy 2.4)
 MAX_SAWTOOTH_DEPTH = 20
 _KNOT_BLOCK = 16_384
 _M = 2.0  # rescale factor: squaring inputs are |.| / (2M) with M = 2
@@ -70,41 +75,79 @@ def build_square_gadget(s: int) -> ReluNetwork:
     return ReluNetwork(layers, input_dim=1, apply_final_relu=False)
 
 
+@dataclass(frozen=True, eq=False)
+class KnotTable:
+    """The squaring branch S at its knots k*h of [0, 4], k = 0 .. 2^s, as
+    certification evaluated it, and S evaluated from them.
+
+    ``values[k]`` is S(k*h) and ``knot_slopes[k]`` the network's own
+    subgradient there (sigma'(0) = 0).  ``slopes[k]`` = (values[k+1] -
+    values[k]) / h is S' on (k*h, (k+1)*h), exact for dyadic knot values;
+    ``slopes[2^s]`` = 2 is S' beyond 4, where every hat has vanished and
+    S(v) = 2|v|.  ``sup_error`` is the certified sup of |phi - xy|.
+    """
+
+    h: float
+    values: np.ndarray
+    slopes: np.ndarray
+    knot_slopes: np.ndarray
+    sup_error: float
+
+    def __call__(self, v: np.ndarray):
+        """S(v) and S'(v), elementwise: for a = |v| and k = min(floor(a/h),
+        2^s), S = values[k] + (a - k*h) * slopes[k], and S' = sign(v) *
+        slopes[k] between knots, sign(v) * knot_slopes[k] at a knot.  S(-v)
+        == S(v) bit for bit, as the network's abs layer gives, and S'(0) = 0.
+        """
+        a = np.abs(v)
+        k = np.fmin(a * (1.0 / self.h), self.values.size - 1).astype(np.intp)  # floor, a >= 0
+        r = a - k * self.h  # exact for a <= 4 (Sterbenz, or k = 0)
+        slope = self.slopes[k]
+        sq = self.values[k] + r * slope
+        return sq, np.copysign(np.where(r == 0.0, self.knot_slopes[k], slope), v)
+
+
 @dataclass
 class ProductGadget:
     """Product approximator on [-1, 2]^2, a value of (epsilon, sawtooth_depth).
 
     The depth s fixes everything else: ``branch`` is the squaring branch S
     and ``net`` the realized polarization network, three copies of S fed
-    x+y, x and y and read out as S(x+y) - S(x) - S(y).  Calls evaluate the
-    factored form with ``branch``.  Since x+y and S(x)+S(y) are commutative
-    in floating point, phi(x, y) and phi(y, x) are bit-identical by
-    construction, and S(0) = 0 makes phi exactly zero on the axes.
-    Construction certifies nothing; ``certified_sup_error`` runs
-    certify_product on first use.
+    x+y, x and y and read out as S(x+y) - S(x) - S(y).  Both stay networks,
+    for (L, W, U) accounting and as what certify_product certifies; calls
+    evaluate the factored form from ``table``, the KnotTable certification
+    keeps (certify_product runs on first use).  Since x+y and S(x)+S(y) are
+    commutative in floating point, phi(x, y) and phi(y, x) are bit-identical
+    by construction, and S(0) = 0 makes phi exactly zero on the axes.
     """
 
     epsilon: float
     sawtooth_depth: int
     branch: ReluNetwork = field(init=False, repr=False, compare=False)
     net: ReluNetwork = field(init=False, repr=False, compare=False)
+    _table: KnotTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.branch = _squaring_branch(self.sawtooth_depth)
         self.net = _polarization_net(self.branch)
 
-    @cached_property
+    @property
+    def table(self) -> KnotTable:
+        if self._table is None:
+            certify_product(self)
+        return self._table
+
+    @property
     def certified_sup_error(self) -> float:
-        return certify_product(self)
+        return self.table.sup_error
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         scalar = x.ndim == 0 and y.ndim == 0
         x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-        n = x.size
-        sq = forward(self.branch, np.concatenate([x + y, x, y])[:, None])[:, 0]
-        out = sq[:n] - (sq[n:2 * n] + sq[2 * n:])
+        S = self.table
+        out = S(x + y)[0] - (S(x)[0] + S(y)[0])
         return float(out[0]) if scalar else out
 
     @property
@@ -170,54 +213,73 @@ def _too_deep(epsilon: float, s: int) -> str:
             f"certifies depths up to {MAX_SAWTOOTH_DEPTH} (epsilon >= 48 * 2^-42)")
 
 
-def _sup_error(branch: ReluNetwork, s: int) -> float:
-    """sup |phi - xy| on [-1, 2]^2 for phi built on the depth-s branch S.
+def _knot_table(branch: ReluNetwork, s: int) -> KnotTable:
+    """Evaluate the depth-s branch S and its subgradient at the knots of
+    [0, 4], _KNOT_BLOCK at a time, and bound sup |phi - xy| on [-1, 2]^2.
 
-    S is piecewise linear with kinks only at the knots v = k*h, h = 4/2^s.
-    Where it matches v^2/2 at every knot it is the linear interpolant of
-    v^2/2, so E = S - v^2/2 lies in [0, h^2/8]; phi - xy = E(x+y) - E(x) -
-    E(y) then has sup exactly h^2/4, attained at x = y = h/2.  S interpolates
-    the knot values it does have, so adding three times their largest
-    deviation from v^2/2 keeps the value a bound should a knot ever round.
-    The knots of [-2, 4], where x+y lives, are evaluated _KNOT_BLOCK at a
-    time, so memory stays flat in s.
+    S is piecewise linear with kinks only at the knots v = k*h, h = 4/2^s,
+    and even (its abs layer gives S(-v) == S(v) bit for bit), so the knots
+    of [0, 4] fix it on [-4, 4], where x+y and both factors live.  Where it
+    matches v^2/2 at every knot it is the linear interpolant of v^2/2, so E
+    = S - v^2/2 lies in [0, h^2/8]; phi - xy = E(x+y) - E(x) - E(y) then has
+    sup exactly h^2/4, attained at x = y = h/2.  S interpolates the knot
+    values it does have, so adding three times their largest deviation from
+    v^2/2 keeps the value a bound should a knot ever round.
     """
     h = 4.0 / 2.0 ** s
-    last = 2 ** s  # knots k*h for k = -2^(s-1) .. 2^s
+    size = 2 ** s + 1
+    values, knot_slopes = np.empty(size), np.empty(size)
     dev = 0.0
-    for lo in range(-(2 ** (s - 1)), last + 1, _KNOT_BLOCK):
-        v = np.arange(lo, min(lo + _KNOT_BLOCK, last + 1)) * h
-        sv = forward(branch, v[:, None])[:, 0]
-        dev = max(dev, float(np.max(np.abs(sv - v * v / 2.0))))
-    return h * h / 4.0 + 3.0 * dev
+    for lo in range(0, size, _KNOT_BLOCK):
+        v = np.arange(lo, min(lo + _KNOT_BLOCK, size)) * h
+        trace = _forward_trace(branch, v[None, :])
+        values[lo:lo + v.size] = trace[-1][0]
+        knot_slopes[lo:lo + v.size] = _input_grad(branch, trace, np.ones((1, v.size)))[0]
+        dev = max(dev, float(np.max(np.abs(trace[-1][0] - v * v / 2.0))))
+    slopes = np.empty(size)
+    np.subtract(values[1:], values[:-1], out=slopes[:-1])
+    slopes[:-1] /= h
+    slopes[-1] = 2.0
+    return KnotTable(h, values, slopes, knot_slopes, h * h / 4.0 + 3.0 * dev)
 
 
 def certify_product(gadget: ProductGadget) -> float:
-    """Certify the phi that calls evaluate; returns its sup error (_sup_error).
+    """Certify gadget.branch and keep its knot table; returns the sup error
+    of the phi built on it.
 
-    Checks the depth first (check_depth), then that S(0) == 0 exactly, which
-    makes phi exactly zero on both axes, and that the sup error is at most
-    epsilon.  Raises CertificationError on any failure.
+    Checks the depth first (check_depth), then evaluates the knots
+    (_knot_table), checks that S(0) == 0 exactly, which makes phi exactly
+    zero on both axes, and that the sup error is at most epsilon.  Raises
+    CertificationError on any failure; only a table that passes becomes
+    gadget.table, from which every later call evaluates phi.
     """
     eps, s = gadget.epsilon, gadget.sawtooth_depth
     check_depth(eps, s)
-    if forward(gadget.branch, [0.0])[0] != 0.0:
+    table = _knot_table(gadget.branch, s)
+    if table.values[0] != 0.0:
         raise CertificationError("zero-on-axes violated: the squaring branch gives S(0) != 0")
-    err = _sup_error(gadget.branch, s)
-    if not err <= eps:
-        raise CertificationError(
-            f"product gadget failed certification: sup error {err:.3e} > {eps:.3e}")
-    return err
+    if not table.sup_error <= eps:
+        raise CertificationError(f"product gadget failed certification: sup error "
+                                 f"{table.sup_error:.3e} > {eps:.3e}")
+    gadget._table = table
+    return table.sup_error
 
 
-def build_product_gadget(epsilon: float) -> ProductGadget:
-    """Build phi for epsilon and certify sup |phi - xy| <= epsilon on [-1, 2]^2."""
+def product_depth(epsilon: float) -> int:
+    """The sawtooth depth build_product_gadget uses for epsilon; raises
+    ParameterError unless epsilon lies in (0, 1/2) and that depth is at most
+    MAX_SAWTOOTH_DEPTH.  Cheap: it builds and evaluates nothing."""
     if not (0.0 < epsilon < 0.5):
         raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     s = sawtooth_depth_for(epsilon)
     if s > MAX_SAWTOOTH_DEPTH:
         raise ParameterError(_too_deep(epsilon, s))
-    gadget = ProductGadget(epsilon, s)
+    return s
+
+
+def build_product_gadget(epsilon: float) -> ProductGadget:
+    """Build phi for epsilon and certify sup |phi - xy| <= epsilon on [-1, 2]^2."""
+    gadget = ProductGadget(epsilon, product_depth(epsilon))
     gadget.certified_sup_error  # certify now: a gadget that fails never leaves here
     return gadget
 

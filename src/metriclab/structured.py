@@ -10,7 +10,9 @@ Evaluation works per distinct point: the metric depends on a pair only
 through the scalars h_i(x), so each sub-network runs once per distinct input
 row, and the product gadget runs in its factored form
 phi(u, v) = S(u+v) - (S(u) + S(v)) with its squaring branch S applied once
-per point and once per pair sum.
+per point and once per pair sum.  S and its subgradient come from the
+gadget's certified knot table (gadgets.KnotTable), elementwise, so a value
+does not depend on where in a batch it sits.
 
 Exact symmetry holds by construction, not by an argument sort: u+v and
 S(u) + S(v) are commutative in floating point, so pair_values(X, X') and
@@ -59,9 +61,9 @@ from .relu_net import (
 from .relu_net import _backprop, _forward_trace, _input_grad, _unit_cube_batch
 
 # pair_values runs pair_forward on at most this many pairs at a time, for two
-# reasons: every activation of the squaring branch stays cache-sized (4 rows
-# of at most 3m * 2048 values, 12,288 at m = 2), and no matmul grows to the
-# size at which OpenBLAS hands work to a second thread, which then spins.
+# reasons: every per-value array of the product gadget stays cache-sized (at
+# most 3m * 2048 values, 12,288 at m = 2), and no matmul grows to the size at
+# which OpenBLAS hands work to a second thread, which then spins.
 _EVAL_BLOCK = 2048
 
 
@@ -115,15 +117,16 @@ class PairTrace:
 
     ``index`` maps the stacked pair sides (pair j's at j and batch + j) to
     the distinct input rows, over which each sub-network is traced.  The
-    product gadget's squaring branch S is traced once over the stacked
+    product gadget's squaring branch S is evaluated once over the stacked
     inputs [c_1, ..., c_m, s_1, ..., s_m]: c_i holds the clamped h_i per
-    distinct row, s_i the per-pair sums c_i[x] + c_i[x'].
+    distinct row, s_i the per-pair sums c_i[x] + c_i[x'].  Its reverse pass
+    needs only S' at each of them, ``slopes``.
     """
 
     index: np.ndarray
     values: list  # per subnet: raw h_i at each distinct point
     subnet_traces: list
-    branch_trace: list
+    slopes: np.ndarray
     t_pre: np.ndarray
     sign_trace: list
     d: np.ndarray
@@ -197,8 +200,7 @@ def pair_forward(net: StructuredMetricNet, X, Xp, distinct=None) -> PairTrace:
         subnet_traces.append(trace)
         clamped.append(c)
         sums.append(c[ix] + c[ixp])
-    branch_trace = _forward_trace(net.product.branch, np.concatenate(clamped + sums)[None, :])
-    sq = branch_trace[-1][0]
+    sq, slopes = net.product.table(np.concatenate(clamped + sums))
 
     k = points.shape[1]
     sq_sums = sq[net.m * k:].reshape(net.m, batch)
@@ -210,7 +212,7 @@ def pair_forward(net: StructuredMetricNet, X, Xp, distinct=None) -> PairTrace:
     t_pre = 1.0 - 2.0 * phi_sum
     sign_trace = _forward_trace(net.sign.net, t_pre[None, :])
     d = np.clip(sign_trace[-1][0], -1.0, 1.0)
-    return PairTrace(index, values, subnet_traces, branch_trace, t_pre, sign_trace, d)
+    return PairTrace(index, values, subnet_traces, slopes, t_pre, sign_trace, d)
 
 
 def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
@@ -246,7 +248,7 @@ def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarr
     # phi_i = S(s_i) - (S(c_i)[x] + S(c_i)[x']): both sides of a pair carry -g_phi
     g_sq_c = -np.bincount(index, weights=np.concatenate([g_phi, g_phi]), minlength=k)
     g_sq = np.concatenate([g_sq_c] * m + [g_phi] * m)
-    g_u = _input_grad(net.product.branch, trace.branch_trace, g_sq[None, :])[0]
+    g_u = g_sq * trace.slopes
     # s_i = c_i[x] + c_i[x']: scatter each pair's sum gradient onto both sides' points
     g_s = g_u[m * k:].reshape(m, batch)
     g_c = g_u[:m * k] + np.bincount(
@@ -401,7 +403,7 @@ def load_manifest(out_dir) -> StructuredMetricNet:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         # before build_product_gadget builds a branch as deep as epsilon asks
-        # and evaluates its 1.5 * 2^depth + 1 knots
+        # and evaluates its 2^depth + 1 knots
         check_depth(manifest["epsilon"], manifest["sawtooth_depth"])
         # only the names save_manifest writes, so no entry reaches outside out_dir
         files = manifest["subnets"]

@@ -85,6 +85,15 @@ class TestVerifyGadgets:
         assert main(["verify-gadgets", "--epsilons", "1e-12"]) == EXIT_VALIDATION
         assert "sawtooth depth 22" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [["--epsilons", "1e-2", "1e-12"],
+                                        ["--epsilons", "1e-2", "0.6"],
+                                        ["--epsilons", "1e-2", "--a-values", "0.2", "-1"]])
+    def test_a_bad_value_anywhere_prints_and_writes_nothing(self, values, tmp_path, capsys):
+        out_dir = tmp_path / "certs"
+        assert main(["verify-gadgets", *values, "--out", str(out_dir)]) == EXIT_VALIDATION
+        assert "PASS" not in capsys.readouterr().out
+        assert not (out_dir / "gadget_certificates.csv").exists()
+
     def test_complexity_grows_logarithmically(self, tmp_path, capsys):
         code = main(["verify-gadgets", "--epsilons", "1e-1", "1e-2", "1e-3"])
         assert code == EXIT_OK

@@ -10,8 +10,8 @@ from metriclab.gadgets import (
     MAX_SAWTOOTH_DEPTH,
     PRODUCT_DOMAIN,
     ProductGadget,
+    _knot_table,
     _squaring_branch,
-    _sup_error,
     build_product_gadget,
     build_sign_approx,
     build_square_gadget,
@@ -19,11 +19,14 @@ from metriclab.gadgets import (
     check_depth,
     sawtooth_depth_for,
 )
-from metriclab.relu_net import DenseLayer, ReluNetwork, complexity, forward
+from metriclab import gadgets
+from metriclab.relu_net import DenseLayer, ReluNetwork, _forward_trace, _input_grad, complexity, \
+    forward
 
 SQUARE = st.floats(min_value=PRODUCT_DOMAIN[0], max_value=PRODUCT_DOMAIN[1])
 PHIS = {eps: build_product_gadget(eps) for eps in (1e-1, 1e-2, 1e-3)}
 BRANCHES = {s: _squaring_branch(s) for s in range(1, 9)}
+TABLES = {s: (_squaring_branch(s), _knot_table(_squaring_branch(s), s)) for s in range(1, 13)}
 
 
 def square_grid(n):
@@ -134,7 +137,7 @@ class TestSupCertificate:
 
     @pytest.mark.parametrize("s", range(1, 17))
     def test_closed_form(self, s):
-        assert _sup_error(_squaring_branch(s), s) == 4.0 ** (1 - s)
+        assert _knot_table(_squaring_branch(s), s).sup_error == 4.0 ** (1 - s)
         if s >= 3:  # shallower depths belong to no epsilon in (0, 1/2)
             assert certify_product(ProductGadget(eps_for_depth(s), s)) == 4.0 ** (1 - s)
 
@@ -258,6 +261,87 @@ class TestFactoredProduct:
                                     input_dim=1, apply_final_relu=False)
         with pytest.raises(CertificationError, match="zero-on-axes"):
             certify_product(gadget)
+
+
+def branch_values_and_slopes(branch, v):
+    """S and its subgradient from the realized branch network."""
+    trace = _forward_trace(branch, v[None, :])
+    return trace[-1][0], _input_grad(branch, trace, np.ones((1, v.size)))[0]
+
+
+class TestKnotTable:
+    """Calls evaluate S and S' from the certified knot table; these pin the
+    table to the realized branch network it was read from."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=st.sampled_from(sorted(TABLES)),
+           v=st.lists(st.floats(min_value=-6.0, max_value=6.0)
+                      .filter(lambda v: v == 0.0 or abs(v) > 2.0 ** -1000),
+                      min_size=1, max_size=20))
+    def test_matches_the_network_at_random_points(self, s, v):
+        # away from subnormals, whose quarter the network's abs layer rounds
+        # (to zero for 2^-1074 and 2^-1073)
+        branch, table = TABLES[s]
+        v = np.array(v)
+        sq, slope = table(v)
+        net_sq, net_slope = branch_values_and_slopes(branch, v)
+        # values within 4 ulps of S(4) = 8 (of 2|v| beyond 4); slopes bit for bit
+        assert np.all(np.abs(sq - net_sq) <= 4 * np.spacing(np.maximum(8.0, np.abs(net_sq))))
+        assert np.array_equal(slope, net_slope)
+
+    @pytest.mark.parametrize("s", sorted(TABLES))
+    def test_slopes_match_the_network_at_every_knot(self, s):
+        branch, table = TABLES[s]
+        v = np.arange(-2 ** s, 2 ** s + 1) * (4.0 / 2 ** s)
+        sq, slope = table(v)
+        net_sq, net_slope = branch_values_and_slopes(branch, v)
+        assert np.array_equal(sq, net_sq) and np.array_equal(sq, v * v / 2.0)
+        assert np.array_equal(slope, net_slope)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.sampled_from(sorted(TABLES)), v=st.floats(min_value=-1e6, max_value=1e6))
+    def test_even_zero_at_zero_and_two_abs_beyond_four(self, s, v):
+        _, table = TABLES[s]
+        sq, slope = table(np.array([0.0, v, -v]))
+        assert sq[0] == 0.0 and slope[0] == 0.0
+        assert sq[1] == sq[2] and slope[1] == -slope[2]
+        if abs(v) > 4.0:
+            assert abs(sq[1] - 2.0 * abs(v)) <= np.spacing(2.0 * abs(v))
+            assert slope[1] == np.copysign(2.0, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(eps=st.sampled_from(sorted(PHIS)),
+           x=st.lists(SQUARE, min_size=1, max_size=40), data=st.data())
+    def test_a_value_does_not_depend_on_its_position(self, eps, x, data):
+        phi = PHIS[eps]
+        x = np.array(x)
+        y = np.array(data.draw(st.lists(SQUARE, min_size=x.size, max_size=x.size)))
+        cut = sorted(data.draw(st.lists(st.integers(0, x.size), max_size=4)))
+        sq, slope = phi.table(x)
+        whole = phi(x, y)
+        alone = [phi.table(x[i:i + 1]) for i in range(x.size)]
+        assert np.array_equal(sq, np.concatenate([a[0] for a in alone]))
+        assert np.array_equal(slope, np.concatenate([a[1] for a in alone]))
+        assert np.array_equal(whole, [phi(x[i], y[i]) for i in range(x.size)])
+        bounds = [0, *cut, x.size]
+        blocks = [phi(x[lo:hi], y[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(whole, np.concatenate(blocks))
+        table_blocks = [phi.table(x[lo:hi])[0] for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(sq, np.concatenate(table_blocks))
+
+    def test_certification_reads_every_knot_once(self, monkeypatch):
+        evaluated = []
+        knot_table = gadgets._knot_table
+
+        def counted(branch, s):
+            evaluated.append(s)
+            return knot_table(branch, s)
+
+        monkeypatch.setattr(gadgets, "_knot_table", counted)
+        phi = build_product_gadget(1e-2)
+        phi(0.3, 0.7), phi.certified_sup_error, phi.table
+        assert evaluated == [6]
+        assert phi.table.values.size == 2 ** 6 + 1
 
 
 class TestSignApprox:

@@ -15,11 +15,13 @@ from metriclab.errors import (
     ParameterError,
     ValidationFailure,
 )
-from metriclab.gadgets import build_product_gadget, build_sign_approx
+from metriclab.gadgets import PRODUCT_DOMAIN, build_product_gadget, build_sign_approx
 from metriclab.relu_net import (
     DenseLayer,
     NetworkComplexity,
     ReluNetwork,
+    _forward_trace,
+    _input_grad,
     backward,
     complexity,
     forward,
@@ -233,7 +235,51 @@ def reference_subnet_grads(net, X, Xp, upstream):
     return grads
 
 
+def branch_reference(net, X, Xp, upstream):
+    """d and the sub-network gradients of sum(upstream * d), per pair side,
+    with S and S' from the realized squaring branch network."""
+    branch, lo, hi = net.product.branch, *PRODUCT_DOMAIN
+    raw = [(forward(h, X)[:, 0], forward(h, Xp)[:, 0]) for h in net.subnets]
+    clamped = [(np.clip(a, lo, hi), np.clip(b, lo, hi)) if net.clamp_subnet_output else (a, b)
+               for a, b in raw]
+    traces = [_forward_trace(branch, np.concatenate([a + b, a, b])[None, :])
+              for a, b in clamped]
+    n = X.shape[0]
+    phi = [tr[-1][0][:n] - (tr[-1][0][n:2 * n] + tr[-1][0][2 * n:]) for tr in traces]
+    t = 1.0 - 2.0 * sum(phi)
+    d = np.clip(forward(net.sign.net, t[:, None])[:, 0], -1.0, 1.0)
+    g_phi = -2.0 * backward(net.sign.net, t[:, None], upstream[:, None]).input_grad[:, 0]
+    grads = []
+    for h, (a, b), tr in zip(net.subnets, raw, traces):
+        g = _input_grad(branch, tr, np.concatenate([g_phi, -g_phi, -g_phi])[None, :])[0]
+        g_a, g_b = g[:n] + g[n:2 * n], g[:n] + g[2 * n:]
+        if net.clamp_subnet_output:
+            g_a, g_b = g_a * ((a > lo) & (a < hi)), g_b * ((b > lo) & (b < hi))
+        rx, rxp = backward(h, X, g_a[:, None]), backward(h, Xp, g_b[:, None])
+        grads.append(([w + wp for w, wp in zip(rx.weight_grads, rxp.weight_grads)],
+                      [c + cp for c, cp in zip(rx.bias_grads, rxp.bias_grads)]))
+    return d, grads
+
+
 class TestPairBackward:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), clamp=st.booleans(),
+           batch=st.integers(1, 50))
+    def test_matches_the_realized_branch(self, seed, p, clamp, batch):
+        # init_scale 3 drives sub-network outputs past [-1, 2] and, clamp off,
+        # pair sums past 4, where S = 2|v|
+        net = make_structured_net(p=p, m=2, depth=3, width=5, epsilon=1e-2, a=1.5,
+                                  clamp=clamp, seed=seed, init_scale=3.0)
+        rng = np.random.default_rng(seed)
+        X, Xp = rng.random((2, batch, p))
+        upstream = rng.standard_normal(batch)
+        trace = pair_forward(net, X, Xp)
+        d, want = branch_reference(net, X, Xp, upstream)
+        assert np.max(np.abs(trace.d - d)) <= 1e-12
+        for (gw, gb), (rw, rb) in zip(pair_backward(net, trace, upstream), want):
+            for ours, ref in zip(gw + gb, rw + rb):
+                assert np.max(np.abs(ours - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), distinct=st.integers(1, 12),
            data=st.data())
