@@ -334,6 +334,8 @@ def cmd_rate_sweep(args) -> int:
     train_cfg.seed = train_seed
     model = config.model_spec(task)
     del model["depth"], model["width"]  # the budget recipe sizes each n's sub-networks
+    if args.jobs < 1:  # before --out is made: a bad flag writes nothing
+        raise ValidationFailure(f"jobs must be >= 1, got {args.jobs}")
     _make_out_dir(args.out)
 
     result = rate_sweep(
@@ -389,18 +391,27 @@ def cmd_report(args) -> int:
         header, data = rows[0], rows[1:]
         return [dict(zip(header, row)) for row in data]
 
-    rows = [r for r in read_csv(rows_path) if r["diverged"] == "False"]
-    fit = read_csv(fit_path)[0]
-    by_n = {}
-    for r in rows:
-        by_n.setdefault(int(r["n"]), []).append(float(r["excess"]))
+    by_n, path = {}, rows_path
+    try:
+        for r in read_csv(path):
+            n = int(r["n"])
+            if n < 1:
+                raise ValueError(f"sample size n = {n}")
+            if r["diverged"] == "False":
+                by_n.setdefault(n, []).append(float(r["excess"]))
+        if not by_n:
+            raise ValueError("no row that did not diverge")
+        path = fit_path
+        fit = read_csv(path)[0]
+        line = [float(fit[key]) for key in ("slope", "intercept", "ref_exponent")]
+    except (OSError, IndexError, KeyError, ValueError) as err:
+        raise ValidationFailure(f"cannot use {path}: {err!r}") from err
     n_values = sorted(by_n)
     medians = [max(median_of_seeds(by_n[n]), 1e-12) for n in n_values]
     out_path = os.path.join(args.dir, "plot_data.csv")
     write_csv(out_path,
               ["log10_n", "log10_median_excess", "fit_line", "reference_line"],
-              _plot_rows(n_values, medians, float(fit["slope"]), float(fit["intercept"]),
-                         float(fit["ref_exponent"])),
+              _plot_rows(n_values, medians, *line),
               _provenance(args.seed, extra="source=report"))
     print(f"wrote {out_path} ({len(n_values)} sample sizes)")
     return EXIT_OK

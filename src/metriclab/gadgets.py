@@ -195,22 +195,17 @@ def _polarization_net(branch: ReluNetwork) -> ReluNetwork:
 
 
 def check_depth(epsilon: float, sawtooth_depth: int) -> None:
-    """Raise CertificationError unless epsilon lies in (0, 1/2), sawtooth_depth
-    is the one it asks for and at most MAX_SAWTOOTH_DEPTH.  Cheap, so a saved
-    gadget can be checked before its branch and its knots, whose number grows
-    as 2^depth, are built."""
-    if not (0.0 < epsilon < 0.5):
-        raise CertificationError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if sawtooth_depth != sawtooth_depth_for(epsilon):
+    """Raise CertificationError unless product_depth accepts epsilon and
+    sawtooth_depth is the depth it gives.  Cheap, so a saved gadget can be
+    checked before its branch and its knots, whose number grows as 2^depth,
+    are built."""
+    try:
+        s = product_depth(epsilon)
+    except ParameterError as err:
+        raise CertificationError(str(err)) from err
+    if sawtooth_depth != s:
         raise CertificationError(f"sawtooth depth {sawtooth_depth} disagrees with "
                                  f"epsilon {epsilon:g}")
-    if sawtooth_depth > MAX_SAWTOOTH_DEPTH:
-        raise CertificationError(_too_deep(epsilon, sawtooth_depth))
-
-
-def _too_deep(epsilon: float, s: int) -> str:
-    return (f"epsilon {epsilon:g} asks for sawtooth depth {s}; the knot check "
-            f"certifies depths up to {MAX_SAWTOOTH_DEPTH} (epsilon >= 48 * 2^-42)")
 
 
 def _knot_table(branch: ReluNetwork, s: int) -> KnotTable:
@@ -273,7 +268,8 @@ def product_depth(epsilon: float) -> int:
         raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     s = sawtooth_depth_for(epsilon)
     if s > MAX_SAWTOOTH_DEPTH:
-        raise ParameterError(_too_deep(epsilon, s))
+        raise ParameterError(f"epsilon {epsilon:g} asks for sawtooth depth {s}; the knot check "
+                             f"certifies depths up to {MAX_SAWTOOTH_DEPTH} (epsilon >= 48 * 2^-42)")
     return s
 
 
@@ -286,10 +282,24 @@ def build_product_gadget(epsilon: float) -> ProductGadget:
 
 @dataclass
 class SignApprox:
-    """Two-layer ReLU realization of F_a: sign outside [-a, a], t/a inside."""
+    """F_a, a value of the band half-width a: sign outside [-a, a], t/a inside.
+
+    ``net`` is the two-layer realization s(t + a)/a - s(t - a)/a - 1, built
+    from a; it is what __call__ evaluates, what verification certifies and
+    what (L, W, U) counts.  Pair evaluation uses the closed form instead
+    (value_and_slope), which the network equals to within 4 ulps of 1.
+    """
 
     a: float
-    net: ReluNetwork
+    net: ReluNetwork = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = self.a
+        if not (math.isfinite(a) and a > 0.0):
+            raise ParameterError(f"sign approximator needs a finite a > 0, got {a}")
+        self.net = ReluNetwork([DenseLayer(np.array([[1.0], [1.0]]), np.array([a, -a])),
+                                DenseLayer(np.array([[1.0 / a, -1.0 / a]]), np.array([-1.0]))],
+                               input_dim=1, apply_final_relu=False)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -297,16 +307,20 @@ class SignApprox:
         out = np.clip(forward(self.net, t.reshape(-1, 1))[:, 0], -1.0, 1.0)
         return float(out[0]) if t.ndim == 0 else out
 
+    def value_and_slope(self, t: np.ndarray):
+        """F_a(t) = clip(t/a, -1, 1) and F_a'(t), elementwise: 1/a on (-a, a]
+        and 0 elsewhere, the subgradient the network gives with sigma'(0) = 0.
+        upstream * slope is the network's input gradient bit for bit, up to
+        the sign of a zero; a value lies within 4 ulps of 1 of the network's,
+        which rounds 1/a, t + a and their product."""
+        a = self.a
+        slope = np.where((t > -a) & (t <= a), 1.0 / a, 0.0)
+        return np.clip(t / a, -1.0, 1.0), slope
+
     @property
     def complexity(self) -> NetworkComplexity:
         return complexity(self.net)
 
 
 def build_sign_approx(a: float) -> SignApprox:
-    if not a > 0.0:
-        raise ParameterError(f"sign approximator needs a > 0, got {a}")
-    layers = [
-        DenseLayer(np.array([[1.0], [1.0]]), np.array([a, -a])),
-        DenseLayer(np.array([[1.0 / a, -1.0 / a]]), np.array([-1.0])),
-    ]
-    return SignApprox(a, ReluNetwork(layers, input_dim=1, apply_final_relu=False))
+    return SignApprox(a)

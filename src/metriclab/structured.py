@@ -11,8 +11,10 @@ through the scalars h_i(x), so each sub-network runs once per distinct input
 row, and the product gadget runs in its factored form
 phi(u, v) = S(u+v) - (S(u) + S(v)) with its squaring branch S applied once
 per point and once per pair sum.  S and its subgradient come from the
-gadget's certified knot table (gadgets.KnotTable), elementwise, so a value
-does not depend on where in a batch it sits.
+gadget's certified knot table (gadgets.KnotTable), and F_a and its slope
+from the closed form clip(t/a, -1, 1) (SignApprox.value_and_slope), both
+elementwise, so neither gadget's value depends on where in a batch it sits;
+only the sub-networks' matmuls do.
 
 Exact symmetry holds by construction, not by an argument sort: u+v and
 S(u) + S(v) are commutative in floating point, so pair_values(X, X') and
@@ -58,7 +60,7 @@ from .relu_net import (
     load_model,
     save_model,
 )
-from .relu_net import _backprop, _forward_trace, _input_grad, _unit_cube_batch
+from .relu_net import _backprop, _forward_trace, _unit_cube_batch
 
 # pair_values runs pair_forward on at most this many pairs at a time, for two
 # reasons: every per-value array of the product gadget stays cache-sized (at
@@ -120,7 +122,9 @@ class PairTrace:
     product gadget's squaring branch S is evaluated once over the stacked
     inputs [c_1, ..., c_m, s_1, ..., s_m]: c_i holds the clamped h_i per
     distinct row, s_i the per-pair sums c_i[x] + c_i[x'].  Its reverse pass
-    needs only S' at each of them, ``slopes``.
+    needs only S' at each of them, ``slopes``.  The sign gadget's needs only
+    its input ``t_pre`` = 1 - 2 * sum_i phi_i, from which F_a' follows in
+    closed form.
     """
 
     index: np.ndarray
@@ -128,7 +132,6 @@ class PairTrace:
     subnet_traces: list
     slopes: np.ndarray
     t_pre: np.ndarray
-    sign_trace: list
     d: np.ndarray
 
 
@@ -210,9 +213,8 @@ def pair_forward(net: StructuredMetricNet, X, Xp, distinct=None) -> PairTrace:
         phi_sum += sq_sums[i] - (sq_c[ix] + sq_c[ixp])
 
     t_pre = 1.0 - 2.0 * phi_sum
-    sign_trace = _forward_trace(net.sign.net, t_pre[None, :])
-    d = np.clip(sign_trace[-1][0], -1.0, 1.0)
-    return PairTrace(index, values, subnet_traces, slopes, t_pre, sign_trace, d)
+    d, _ = net.sign.value_and_slope(t_pre)
+    return PairTrace(index, values, subnet_traces, slopes, t_pre, d)
 
 
 def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
@@ -242,8 +244,7 @@ def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarr
     """
     m, batch, index = net.m, trace.d.size, trace.index
     k = trace.values[0].size
-    g_t = _input_grad(net.sign.net, trace.sign_trace,
-                      np.asarray(upstream, dtype=np.float64)[None, :])[0]
+    g_t = np.asarray(upstream, dtype=np.float64) * net.sign.value_and_slope(trace.t_pre)[1]
     g_phi = -2.0 * g_t  # t = 1 - 2 * sum_i phi_i
     # phi_i = S(s_i) - (S(c_i)[x] + S(c_i)[x']): both sides of a pair carry -g_phi
     g_sq_c = -np.bincount(index, weights=np.concatenate([g_phi, g_phi]), minlength=k)

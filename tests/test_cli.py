@@ -222,6 +222,26 @@ class TestRateSweepCommand:
     def test_report_needs_sweep_outputs(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("header,cell,diverged,message", [
+        pytest.param("n,seed,excess", "0.1", "", "KeyError('diverged')", id="no-diverged-column"),
+        pytest.param("n,seed,excess,diverged", "0.1", ",True", "no row that did not diverge",
+                     id="all-diverged"),
+        pytest.param("n,seed,excess,diverged", "abc", ",False", "could not convert",
+                     id="excess-not-a-number"),
+    ])
+    def test_report_rejects_an_unusable_sweep_with_exit_two(self, tmp_path, capsys, header,
+                                                             cell, diverged, message):
+        rows = [header] + [f"{n},{seed},{cell}{diverged}" for n in (16, 32, 64, 128)
+                           for seed in range(3)]
+        (tmp_path / "sweep_rows.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "sweep_fit.csv").write_text(
+            "slope,intercept,slope_se,slope_upper95,ref_exponent,theta_hat,monotone_within_noise\n"
+            "-0.5,1.0,0.1,-0.3,-0.5,1.0,True\n")
+        assert main(["report", "--dir", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(tmp_path / "sweep_rows.csv") in err and message in err
+        assert not (tmp_path / "plot_data.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["gen-data", "train-eval", "rate-sweep", "metric-lab",
                                      "verify-gadgets"])
@@ -366,6 +386,7 @@ class TestConfigValidation:
         assert main(["rate-sweep", "--config", cfg, "--jobs", "0",
                      "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
         assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     # every "key: value" line of TINY_CONFIG, and the values put in its place
     FUZZ_LINES = [i for i, line in enumerate(TINY_CONFIG.splitlines()) if line.startswith("  ")]

@@ -10,6 +10,7 @@ from metriclab.gadgets import (
     MAX_SAWTOOTH_DEPTH,
     PRODUCT_DOMAIN,
     ProductGadget,
+    SignApprox,
     _knot_table,
     _squaring_branch,
     build_product_gadget,
@@ -377,7 +378,46 @@ class TestSignApprox:
         assert np.all(np.abs(vals) <= 1.0)
 
     def test_rejects_nonpositive_a(self):
-        with pytest.raises(ParameterError):
-            build_sign_approx(0.0)
-        with pytest.raises(ParameterError):
-            build_sign_approx(-0.3)
+        for a in (0.0, -0.3, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                build_sign_approx(a)
+            with pytest.raises(ParameterError):
+                SignApprox(a)
+
+    def test_the_network_is_built_from_a(self):
+        with pytest.raises(TypeError):
+            SignApprox(0.1, build_sign_approx(0.2).net)
+        w = [layer.weights for layer in SignApprox(0.25).net.layers]
+        assert np.array_equal(w[1], [[4.0, -4.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(min_value=1e-3, max_value=10.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_closed_form_matches_the_network(self, a, seed):
+        rng = np.random.default_rng(seed)
+        edges = [a, -a, np.nextafter(a, 0.0), np.nextafter(a, np.inf),
+                 np.nextafter(-a, 0.0), np.nextafter(-a, -np.inf), 0.0]
+        t = np.concatenate([edges, rng.uniform(-3.0 * a, 3.0 * a, 200)])
+        upstream = rng.standard_normal(t.size)
+        fa = SignApprox(a)
+        value, slope = fa.value_and_slope(t)
+        # the net rounds 1/a, t + a, their product (<= 2) and the - 1, the
+        # closed form t/a: under 4 ulps of 1 in all; 2 is the most seen
+        assert np.max(np.abs(value - fa(t))) <= 4.0 * np.finfo(float).eps
+        assert np.all(np.abs(value) <= 1.0)
+        assert np.array_equal(slope, np.where((t > -a) & (t <= a), 1.0 / a, 0.0))
+        g_net = _input_grad(fa.net, _forward_trace(fa.net, t[None, :]), upstream[None, :])[0]
+        # equal as floats: bit for bit except the sign of a zero
+        assert np.array_equal(upstream * slope, g_net)
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=40),
+           data=st.data())
+    def test_closed_form_does_not_depend_on_its_position(self, t, data):
+        fa = SignApprox(0.3)
+        t = np.array(t)
+        cut = sorted(data.draw(st.lists(st.integers(0, t.size), max_size=4)))
+        bounds = [0, *cut, t.size]
+        whole = fa.value_and_slope(t)
+        blocks = [fa.value_and_slope(t[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        for k in range(2):
+            assert whole[k].tobytes() == np.concatenate([b[k] for b in blocks]).tobytes()

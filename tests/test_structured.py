@@ -301,6 +301,30 @@ class TestPairBackward:
                 tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
                 assert np.max(np.abs(ours - ref)) <= tol
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), a=st.floats(min_value=0.05, max_value=3.0),
+           batch=st.integers(1, 50))
+    def test_closed_form_sign_gives_the_sign_network_gradients(self, seed, a, batch):
+        # pair_backward depends on upstream only through g_t = upstream * F_a':
+        # feeding it the network's input gradient with a slope of one must
+        # reproduce its gradients bit for bit, the invariant that keeps
+        # trained models byte-identical
+        net = make_structured_net(p=2, m=2, depth=3, width=5, epsilon=1e-2, a=a,
+                                  seed=seed, init_scale=3.0)
+        rng = np.random.default_rng(seed)
+        X, Xp = rng.random((2, batch, 2))
+        upstream = rng.standard_normal(batch)
+        trace = pair_forward(net, X, Xp)
+        got = pair_backward(net, trace, upstream)
+        sign_net = net.sign.net
+        g_t = _input_grad(sign_net, _forward_trace(sign_net, trace.t_pre[None, :]),
+                          upstream[None, :])[0]
+        net.sign.value_and_slope = lambda t: (None, np.ones_like(t))
+        want = pair_backward(net, trace, g_t)
+        for (gw, gb), (rw, rb) in zip(got, want):
+            for ours, ref in zip(gw + gb, rw + rb):
+                assert ours.tobytes() == ref.tobytes()
+
     def test_raw_values_per_side(self):
         net = make_structured_net(p=2, m=3, depth=2, width=4, epsilon=1e-2, a=0.2, seed=1)
         rng = np.random.default_rng(4)
