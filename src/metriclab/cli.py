@@ -38,7 +38,7 @@ from .losses import (
 from .relu_net import complexity
 from .risk import median_of_seeds, rate_sweep, risk_report
 from .structured import aggregate_complexity, make_structured_net, pdim_bound, save_manifest
-from .synthetic import sample_dataset, write_dataset_csv
+from .synthetic import sample_dataset
 from .erm import train
 
 EXIT_OK, EXIT_VALIDATION, EXIT_PROPERTY, EXIT_RUNTIME = 0, 2, 3, 4
@@ -263,7 +263,8 @@ def cmd_gen_data(args) -> int:
     n = config.train.get("n", 1000)
     X, y = sample_dataset(task, n)
     path = os.path.join(args.out, "dataset.csv")
-    write_dataset_csv(path, X, y, _provenance(task_seed, config))
+    write_csv(path, [f"x_{j + 1}" for j in range(X.shape[1])] + ["y"],
+              ([*row, label] for row, label in zip(X, y)), _provenance(task_seed, config))
     print(f"wrote {path}: n={n}, p={task.p}, labels={len(np.unique(y))}")
     return EXIT_OK
 

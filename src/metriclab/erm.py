@@ -30,7 +30,6 @@ from .structured import (
     pair_forward,
     pair_values,
 )
-from .structured import _distinct_rows
 
 PAIR_STRATEGIES = ("all-pairs", "uniform-subsample")
 _CHUNK = 1 << 17
@@ -141,10 +140,9 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
 
     Deterministic for a fixed config seed.  The inputs are checked once,
     before the first epoch: X must be n points of [0, 1]^p and y must have
-    shape (n,).  X is deduplicated once, too, and each batch is traced from
-    its pairs' row indices with pair_forward(net, i, j, distinct), which
-    keeps the points in value order, so the trace is bit-identical to
-    pair_forward(net, X[i], X[j]).
+    shape (n,).  Each batch is then traced from its pairs' row indices with
+    pair_forward(net, i, j, data), data being X feature-major, so each row
+    a batch uses runs through the sub-networks once.
     Raises DivergenceError (with the epoch index) on non-finite losses or
     gradients.
     """
@@ -156,7 +154,7 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
         raise ParameterError(f"training needs n >= 2 samples, got {n}")
     if y.shape != (n,):
         raise InputShapeError(f"labels must have shape ({n},), got {y.shape}")
-    distinct = _distinct_rows(X)
+    data = np.ascontiguousarray(X.T)
 
     work = net.copy()
     target_a = net.sign.a
@@ -185,7 +183,7 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
         for lo in range(0, i_stream.size, config.pair_batch):
             iu = i_stream[lo:lo + config.pair_batch]
             ju = j_stream[lo:lo + config.pair_batch]
-            trace = pair_forward(work, iu, ju, distinct)
+            trace = pair_forward(work, iu, ju, data)
             tau = np.where(y[iu] == y[ju], 1.0, -1.0)
             margin = tau * trace.d
             obj = float(loss.eval(margin).mean())

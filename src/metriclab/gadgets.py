@@ -29,12 +29,12 @@ import numpy as np
 
 from .errors import CertificationError, ParameterError
 from .relu_net import DenseLayer, NetworkComplexity, ReluNetwork, complexity, forward
-from .relu_net import _forward_trace, _input_grad
+from .relu_net import _backprop, _forward_trace
 
 PRODUCT_DOMAIN = (-1.0, 2.0)
 # certification evaluates S and its subgradient at the 2^s + 1 knots of
 # [0, 4] and keeps three tables of that length: at s = 20, 1.05M knots in
-# 0.66 s, 25.2 MB of tables and a 39 MB traced peak (2-vCPU Xeon VM, numpy 2.4)
+# 0.75 s, 25.2 MB of tables and a 39 MB traced peak (2-vCPU Xeon VM, numpy 2.4)
 MAX_SAWTOOTH_DEPTH = 20
 _KNOT_BLOCK = 16_384
 _M = 2.0  # rescale factor: squaring inputs are |.| / (2M) with M = 2
@@ -229,7 +229,7 @@ def _knot_table(branch: ReluNetwork, s: int) -> KnotTable:
         v = np.arange(lo, min(lo + _KNOT_BLOCK, size)) * h
         trace = _forward_trace(branch, v[None, :])
         values[lo:lo + v.size] = trace[-1][0]
-        knot_slopes[lo:lo + v.size] = _input_grad(branch, trace, np.ones((1, v.size)))[0]
+        knot_slopes[lo:lo + v.size] = _backprop(branch, trace, np.ones((1, v.size)))[2][0]
         dev = max(dev, float(np.max(np.abs(trace[-1][0] - v * v / 2.0))))
     slopes = np.empty(size)
     np.subtract(values[1:], values[:-1], out=slopes[:-1])

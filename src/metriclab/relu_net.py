@@ -149,12 +149,19 @@ def _forward_trace(net: ReluNetwork, h: np.ndarray) -> list[np.ndarray]:
     """Post-activation values per layer, index 0 being the input.
 
     Activations are feature-major, shape (width, batch), so the bias add and
-    the batch sums of the reverse pass run over contiguous rows.
+    the batch sums of the reverse pass run over contiguous rows.  Each layer
+    is an explicit multiply-accumulate over its input rows, not a matmul:
+    elementwise operations round every column alike, so a column's values
+    do not depend on its position in the batch or on the memory layout,
+    while a BLAS matmul rounds the last columns of a block differently.
     """
     acts = [h]
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
-        h = layer.weights @ h
+        w = layer.weights
+        x, h = h, w[:, :1] * h[0]
+        for c in range(1, layer.in_width):
+            h += w[:, c:c + 1] * x[c]
         h += layer.bias[:, None]
         if k < last or net.apply_final_relu:
             np.maximum(h, 0.0, out=h)
@@ -194,17 +201,6 @@ def _backprop(net: ReluNetwork, acts: list[np.ndarray], upstream: np.ndarray):
         bgrads[k] = g.sum(axis=1)
         g = net.layers[k].weights.T @ g
     return wgrads, bgrads, g
-
-
-def _input_grad(net: ReluNetwork, acts: list[np.ndarray], upstream: np.ndarray) -> np.ndarray:
-    """Input gradient alone, for fixed networks whose parameters never train."""
-    g = upstream
-    last = len(net.layers) - 1
-    for k in range(last, -1, -1):
-        if k < last or net.apply_final_relu:
-            g = g * (acts[k + 1] > 0.0)
-        g = net.layers[k].weights.T @ g
-    return g
 
 
 def complexity(net: ReluNetwork) -> NetworkComplexity:

@@ -6,15 +6,16 @@ approximator F_a.  Sub-network outputs are clamped to [-1, 2] (the region
 where the product gadget is certified) before entering the product, and the
 final output always lies in [-1, 1].
 
-Evaluation works per distinct point: the metric depends on a pair only
-through the scalars h_i(x), so each sub-network runs once per distinct input
-row, and the product gadget runs in its factored form
-phi(u, v) = S(u+v) - (S(u) + S(v)) with its squaring branch S applied once
-per point and once per pair sum.  S and its subgradient come from the
-gadget's certified knot table (gadgets.KnotTable), and F_a and its slope
-from the closed form clip(t/a, -1, 1) (SignApprox.value_and_slope), both
-elementwise, so neither gadget's value depends on where in a batch it sits;
-only the sub-networks' matmuls do.
+Evaluation works per point: the metric depends on a pair only through the
+scalars h_i(x), so each sub-network runs once per traced point (a dataset
+row a training batch uses, or a pair side), and the product gadget runs in
+its factored form phi(u, v) = S(u+v) - (S(u) + S(v)) with its squaring
+branch S applied once per point and once per pair sum.  S and its
+subgradient come from the gadget's certified knot table
+(gadgets.KnotTable), F_a and its slope from the closed form
+clip(t/a, -1, 1) (SignApprox.value_and_slope), and the sub-network layers
+are elementwise multiply-accumulates (relu_net._forward_trace), so a pair's
+value does not depend on where in a batch it sits.
 
 Exact symmetry holds by construction, not by an argument sort: u+v and
 S(u) + S(v) are commutative in floating point, so pair_values(X, X') and
@@ -62,10 +63,10 @@ from .relu_net import (
 )
 from .relu_net import _backprop, _forward_trace, _unit_cube_batch
 
-# pair_values runs pair_forward on at most this many pairs at a time, for two
-# reasons: every per-value array of the product gadget stays cache-sized (at
-# most 3m * 2048 values, 12,288 at m = 2), and no matmul grows to the size at
-# which OpenBLAS hands work to a second thread, which then spins.
+# pair_values runs pair_forward on at most this many pairs at a time so that
+# every per-value array stays cache-sized (at most 3m * 2048 values of the
+# product gadget, 12,288 at m = 2) and a long Monte Carlo stream never holds
+# all its traces at once; the block size changes no value.
 _EVAL_BLOCK = 2048
 
 
@@ -115,53 +116,40 @@ class StructuredMetricNet:
 
 @dataclass
 class PairTrace:
-    """Everything the reverse pass needs, traced once per distinct point.
+    """Everything the reverse pass needs, traced once per point.
 
     ``index`` maps the stacked pair sides (pair j's at j and batch + j) to
-    the distinct input rows, over which each sub-network is traced.  The
-    product gadget's squaring branch S is evaluated once over the stacked
-    inputs [c_1, ..., c_m, s_1, ..., s_m]: c_i holds the clamped h_i per
-    distinct row, s_i the per-pair sums c_i[x] + c_i[x'].  Its reverse pass
-    needs only S' at each of them, ``slopes``.  The sign gadget's needs only
-    its input ``t_pre`` = 1 - 2 * sum_i phi_i, from which F_a' follows in
-    closed form.
+    the points over which each sub-network is traced.  The product gadget's
+    squaring branch S is evaluated once over the stacked inputs
+    [c_1, ..., c_m, s_1, ..., s_m]: c_i holds the clamped h_i per point,
+    s_i the per-pair sums c_i[x] + c_i[x'].  Its reverse pass needs only S'
+    at each of them, ``slopes``.  The sign gadget's needs only F_a' at its
+    input ``t_pre`` = 1 - 2 * sum_i phi_i, ``sign_slope``.
     """
 
     index: np.ndarray
-    values: list  # per subnet: raw h_i at each distinct point
+    values: list  # per subnet: raw h_i at each point
     subnet_traces: list
     slopes: np.ndarray
     t_pre: np.ndarray
+    sign_slope: np.ndarray
     d: np.ndarray
 
 
-def _distinct_rows(sides: np.ndarray):
-    """Distinct rows, value-sorted and feature-major (p, k), and each row's
-    index among them.  A subset of them keeps that order, so _select_points
-    can pick a batch's points from them without sorting again."""
-    if sides.shape[1] == 1:
-        points, index = np.unique(sides[:, 0], return_inverse=True)
-        return points[None, :], index
-    points, index = np.unique(sides, axis=0, return_inverse=True)
-    return points.T, index.reshape(-1)
-
-
-def _select_points(points: np.ndarray, point_id: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """What _distinct_rows gives for the stacked sides X[i], X[j], where
-    (points, point_id) = _distinct_rows(X): the distinct points the pairs
-    use, in value order and the same memory layout, and the sides' index
-    among them.  A subset of a sorted set stays sorted, so flagging the used
-    points and ranking them needs no sort.  The flags cost one pass over all
-    distinct points per call: cheaper than sorting the sides' ids up to about
-    131,072 points for 1,024-pair batches (numpy 2.4, 2-vCPU Xeon VM)."""
-    sides = np.concatenate([point_id[i], point_id[j]])
-    k = points.shape[1]
-    used = np.zeros(k, dtype=bool)
+def _select_points(data: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """The rows of data (feature-major, (p, n)) that the stacked sides
+    i, j use, each once, and the sides' index among them.  Flagging the
+    used rows and ranking them costs one pass over all n rows per call:
+    cheaper than sorting the sides' ids up to about 131,072 rows for
+    1,024-pair batches (numpy 2.4, 2-vCPU Xeon VM)."""
+    sides = np.concatenate([i, j])
+    n = data.shape[1]
+    used = np.zeros(n, dtype=bool)
     used[sides] = True
     ids = np.flatnonzero(used)
-    rank = np.empty(k, dtype=np.intp)
+    rank = np.empty(n, dtype=np.intp)
     rank[ids] = np.arange(ids.size)
-    return points[:, ids], rank[sides]
+    return data[:, ids], rank[sides]
 
 
 def _pair_batches(net: StructuredMetricNet, X, Xp):
@@ -173,24 +161,22 @@ def _pair_batches(net: StructuredMetricNet, X, Xp):
     return X, Xp
 
 
-def pair_forward(net: StructuredMetricNet, X, Xp, distinct=None) -> PairTrace:
+def pair_forward(net: StructuredMetricNet, X, Xp, data=None) -> PairTrace:
     """Trace of the pairs (X[j], Xp[j]) for pair_backward.
 
-    X and Xp are (batch, p) points; both are checked, stacked and
-    deduplicated with _distinct_rows.  Given distinct = _distinct_rows(D)
-    of a checked dataset D, X and Xp are instead row indices into D: the
-    pairs are (D[X[j]], D[Xp[j]]), nothing is checked or sorted again, and
-    _select_points keeps the points in the order _distinct_rows would give
-    D[X], D[Xp], so the trace is bit-identical to
-    pair_forward(net, D[X], D[Xp]).  The order matters because results
-    depend in the last bit on the column a point sits in (BLAS kernels
-    round the last columns of a one-row matmul differently).
+    X and Xp are (batch, p) points; both are checked, and each side is
+    traced as given.  Given data, the rows of a checked dataset D as a
+    feature-major (p, n) array, X and Xp are instead row indices into D:
+    the pairs are (D[X[j]], D[Xp[j]]), nothing is checked again, and each
+    row the batch uses is traced once (_select_points).  Both give every
+    pair the same values, t_pre and d.
     """
-    if distinct is None:
+    if data is None:
         X, Xp = _pair_batches(net, X, Xp)
-        points, index = _distinct_rows(np.concatenate([X, Xp]))
+        points = np.concatenate([X.T, Xp.T], axis=1)
+        index = np.arange(points.shape[1])
     else:
-        points, index = _select_points(*distinct, X, Xp)
+        points, index = _select_points(data, X, Xp)
     batch = index.size // 2
     ix, ixp = index[:batch], index[batch:]
 
@@ -213,18 +199,17 @@ def pair_forward(net: StructuredMetricNet, X, Xp, distinct=None) -> PairTrace:
         phi_sum += sq_sums[i] - (sq_c[ix] + sq_c[ixp])
 
     t_pre = 1.0 - 2.0 * phi_sum
-    d, _ = net.sign.value_and_slope(t_pre)
-    return PairTrace(index, values, subnet_traces, slopes, t_pre, d)
+    d, sign_slope = net.sign.value_and_slope(t_pre)
+    return PairTrace(index, values, subnet_traces, slopes, t_pre, sign_slope, d)
 
 
 def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
     """Batched metric values in [-1, 1].
 
     The inputs are checked once, then evaluated in blocks of _EVAL_BLOCK =
-    2048 pairs, keeping only each block's d: a large Monte Carlo stream
-    neither holds every layer's trace at once nor runs matmuls big enough to
-    start a second BLAS thread, which would oversubscribe the CPUs under
-    rate-sweep's worker pool.
+    2048 pairs, keeping only each block's d, so a large Monte Carlo stream
+    never holds every layer's trace at once.  A pair's value does not depend
+    on the block it falls in.
     """
     X, Xp = _pair_batches(net, X, Xp)
     if X.shape[0] <= _EVAL_BLOCK:
@@ -239,12 +224,12 @@ def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarr
     Returns a list over sub-networks of (weight_grads, bias_grads), each
     summed over the batch and over both pair sides.  The product and sign
     gadgets are fixed: only input gradients flow through them.  Per-side
-    gradients are summed onto the distinct points, so each sub-network is
+    gradients are summed onto the traced points, so each sub-network is
     backpropagated once.
     """
     m, batch, index = net.m, trace.d.size, trace.index
     k = trace.values[0].size
-    g_t = np.asarray(upstream, dtype=np.float64) * net.sign.value_and_slope(trace.t_pre)[1]
+    g_t = np.asarray(upstream, dtype=np.float64) * trace.sign_slope
     g_phi = -2.0 * g_t  # t = 1 - 2 * sum_i phi_i
     # phi_i = S(s_i) - (S(c_i)[x] + S(c_i)[x']): both sides of a pair carry -g_phi
     g_sq_c = -np.bincount(index, weights=np.concatenate([g_phi, g_phi]), minlength=k)

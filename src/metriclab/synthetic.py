@@ -9,7 +9,6 @@ task supplies its own sampler.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -376,13 +375,3 @@ def make_task(family: str, p: int = 1, seed: int = 0, **params) -> SyntheticTask
     spec = {"family": family, "p": p, "seed": seed, **params}
     return SyntheticTask(p=p, model=model, seed=seed, spec=spec)
 
-
-def write_dataset_csv(path, X: np.ndarray, y: np.ndarray, comments=()) -> None:
-    """CSV export with header x_1..x_p, y and optional provenance comments."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{j + 1}" for j in range(X.shape[1])] + ["y"])
-        for row, label in zip(X, y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])

@@ -15,6 +15,7 @@ import metriclab
 from metriclab.cli import EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main
 from metriclab.config import load_config
 from metriclab.errors import ConfigError
+from metriclab.synthetic import sample_dataset
 
 TINY_CONFIG = """\
 task:
@@ -140,6 +141,19 @@ class TestGenData:
         main(["gen-data", "--config", cfg, "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "dataset.csv").read_bytes() == \
             (tmp_path / "b" / "dataset.csv").read_bytes()
+
+    def test_round_trip(self, tmp_path):
+        cfg = write(tmp_path, "c.yaml", TINY_CONFIG)
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d")]) == EXIT_OK
+        config = load_config(cfg)
+        X, y = sample_dataset(config.build_task(), 64)
+        lines = (tmp_path / "d" / "dataset.csv").read_text().splitlines()
+        assert lines[0] == f"# version={metriclab.__version__} seed=3 " \
+                           f"config_sha256={config.sha256}"
+        assert lines[1] == "x_1,y"
+        rows = [line.split(",") for line in lines[2:]]
+        assert np.array_equal(np.array([float(x) for x, _ in rows]), X[:, 0])
+        assert np.array_equal(np.array([int(label) for _, label in rows]), y)
 
 
 class TestTrainEval:

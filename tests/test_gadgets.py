@@ -21,7 +21,7 @@ from metriclab.gadgets import (
     sawtooth_depth_for,
 )
 from metriclab import gadgets
-from metriclab.relu_net import DenseLayer, ReluNetwork, _forward_trace, _input_grad, complexity, \
+from metriclab.relu_net import DenseLayer, ReluNetwork, _backprop, _forward_trace, complexity, \
     forward
 
 SQUARE = st.floats(min_value=PRODUCT_DOMAIN[0], max_value=PRODUCT_DOMAIN[1])
@@ -267,7 +267,7 @@ class TestFactoredProduct:
 def branch_values_and_slopes(branch, v):
     """S and its subgradient from the realized branch network."""
     trace = _forward_trace(branch, v[None, :])
-    return trace[-1][0], _input_grad(branch, trace, np.ones((1, v.size)))[0]
+    return trace[-1][0], _backprop(branch, trace, np.ones((1, v.size)))[2][0]
 
 
 class TestKnotTable:
@@ -405,7 +405,7 @@ class TestSignApprox:
         assert np.max(np.abs(value - fa(t))) <= 4.0 * np.finfo(float).eps
         assert np.all(np.abs(value) <= 1.0)
         assert np.array_equal(slope, np.where((t > -a) & (t <= a), 1.0 / a, 0.0))
-        g_net = _input_grad(fa.net, _forward_trace(fa.net, t[None, :]), upstream[None, :])[0]
+        g_net = _backprop(fa.net, _forward_trace(fa.net, t[None, :]), upstream[None, :])[2][0]
         # equal as floats: bit for bit except the sign of a zero
         assert np.array_equal(upstream * slope, g_net)
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab.errors import DomainError, InputShapeError, ValidationFailure
 from metriclab.relu_net import (
@@ -49,13 +51,20 @@ class TestForward:
     def test_absolute_value_composition(self, t, expected):
         assert forward(abs_net(), np.array([t]))[0] == pytest.approx(expected)
 
-    def test_batched_matches_single(self):
-        rng = np.random.default_rng(0)
-        net = random_net(rng, [3, 5, 2])
-        X = rng.standard_normal((7, 3))
-        batched = forward(net, X)
-        for k in range(7):
-            assert np.allclose(batched[k], forward(net, X[k]))
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           sizes=st.lists(st.integers(1, 16), min_size=2, max_size=5),
+           batch=st.integers(1, 40))
+    def test_batched_matches_single(self, seed, sizes, batch):
+        # a row's output depends neither on its position in the batch nor
+        # on the memory layout the batch arrives in
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, sizes)
+        X = rng.standard_normal((batch, sizes[0]))
+        for layout in (np.ascontiguousarray(X), np.asfortranarray(X)):
+            batched = forward(net, layout)
+            for k in range(batch):
+                assert np.array_equal(batched[k], forward(net, X[k]))
 
     def test_shape_error(self):
         net = single_layer([[1.0]], [0.0])

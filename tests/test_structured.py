@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from metriclab.relu_net import (
     DenseLayer,
     NetworkComplexity,
     ReluNetwork,
+    _backprop,
     _forward_trace,
-    _input_grad,
     backward,
     complexity,
     forward,
@@ -41,7 +43,8 @@ from metriclab.structured import (
     pdim_bound,
     save_manifest,
 )
-from metriclab.structured import _EVAL_BLOCK, _distinct_rows, _select_points
+from metriclab import structured
+from metriclab.structured import _EVAL_BLOCK, _select_points
 from metriclab.synthetic import (
     SyntheticTask,
     atom_marginal,
@@ -192,9 +195,32 @@ class TestBlockedEvaluation:
         net = make_structured_net(p=p, m=2, depth=3, width=6, epsilon=1e-2, a=0.1, seed=p,
                                   init_scale=2.0)
         X, Xp = np.random.default_rng(p).random((2, 3 * self.B + 5, p))
-        # the last-bit read-out differences dyadic_net describes, scaled up by S' and 1/a
-        np.testing.assert_allclose(pair_values(net, X, Xp), pair_forward(net, X, Xp).d,
-                                   rtol=0.0, atol=1e-13)
+        assert np.array_equal(pair_values(net, X, Xp), pair_forward(net, X, Xp).d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), depth=st.integers(2, 4),
+           width=st.integers(1, 16), n=st.integers(1, 200), data=st.data())
+    def test_any_block_split_matches_the_whole_bit_for_bit(self, seed, p, depth, width, n,
+                                                           data):
+        # float weights, both the raw path and train's index path
+        net = make_structured_net(p=p, m=2, depth=depth, width=width, epsilon=1e-2, a=0.1,
+                                  seed=seed, init_scale=2.0)
+        rng = np.random.default_rng(seed)
+        D = rng.random((n, p))
+        i, j = rng.integers(n, size=(2, n))
+        X, Xp = D[i], D[j]
+        whole = pair_forward(net, X, Xp)
+        cuts = data.draw(st.lists(st.integers(1, n), max_size=8))
+        bounds = sorted({0, n, *cuts})
+        blocks = list(zip(bounds[:-1], bounds[1:]))
+        raw = [pair_forward(net, X[lo:hi], Xp[lo:hi]) for lo, hi in blocks]
+        indexed = [pair_forward(net, i[lo:hi], j[lo:hi], np.ascontiguousarray(D.T))
+                   for lo, hi in blocks]
+        for traces in (raw, indexed):
+            assert np.array_equal(np.concatenate([t.t_pre for t in traces]), whole.t_pre)
+            assert np.array_equal(np.concatenate([t.d for t in traces]), whole.d)
+        with mock.patch.object(structured, "_EVAL_BLOCK", data.draw(st.integers(1, n))):
+            assert np.array_equal(pair_values(net, X, Xp), whole.d)
 
     def test_memory_stays_flat_in_the_number_of_pairs(self):
         net = make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2, a=0.1, seed=0)
@@ -251,7 +277,7 @@ def branch_reference(net, X, Xp, upstream):
     g_phi = -2.0 * backward(net.sign.net, t[:, None], upstream[:, None]).input_grad[:, 0]
     grads = []
     for h, (a, b), tr in zip(net.subnets, raw, traces):
-        g = _input_grad(branch, tr, np.concatenate([g_phi, -g_phi, -g_phi])[None, :])[0]
+        g = _backprop(branch, tr, np.concatenate([g_phi, -g_phi, -g_phi])[None, :])[2][0]
         g_a, g_b = g[:n] + g[n:2 * n], g[:n] + g[2 * n:]
         if net.clamp_subnet_output:
             g_a, g_b = g_a * ((a > lo) & (a < hi)), g_b * ((b > lo) & (b < hi))
@@ -307,8 +333,7 @@ class TestPairBackward:
     def test_closed_form_sign_gives_the_sign_network_gradients(self, seed, a, batch):
         # pair_backward depends on upstream only through g_t = upstream * F_a':
         # feeding it the network's input gradient with a slope of one must
-        # reproduce its gradients bit for bit, the invariant that keeps
-        # trained models byte-identical
+        # reproduce its gradients bit for bit
         net = make_structured_net(p=2, m=2, depth=3, width=5, epsilon=1e-2, a=a,
                                   seed=seed, init_scale=3.0)
         rng = np.random.default_rng(seed)
@@ -317,10 +342,10 @@ class TestPairBackward:
         trace = pair_forward(net, X, Xp)
         got = pair_backward(net, trace, upstream)
         sign_net = net.sign.net
-        g_t = _input_grad(sign_net, _forward_trace(sign_net, trace.t_pre[None, :]),
-                          upstream[None, :])[0]
-        net.sign.value_and_slope = lambda t: (None, np.ones_like(t))
-        want = pair_backward(net, trace, g_t)
+        g_t = _backprop(sign_net, _forward_trace(sign_net, trace.t_pre[None, :]),
+                        upstream[None, :])[2][0]
+        unit_slope = dataclasses.replace(trace, sign_slope=np.ones_like(trace.sign_slope))
+        want = pair_backward(net, unit_slope, g_t)
         for (gw, gb), (rw, rb) in zip(got, want):
             for ours, ref in zip(gw + gb, rw + rb):
                 assert ours.tobytes() == ref.tobytes()
@@ -339,7 +364,7 @@ class TestPairBackward:
 
 
 class TestIndexPath:
-    """train's path: deduplicate X once, then trace each batch from row indices."""
+    """train's path: trace each batch from row indices into a feature-major dataset."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), distinct=st.integers(1, 12),
@@ -349,38 +374,35 @@ class TestIndexPath:
                                   seed=seed, init_scale=1.5)
         rng = np.random.default_rng(seed)
         X = rng.random((distinct, p))[rng.integers(distinct, size=n)]  # repeated rows
-        dedup = _distinct_rows(X)
         iu, ju = rng.integers(n, size=(2, batch))
         want = pair_forward(net, X[iu], X[ju])
-        got = pair_forward(net, iu, ju, dedup)
-        assert np.array_equal(got.index, want.index)
+        got = pair_forward(net, iu, ju, np.ascontiguousarray(X.T))
         for ours, ref in zip(got.values, want.values):
-            assert np.array_equal(ours, ref)
+            assert np.array_equal(ours[got.index], ref[want.index])
         assert np.array_equal(got.t_pre, want.t_pre)
         assert np.array_equal(got.d, want.d)
+        # gradients sum each row's sides in another order than the raw path
         upstream = rng.standard_normal(batch)
         for (gw, gb), (rw, rb) in zip(pair_backward(net, got, upstream),
-                                      pair_backward(net, want, upstream)):
+                                      reference_subnet_grads(net, X[iu], X[ju], upstream)):
             for ours, ref in zip(gw + gb, rw + rb):
-                assert np.array_equal(ours, ref)
+                tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+                assert np.max(np.abs(ours - ref)) <= tol
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), large=st.booleans(),
            batch=st.integers(1, 8))
-    def test_selects_what_distinct_rows_gives_the_gathered_sides(self, seed, p, large, batch):
+    def test_selects_each_used_row_once(self, seed, p, large, batch):
         # the flag scan over a dataset about as large as the batch, and over
-        # one with far more distinct points than the batch's sides
-        distinct = 64 * 2 * batch + 1 if large else 2 * batch
+        # one with far more rows than the batch's sides
+        n = 64 * 2 * batch + 1 if large else 2 * batch
         rng = np.random.default_rng(seed)
-        rows = np.concatenate([np.arange(distinct), rng.integers(distinct, size=distinct)])
-        X = rng.random((distinct, p))[rows]  # every point, some repeated
-        iu, ju = rng.integers(X.shape[0], size=(2, batch))
-        points, index = _select_points(*_distinct_rows(X), iu, ju)
-        ref_points, ref_index = _distinct_rows(np.concatenate([X[iu], X[ju]]))
-        assert np.array_equal(points, ref_points) and np.array_equal(index, ref_index)
-        # BLAS rounding depends on the memory layout as well as on the column order
-        assert points.flags["C_CONTIGUOUS"] == ref_points.flags["C_CONTIGUOUS"]
-        assert points.flags["F_CONTIGUOUS"] == ref_points.flags["F_CONTIGUOUS"]
+        data = rng.random((p, n))
+        iu, ju = rng.integers(n, size=(2, batch))
+        sides = np.concatenate([iu, ju])
+        points, index = _select_points(data, iu, ju)
+        assert np.array_equal(points, data[:, np.unique(sides)])
+        assert np.array_equal(points[:, index], data[:, sides])
 
 
 class TestAggregateComplexity:

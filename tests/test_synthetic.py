@@ -21,7 +21,6 @@ from metriclab.synthetic import (
     sample_inputs,
     true_metric_hinge,
     two_value_model,
-    write_dataset_csv,
 )
 
 
@@ -203,17 +202,3 @@ class TestFamilies:
     def test_linear_requires_p1(self):
         with pytest.raises(ParameterError):
             make_task("linear", p=2, seed=0)
-
-
-class TestCsvExport:
-    def test_round_trip(self, tmp_path):
-        task = make_task("linear", seed=8)
-        X, y = sample_dataset(task, 50)
-        path = tmp_path / "data.csv"
-        write_dataset_csv(path, X, y, comments=["seed=8"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# seed=8"
-        assert lines[1] == "x_1,y"
-        assert len(lines) == 52
-        x_back = np.array([float(line.split(",")[0]) for line in lines[2:]])
-        assert np.array_equal(x_back, X[:, 0])
