@@ -11,7 +11,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
 import yaml
 
 from .errors import ConfigError, ParameterError
@@ -189,11 +188,13 @@ def load_config(path) -> ExperimentConfig:
         _require(all(n >= 8 for n in nl), where, "[eval] n_list entries must be >= 8")
     if "seeds" in ev:
         _require(len(ev["seeds"]) >= 3, where, "[eval] needs at least 3 seeds")
+        _require(len(set(ev["seeds"])) == len(ev["seeds"]), where,
+                 "[eval] seeds must be distinct")
         _require(min(ev["seeds"]) >= 0, where, "[eval] seeds entries must be >= 0")
     if "t_grid" in ev:
-        tg = np.asarray(ev["t_grid"], dtype=np.float64)
-        _require(tg.size >= 4 and np.all(tg > 0) and np.all(tg < 0.5), where,
-                 "[eval] t_grid needs >= 4 values in (0, 1/2)")
+        tg = ev["t_grid"]
+        _require(len(set(tg)) >= 4 and all(0.0 < t < 0.5 for t in tg), where,
+                 "[eval] t_grid needs >= 4 distinct values in (0, 1/2)")
 
     config = ExperimentConfig(
         task=task, model=model, train=train, eval=ev,

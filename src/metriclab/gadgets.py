@@ -72,7 +72,7 @@ def build_square_gadget(s: int) -> ReluNetwork:
     # sq_s = A_{s-1} - g_s/4^s, from the final (hat triple, carry) block
     c = 4.0 ** -s
     layers.append(DenseLayer(np.array([[-2.0 * c, 4.0 * c, -2.0 * c, 1.0]]), np.array([0.0])))
-    return ReluNetwork(layers, input_dim=1, apply_final_relu=False)
+    return ReluNetwork(layers, input_dim=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +172,7 @@ def _squaring_branch(s: int) -> ReluNetwork:
     abs_layer = DenseLayer(np.array([[q], [-q]]), np.zeros(2))
     layers = [abs_layer, DenseLayer(entry.weights @ np.ones((1, 2)), entry.bias), *stages,
               DenseLayer(2.0 * _M * _M * readout.weights, readout.bias)]
-    return ReluNetwork(layers, input_dim=1, apply_final_relu=False)
+    return ReluNetwork(layers, input_dim=1)
 
 
 def _polarization_net(branch: ReluNetwork) -> ReluNetwork:
@@ -191,7 +191,7 @@ def _polarization_net(branch: ReluNetwork) -> ReluNetwork:
         layers.append(DenseLayer(wl, np.tile(layer.bias, 3)))
     row = readout.weights
     layers.append(DenseLayer(np.concatenate([row, -row, -row], axis=1), np.zeros(1)))
-    return ReluNetwork(layers, input_dim=2, apply_final_relu=False)
+    return ReluNetwork(layers, input_dim=2)
 
 
 def check_depth(epsilon: float, sawtooth_depth: int) -> None:
@@ -299,7 +299,7 @@ class SignApprox:
             raise ParameterError(f"sign approximator needs a finite a > 0, got {a}")
         self.net = ReluNetwork([DenseLayer(np.array([[1.0], [1.0]]), np.array([a, -a])),
                                 DenseLayer(np.array([[1.0 / a, -1.0 / a]]), np.array([-1.0]))],
-                               input_dim=1, apply_final_relu=False)
+                               input_dim=1)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)

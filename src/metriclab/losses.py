@@ -27,23 +27,19 @@ ORACLE_SLACK = 2e-6
 
 @dataclass
 class LossFunction:
-    """Loss with evaluation, subgradient and the Assumption-style flags."""
+    """A nonnegative, non-decreasing convex loss: evaluation, subgradient
+    and, where one exists, the closed-form minimizer of Q(eta, .).
+    validate() checks the three properties."""
 
     name: str
     eval: callable
     subgradient: callable
-    convex: bool = True
-    non_decreasing: bool = True
-    non_negative: bool = True
     analytic_tstar: callable | None = None
 
-    def __post_init__(self):
-        if not (self.convex and self.non_decreasing and self.non_negative):
-            raise ParameterError(f"loss {self.name}: all three loss flags must be true")
-
-    def validate(self, probe_grid=None) -> None:
-        """Spot-check nonnegativity, monotonicity, convexity and the subgradient."""
-        t = np.linspace(-10.0, 10.0, 2001) if probe_grid is None else np.asarray(probe_grid)
+    def validate(self) -> None:
+        """Spot-check nonnegativity, monotonicity, convexity and the
+        subgradient on 2001 points of [-10, 10]."""
+        t = np.linspace(-10.0, 10.0, 2001)
         v = self.eval(t)
         if np.any(v < -1e-12):
             raise PropertyViolation(f"loss {self.name} is negative on the probe grid")
@@ -148,18 +144,16 @@ def q_value(loss: LossFunction, eta: float, t):
     return eta * loss.eval(t) + (1.0 - eta) * loss.eval(-t)
 
 
-def _grid_infimum_minimize(slope, t_range=T_RANGE) -> float:
-    """Smallest lattice point t in t_range with slope(t + LATTICE_STEP/2) >= 0.
+def _grid_infimum_minimize(slope) -> float:
+    """Smallest lattice point t in T_RANGE with slope(t + LATTICE_STEP/2) >= 0.
 
     Half a step to the right of a lattice point, the derivative of a convex
     objective is its right derivative there, when its kinks are lattice
-    points.  Raises RangeTooSmallError when the result is not inside t_range.
+    points.  Raises RangeTooSmallError when the result is not inside T_RANGE.
     """
-    t_lo, t_hi = t_range
+    t_lo, t_hi = T_RANGE
     lo = math.ceil(t_lo / LATTICE_STEP)
     hi = math.floor(t_hi / LATTICE_STEP)
-    if hi <= lo:
-        raise ParameterError(f"invalid search range {t_range}")
 
     def rising(k: int) -> bool:
         return bool(slope((k + 0.5) * LATTICE_STEP) >= 0.0)
@@ -178,12 +172,12 @@ def _grid_infimum_minimize(slope, t_range=T_RANGE) -> float:
     return hi * LATTICE_STEP
 
 
-def tstar_oracle(loss: LossFunction, eta: float, t_range=T_RANGE) -> float:
+def tstar_oracle(loss: LossFunction, eta: float) -> float:
     """Infimum of argmin_t Q(eta, t), located by bisection on its slope."""
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"eta must lie in [0, 1], got {eta}")
     return _grid_infimum_minimize(
-        lambda t: eta * loss.subgradient(t) - (1.0 - eta) * loss.subgradient(-t), t_range)
+        lambda t: eta * loss.subgradient(t) - (1.0 - eta) * loss.subgradient(-t))
 
 
 def tstar_analytic(loss: LossFunction, eta: float, hinge_convention: str = "infimum"):
@@ -203,32 +197,29 @@ class MinimizerProfile:
     tstar: np.ndarray
     q_min: np.ndarray
     analytic: np.ndarray  # NaN where no closed form
-    t_range: tuple
     loss_name: str = ""
 
 
-def check_monotone(loss: LossFunction, eta_grid, t_range=T_RANGE,
-                   slack: float = ORACLE_SLACK) -> MinimizerProfile:
-    """Profile t*(eta) over a sorted grid and assert it never increases."""
+def check_monotone(loss: LossFunction, eta_grid) -> MinimizerProfile:
+    """Profile t*(eta) over a sorted grid and assert it never increases by
+    more than ORACLE_SLACK."""
     eta_grid = np.asarray(eta_grid, dtype=np.float64)
     if np.any(np.diff(eta_grid) < 0.0):
         raise ParameterError("eta_grid must be sorted ascending")
     tstars, qmins, analytic = [], [], []
     for eta in eta_grid:
-        t = tstar_oracle(loss, float(eta), t_range)
+        t = tstar_oracle(loss, float(eta))
         tstars.append(t)
         qmins.append(float(q_value(loss, float(eta), t)))
         a = tstar_analytic(loss, float(eta))
         analytic.append(np.nan if a is None else a)
     tstars = np.array(tstars)
-    rises = np.nonzero(np.diff(tstars) > slack)[0]
+    rises = np.nonzero(np.diff(tstars) > ORACLE_SLACK)[0]
     if rises.size:
         raise PropertyViolation(
             f"t* increases for loss {loss.name} at eta indices {rises.tolist()}"
         )
-    return MinimizerProfile(
-        eta_grid, tstars, np.array(qmins), np.array(analytic), t_range, loss.name
-    )
+    return MinimizerProfile(eta_grid, tstars, np.array(qmins), np.array(analytic), loss.name)
 
 
 def _check_simplex(v, what: str) -> np.ndarray:
@@ -256,10 +247,10 @@ class SelfDistanceReport:
         return self.precondition_holds and not self.conclusion_holds
 
 
-def _tstar_or_sentinel(loss: LossFunction, eta: float, t_range=T_RANGE) -> float:
-    """t*(eta), with argmin sets beyond t_range mapped to signed infinity."""
+def _tstar_or_sentinel(loss: LossFunction, eta: float) -> float:
+    """t*(eta), with argmin sets beyond T_RANGE mapped to signed infinity."""
     try:
-        return tstar_oracle(loss, eta, t_range)
+        return tstar_oracle(loss, eta)
     except RangeTooSmallError as err:
         return -math.inf if err.side == "lower" else math.inf
 
@@ -296,25 +287,25 @@ class BiasShiftReport:
     passed: bool
 
 
-def check_bias_shift(loss: LossFunction, eta: float, b: float,
-                     t_range=T_RANGE, tol: float = ORACLE_SLACK) -> BiasShiftReport:
-    """Verify argmin_t eta*l(t-b) + (1-eta)*l(b-t) = b + t*(eta)."""
+def check_bias_shift(loss: LossFunction, eta: float, b: float) -> BiasShiftReport:
+    """Verify argmin_t eta*l(t-b) + (1-eta)*l(b-t) = b + t*(eta) to within
+    ORACLE_SLACK."""
     if not 0.0 < eta < 1.0:
         raise ParameterError(f"eta must lie in (0, 1), got {eta}")
 
     def shifted_slope(t):
         return eta * loss.subgradient(t - b) - (1.0 - eta) * loss.subgradient(b - t)
 
-    got = _grid_infimum_minimize(shifted_slope, t_range)
-    expected = b + tstar_oracle(loss, eta, t_range)
+    got = _grid_infimum_minimize(shifted_slope)
+    expected = b + tstar_oracle(loss, eta)
     dev = abs(got - expected)
-    return BiasShiftReport(eta, b, got, expected, dev, dev <= tol)
+    return BiasShiftReport(eta, b, got, expected, dev, dev <= ORACLE_SLACK)
 
 
-def continuous_label_degeneracy(loss: LossFunction, t_range=T_RANGE) -> float:
+def continuous_label_degeneracy(loss: LossFunction) -> float:
     """The constant the true metric collapses to under continuous labels.
 
     Equals the infimum of argmin_t l(-t); +inf when that argmin is empty
     (strictly decreasing l(-t), e.g. the exponential loss).
     """
-    return _tstar_or_sentinel(loss, 0.0, t_range)
+    return _tstar_or_sentinel(loss, 0.0)

@@ -1,9 +1,9 @@
 """Dense feedforward ReLU networks with exact complexity accounting.
 
 A network is an ordered list of dense layers.  ReLU is applied after every
-layer; on the last layer it is applied only when ``apply_final_relu`` is
-set, because several constructions here end in an affine read-out (absolute
-value, product and sign gadgets all combine ReLU units affinely).
+layer but the last, which is an affine read-out: the sub-networks, the
+absolute value and the product and sign gadgets all combine ReLU units
+affinely.
 
 Complexity conventions, used everywhere downstream:
   L = number of layers,
@@ -15,13 +15,13 @@ Exact zeros stored in a matrix do not count toward W.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InputShapeError, ParameterError, ValidationFailure
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -74,12 +74,11 @@ class NetworkComplexity:
 
 @dataclass
 class ReluNetwork:
-    """Feedforward ReLU network; immutable by convention after construction."""
+    """Feedforward ReLU network with an affine read-out; immutable by
+    convention after construction."""
 
     layers: list[DenseLayer]
     input_dim: int
-    apply_final_relu: bool = True
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.layers:
@@ -97,12 +96,7 @@ class ReluNetwork:
         return self.layers[-1].out_width
 
     def copy(self) -> "ReluNetwork":
-        return ReluNetwork(
-            [layer.copy() for layer in self.layers],
-            self.input_dim,
-            self.apply_final_relu,
-            dict(self.metadata),
-        )
+        return ReluNetwork([layer.copy() for layer in self.layers], self.input_dim)
 
     def __call__(self, x):
         return forward(self, x)
@@ -163,7 +157,7 @@ def _forward_trace(net: ReluNetwork, h: np.ndarray) -> list[np.ndarray]:
         for c in range(1, layer.in_width):
             h += w[:, c:c + 1] * x[c]
         h += layer.bias[:, None]
-        if k < last or net.apply_final_relu:
+        if k < last:
             np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
@@ -195,7 +189,7 @@ def _backprop(net: ReluNetwork, acts: list[np.ndarray], upstream: np.ndarray):
     bgrads: list = [None] * len(net.layers)
     last = len(net.layers) - 1
     for k in range(last, -1, -1):
-        if k < last or net.apply_final_relu:
+        if k < last:
             g = g * (acts[k + 1] > 0.0)  # sigma'(0) := 0
         wgrads[k] = g @ acts[k].T
         bgrads[k] = g.sum(axis=1)
@@ -219,8 +213,6 @@ def save_model(net: ReluNetwork, path) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "input_dim": net.input_dim,
-        "apply_final_relu": net.apply_final_relu,
-        "metadata": net.metadata,
         "layers": [
             {
                 "out_width": layer.out_width,
@@ -242,16 +234,19 @@ def load_model(path) -> ReluNetwork:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ParameterError(
-                f"unsupported model format version {doc.get('format_version')!r}")
+            raise ParameterError(f"unsupported model format version "
+                                 f"{doc.get('format_version')!r}; this version reads "
+                                 f"format {MODEL_FORMAT_VERSION}")
+        if sorted(doc) != ["format_version", "input_dim", "layers"]:
+            raise ParameterError(f"model file {path} has keys {sorted(doc)}; format "
+                                 f"{MODEL_FORMAT_VERSION} has format_version, input_dim, layers")
         layers = []
         for spec in doc["layers"]:
             w = np.array(spec["weights_row_major"], dtype=np.float64).reshape(
                 spec["out_width"], spec["in_width"]
             )
             layers.append(DenseLayer(w, np.array(spec["bias"], dtype=np.float64)))
-        return ReluNetwork(layers, doc["input_dim"], doc["apply_final_relu"],
-                           doc.get("metadata", {}))
+        return ReluNetwork(layers, doc["input_dim"])
     except ValidationFailure:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as err:

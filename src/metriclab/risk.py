@@ -316,6 +316,8 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
     seeds = list(seeds)
     if len(seeds) < 3:
         raise ParameterError("need at least 3 seeds")
+    if len(set(seeds)) != len(seeds):
+        raise ParameterError(f"seeds must be distinct, got {seeds}")
     if task.spec is None:
         raise ParameterError("rate_sweep needs a task built by make_task (picklable spec)")
     if jobs < 1:

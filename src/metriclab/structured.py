@@ -152,13 +152,19 @@ def _select_points(data: np.ndarray, i: np.ndarray, j: np.ndarray):
     return data[:, ids], rank[sides]
 
 
-def _pair_batches(net: StructuredMetricNet, X, Xp):
-    """Both sides as checked (batch, p) arrays of one shape."""
-    X = _unit_cube_batch(X, net.input_dim)
-    Xp = _unit_cube_batch(Xp, net.input_dim)
+def _same_shape(X, Xp):
+    """Both sides as float arrays, which must have one shape."""
+    X = np.asarray(X, dtype=np.float64)
+    Xp = np.asarray(Xp, dtype=np.float64)
     if X.shape != Xp.shape:
         raise InputShapeError("pair batches must have matching shapes")
     return X, Xp
+
+
+def _pair_batches(net: StructuredMetricNet, X, Xp):
+    """Both sides as checked (batch, p) arrays of one shape."""
+    X, Xp = _same_shape(X, Xp)
+    return _unit_cube_batch(X, net.input_dim), _unit_cube_batch(Xp, net.input_dim)
 
 
 def pair_forward(net: StructuredMetricNet, X, Xp, data=None) -> PairTrace:
@@ -206,13 +212,14 @@ def pair_forward(net: StructuredMetricNet, X, Xp, data=None) -> PairTrace:
 def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
     """Batched metric values in [-1, 1].
 
-    The inputs are checked once, then evaluated in blocks of _EVAL_BLOCK =
-    2048 pairs, keeping only each block's d, so a large Monte Carlo stream
-    never holds every layer's trace at once.  A pair's value does not depend
-    on the block it falls in.
+    The two shapes are compared up front; the pairs are then evaluated in
+    blocks of _EVAL_BLOCK = 2048, keeping only each block's d, so a large
+    Monte Carlo stream never holds every layer's trace at once.  Each block
+    is checked as pair_forward traces it, so every value is checked once.
+    A pair's value does not depend on the block it falls in.
     """
-    X, Xp = _pair_batches(net, X, Xp)
-    if X.shape[0] <= _EVAL_BLOCK:
+    X, Xp = _same_shape(X, Xp)
+    if X.ndim != 2 or X.shape[0] <= _EVAL_BLOCK:
         return pair_forward(net, X, Xp).d
     return np.concatenate([pair_forward(net, X[lo:lo + _EVAL_BLOCK], Xp[lo:lo + _EVAL_BLOCK]).d
                            for lo in range(0, X.shape[0], _EVAL_BLOCK)])
@@ -283,11 +290,11 @@ def aggregate_complexity(net: StructuredMetricNet) -> NetworkComplexity:
     return NetworkComplexity(L, W, U)
 
 
-def pdim_bound(c: NetworkComplexity, scale_constant: float = 1.0) -> float:
-    """Pseudo-dimension surrogate: scale * L * W * log2(U)."""
+def pdim_bound(c: NetworkComplexity) -> float:
+    """Pseudo-dimension surrogate: L * W * log2(U)."""
     if c.units < 2:
         raise ParameterError(f"pseudo-dimension bound needs U >= 2, got U={c.units}")
-    return scale_constant * c.depth * c.nonzero_weights * math.log2(c.units)
+    return c.depth * c.nonzero_weights * math.log2(c.units)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +312,7 @@ def random_subnet(p: int, depth: int, width: int, rng: np.random.Generator,
         bound = init_scale / math.sqrt(fan_in)
         layers.append(DenseLayer(rng.uniform(-bound, bound, size=(fan_out, fan_in)),
                                  rng.uniform(-bound, bound, size=fan_out)))
-    return ReluNetwork(layers, input_dim=p, apply_final_relu=False)
+    return ReluNetwork(layers, input_dim=p)
 
 
 def constant_subnet(p: int, value: float, depth: int = 1) -> ReluNetwork:
@@ -313,20 +320,19 @@ def constant_subnet(p: int, value: float, depth: int = 1) -> ReluNetwork:
     layers = [DenseLayer(np.zeros((1, p)), np.array([float(value)]))]
     for _ in range(depth - 1):
         layers.append(DenseLayer(np.array([[1.0]]), np.array([0.0])))
-    return ReluNetwork(layers, input_dim=p, apply_final_relu=False)
+    return ReluNetwork(layers, input_dim=p)
 
 
 def make_structured_net(p: int, m: int, depth: int, width: int, epsilon: float,
                         a: float, clamp: bool = True, seed: int = 0,
                         init_scale: float = 1.0,
-                        product: ProductGadget | None = None,
-                        sign: SignApprox | None = None) -> StructuredMetricNet:
+                        product: ProductGadget | None = None) -> StructuredMetricNet:
     rng = np.random.default_rng(seed)
     subnets = [random_subnet(p, depth, width, rng, init_scale) for _ in range(m)]
     return StructuredMetricNet(
         subnets,
         product if product is not None else build_product_gadget(epsilon),
-        sign if sign is not None else build_sign_approx(a),
+        build_sign_approx(a),
         clamp_subnet_output=clamp,
     )
 

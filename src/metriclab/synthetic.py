@@ -149,8 +149,11 @@ class LogLogFit(NamedTuple):
 
 
 def loglog_fit(u, v) -> LogLogFit:
-    """Ordinary least squares of log v on log u, with standard errors."""
+    """Ordinary least squares of log v on log u, with standard errors.
+    Raises ExecutionError when log u has no spread (every u equal)."""
     x, y = np.log(u), np.log(v)
+    if not np.ptp(x) > 0.0:
+        raise ExecutionError("log-log fit needs at least two distinct u values")
     xbar, ybar = x.mean(), y.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)

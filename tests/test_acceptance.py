@@ -199,14 +199,10 @@ def _min_kink_margin(subnet_like, x):
     """Smallest |pre-activation| over the ReLU units of one network."""
     h = np.asarray(x, dtype=np.float64)
     margin = math.inf
-    last = len(subnet_like.layers) - 1
-    for k, layer in enumerate(subnet_like.layers):
+    for layer in subnet_like.layers[:-1]:  # the read-out is affine
         z = layer.weights @ h + layer.bias
-        if k < last or subnet_like.apply_final_relu:
-            margin = min(margin, float(np.min(np.abs(z))))
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
+        margin = min(margin, float(np.min(np.abs(z))))
+        h = np.maximum(z, 0.0)
     return margin
 
 
@@ -319,7 +315,7 @@ def test_criterion_11_complexity_accounting():
         phi1 = ProductGadget(0.4, 1)
         sign = build_sign_approx(0.1)
         subnet = lambda: ReluNetwork([DenseLayer(np.array([[1.0]]), np.array([0.5]))],
-                                     input_dim=1, apply_final_relu=False)
+                                     input_dim=1)
         net = StructuredMetricNet([subnet(), subnet()], phi1, sign,
                                   clamp_subnet_output=False)
         agg = aggregate_complexity(net)

@@ -233,6 +233,25 @@ class TestRateSweepCommand:
         assert main(["rate-sweep", "--config", cfg,
                      "--out", str(tmp_path / "x")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("t_grid", "[0.1, 0.1, 0.1, 0.1]",
+                     "[eval] t_grid needs >= 4 distinct values", id="t-grid-one-value"),
+        pytest.param("t_grid", "[0.05, 0.1, 0.1, 0.05]",
+                     "[eval] t_grid needs >= 4 distinct values", id="t-grid-two-values"),
+        pytest.param("seeds", "[5, 5, 5]", "[eval] seeds must be distinct", id="seeds-one-value"),
+        pytest.param("seeds", "[0, 1, 2, 1]", "[eval] seeds must be distinct", id="seeds-repeat"),
+    ])
+    def test_degenerate_eval_lists_exit_two_before_out(self, tmp_path, capsys, key, value,
+                                                      message):
+        text = SWEEP_CONFIG.replace("seeds: [0, 1, 2]", f"{key}: {value}") if key == "seeds" \
+            else SWEEP_CONFIG + f"  {key}: {value}\n"
+        cfg = write(tmp_path, "c.yaml", text)
+        out = tmp_path / "o"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_report_needs_sweep_outputs(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path)]) == EXIT_VALIDATION
 

@@ -158,12 +158,12 @@ class TestTrain:
         step = ReluNetwork(
             [DenseLayer(np.array([[-8.0], [-8.0]]), np.array([4.5, 3.5])),
              DenseLayer(np.array([[1.0, -1.0]]), np.array([0.0]))],
-            input_dim=1, apply_final_relu=False,
+            input_dim=1,
         )  # indicator of x < 1/2, exact at the atoms
         mirror = ReluNetwork(
             [DenseLayer(np.array([[8.0], [8.0]]), np.array([-3.5, -4.5])),
              DenseLayer(np.array([[1.0, -1.0]]), np.array([0.0]))],
-            input_dim=1, apply_final_relu=False,
+            input_dim=1,
         )
         net = StructuredMetricNet([step, mirror], build_product_gadget(1e-2),
                                   build_sign_approx(0.1))
@@ -261,7 +261,7 @@ class TestTrain:
         def overflowing():
             return ReluNetwork([DenseLayer(np.array([[1e308]]), np.array([1e308])),
                                 DenseLayer(np.array([[1.0]]), np.array([0.0]))],
-                               input_dim=1, apply_final_relu=False)
+                               input_dim=1)
 
         net = StructuredMetricNet([overflowing(), overflowing()], build_product_gadget(1e-2),
                                   build_sign_approx(0.1))

@@ -161,7 +161,7 @@ class TestSupCertificate:
         *hidden, readout = phi.branch.layers
         phi.branch = ReluNetwork([*hidden, DenseLayer((1 + 2.0**-20) * readout.weights,
                                                       readout.bias)],
-                                 input_dim=1, apply_final_relu=False)
+                                 input_dim=1)
         sup = certify_product(phi)
         assert sup > 4.0 ** (1 - 6)
         g = square_grid(301)
@@ -246,7 +246,7 @@ class TestFactoredProduct:
         gadget = build_product_gadget(1e-2)
         *hidden, readout = gadget.branch.layers
         gadget.branch = ReluNetwork([*hidden, DenseLayer(3.0 * readout.weights, readout.bias)],
-                                    input_dim=1, apply_final_relu=False)
+                                    input_dim=1)
         with pytest.raises(CertificationError, match="sup error"):
             certify_product(gadget)
 
@@ -259,7 +259,7 @@ class TestFactoredProduct:
         gadget = ProductGadget(1e-2, 6)
         *hidden, readout = gadget.branch.layers
         gadget.branch = ReluNetwork([*hidden, DenseLayer(readout.weights, readout.bias + 1e-300)],
-                                    input_dim=1, apply_final_relu=False)
+                                    input_dim=1)
         with pytest.raises(CertificationError, match="zero-on-axes"):
             certify_product(gadget)
 

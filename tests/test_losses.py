@@ -237,10 +237,6 @@ class TestLossContracts:
         with pytest.raises(PropertyViolation, match="subgradient"):
             bad.validate()
 
-    def test_flags_must_hold(self):
-        with pytest.raises(ParameterError):
-            LossFunction("bad", eval=np.abs, subgradient=np.sign, convex=False)
-
     def test_unknown_name(self):
         with pytest.raises(ParameterError):
             get_loss("perceptron")

@@ -227,6 +227,14 @@ class TestRateSweep:
         with pytest.raises(ParameterError):
             rate_sweep(linear_task, [16, 24, 48, 96], [0, 1, 2], cfg, theta=1.0)
 
+    def test_repeated_seeds_rejected(self, linear_task):
+        # [5, 5, 5] would be one run counted three times
+        cfg = TrainConfig(epochs=1, pair_batch=64, lr_init=0.1, seed=0)
+        with pytest.raises(ParameterError, match="distinct"):
+            rate_sweep(linear_task, [16, 32, 64, 128], [5, 5, 5], cfg, theta=1.0)
+        with pytest.raises(ParameterError, match="distinct"):
+            rate_sweep(linear_task, [16, 32, 64, 128], [0, 1, 2, 1], cfg, theta=1.0)
+
     def test_requires_task_spec(self):
         bare = SyntheticTask(p=1, model=two_value_model(), seed=0)
         cfg = TrainConfig(epochs=1, pair_batch=64, lr_init=0.1, seed=0)

@@ -76,7 +76,7 @@ def ramp_subnet(lo_value, hi_value, k=8.0):
         DenseLayer(np.array([[-k], [-k]]), np.array([0.5 * k + 0.5, 0.5 * k - 0.5])),
         DenseLayer(np.array([[-span, span]]), np.array([lo_value + span])),
     ]
-    return ReluNetwork(layers, input_dim=1, apply_final_relu=False)
+    return ReluNetwork(layers, input_dim=1)
 
 
 class TestEvaluate:
@@ -124,8 +124,7 @@ class TestEvaluate:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), batch=st.integers(1, 6),
            fault=st.sampled_from(["nan", "below", "above", "width"]), first=st.booleans())
-    def test_one_domain_check_for_tasks_and_metrics(self, phi, sign, seed, p, batch, fault,
-                                                     first):
+    def test_one_domain_check_for_tasks_and_metrics(self, phi, seed, p, batch, fault, first):
         rng = np.random.default_rng(seed)
         good = rng.random((batch, p))
         bad = rng.random((batch, p + 1 if fault == "width" else p))
@@ -137,7 +136,7 @@ class TestEvaluate:
         pair = (bad, good) if first else (good, bad)
         task = make_task("cosine", p=p, A=0.05, k=1, r=1)
         net = make_structured_net(p=p, m=1, depth=1, width=2, epsilon=1e-3, a=0.1,
-                                  seed=seed, product=phi, sign=sign)
+                                  seed=seed, product=phi)
         with pytest.raises(expected):
             eta_pairs(task, *pair)
         with pytest.raises(expected):
@@ -232,6 +231,15 @@ class TestBlockedEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 16e6, peak
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
+    def test_a_bad_value_in_a_later_block_is_rejected(self, bad):
+        # pair_values compares shapes only; each block's check catches it
+        net = make_structured_net(p=2, m=1, depth=1, width=2, epsilon=1e-1, a=0.1, seed=0)
+        X, Xp = np.random.default_rng(0).random((2, 2 * self.B + 7, 2))
+        Xp[2 * self.B + 3, 1] = bad
+        with pytest.raises(DomainError):
+            pair_values(net, X, Xp)
 
     @pytest.mark.parametrize("n", [10, B + 10])
     def test_mismatched_shapes_still_rejected(self, n):
@@ -444,7 +452,7 @@ class TestAggregateComplexity:
                 complexity(phi1.net).units) == (3, 50, 19)
         sign = build_sign_approx(0.1)
         subnet = lambda: ReluNetwork([DenseLayer(np.array([[1.0]]), np.array([0.5]))],
-                                     input_dim=1, apply_final_relu=False)
+                                     input_dim=1)
         net_off = StructuredMetricNet([subnet(), subnet()], phi1, sign,
                                       clamp_subnet_output=False)
         agg = aggregate_complexity(net_off)
@@ -461,11 +469,11 @@ class TestAggregateComplexity:
         base = constant_subnet(1, 0.0)  # zero weights and zero bias: W_h = 0
         before = aggregate_complexity(StructuredMetricNet([base], phi, sign))
         one_weight = ReluNetwork([DenseLayer(np.array([[0.7]]), np.array([0.0]))],
-                                 input_dim=1, apply_final_relu=False)
+                                 input_dim=1)
         mid = aggregate_complexity(StructuredMetricNet([one_weight], phi, sign))
         assert mid.nonzero_weights == before.nonzero_weights + 2  # charged twice
         weight_and_bias = ReluNetwork([DenseLayer(np.array([[0.7]]), np.array([0.2]))],
-                                      input_dim=1, apply_final_relu=False)
+                                      input_dim=1)
         full = aggregate_complexity(StructuredMetricNet([weight_and_bias], phi, sign))
         assert full.nonzero_weights == before.nonzero_weights + 4
 

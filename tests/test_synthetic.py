@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metriclab.errors import DomainError, ParameterError
+from metriclab.errors import DomainError, ExecutionError, ParameterError
 from metriclab.synthetic import (
     SyntheticTask,
     atom_marginal,
@@ -16,6 +16,7 @@ from metriclab.synthetic import (
     eta,
     eta_pairs,
     hinge_metric_values,
+    loglog_fit,
     make_task,
     sample_dataset,
     sample_inputs,
@@ -175,6 +176,14 @@ class TestNoiseExponent:
             estimate_noise_exponent(task, 20_000, [0.1, 0.2, 0.3], seed=0)
         with pytest.raises(ParameterError):
             estimate_noise_exponent(task, 100, [0.05, 0.1, 0.2, 0.3], seed=0)
+
+    def test_a_grid_without_spread_is_an_execution_error(self):
+        # four grid points, one distinct value: nothing to fit a slope to
+        task = make_task("linear", seed=0)
+        with pytest.raises(ExecutionError, match="distinct"):
+            estimate_noise_exponent(task, 20_000, [0.1] * 4, seed=0)
+        with pytest.raises(ExecutionError, match="distinct"):
+            loglog_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestFamilies:
