@@ -36,6 +36,7 @@ from .synthetic import (
     make_task,
     sample_dataset,
     sample_inputs,
+    t_quantile,
 )
 
 D_SUP_TOL = 1e-9
@@ -234,6 +235,13 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
+    """A sweep's rows and the log-log fit of its per-n medians against n.
+
+    slope_upper95 is the one-sided 95% upper confidence bound on the slope,
+    slope + t_0.95 * slope_se, with Student's t on dof = (fitted points) - 2,
+    one point per sample size that kept a surviving run.
+    """
+
     rows: list
     n_values: np.ndarray
     medians: np.ndarray
@@ -302,11 +310,9 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
 
     Per-n budgets follow the unit-constant recipe; every (n, seed) job is
     independently and deterministically seeded, so results do not depend on
-    the number of workers.
+    the number of workers. The slope's one-sided 95% bound is described in
+    SweepResult.
     """
-    # imported here: scipy.special costs a third of a second at import time
-    from scipy.special import stdtrit
-
     n_list = sorted(set(int(n) for n in n_list))
     if len(n_list) < 4:
         raise ParameterError("need at least 4 distinct sample sizes")
@@ -372,7 +378,7 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
     med_se = np.array(med_se)
 
     fit = loglog_fit(n_vals, medians)
-    tcrit = float(stdtrit(fit.dof, 0.95))
+    tcrit = t_quantile(0.95, fit.dof)
 
     adjacent = []
     for k in range(len(n_vals) - 1):

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -293,13 +294,46 @@ def test_out_naming_a_file_exits_two_before_any_work(tmp_path, capsys, monkeypat
     assert str(taken) in capsys.readouterr().err
 
 
-def test_cli_import_skips_scipy_stats():
-    code = ("import sys, metriclab.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+# Runs the CLI commands given as a JSON list of argv lists in a process
+# where any import of scipy fails, as it would with scipy not installed;
+# prints each command's exit code and the scipy modules it loaded (none).
+_WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} blocked: scipy is a test-only dependency")
+
+sys.meta_path.insert(0, NoScipy())
+from metriclab.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_cli_import_skips_scipy_stats(tmp_path):
+    # scipy is only the tests' reference: no command may need it
+    tiny, sweep = write(tmp_path, "t.yaml", TINY_CONFIG), write(tmp_path, "s.yaml", SWEEP_CONFIG)
+    commands = {  # --out directory: (command, one file it must write)
+        "sweep1": (["rate-sweep", "--config", sweep, "--jobs", "1"], "sweep_fit.csv"),
+        "sweep2": (["rate-sweep", "--config", sweep, "--jobs", "2"], "sweep_fit.csv"),
+        "run": (["train-eval", "--config", tiny], "risk_report.csv"),
+        "lab": (["metric-lab", "--losses", "hinge", "--pairs", "40"], "profile_hinge.csv"),
+        "gadgets": (["verify-gadgets"], "gadget_certificates.csv"),
+    }
+    argvs = [argv + ["--out", str(tmp_path / out)] for out, (argv, _) in commands.items()]
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(metriclab.__file__))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "False False"
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [EXIT_OK] * len(commands), proc.stdout
+    assert loaded == []
+    for out, (_, name) in commands.items():
+        assert (tmp_path / out / name).is_file(), (out, name)
+    assert (tmp_path / "sweep1" / "sweep_fit.csv").read_bytes() == \
+        (tmp_path / "sweep2" / "sweep_fit.csv").read_bytes()
 
 
 def test_traced_bindings_exist():

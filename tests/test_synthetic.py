@@ -20,6 +20,7 @@ from metriclab.synthetic import (
     make_task,
     sample_dataset,
     sample_inputs,
+    t_quantile,
     true_metric_hinge,
     two_value_model,
 )
@@ -178,12 +179,64 @@ class TestNoiseExponent:
             estimate_noise_exponent(task, 100, [0.05, 0.1, 0.2, 0.3], seed=0)
 
     def test_a_grid_without_spread_is_an_execution_error(self):
-        # four grid points, one distinct value: nothing to fit a slope to
-        task = make_task("linear", seed=0)
-        with pytest.raises(ExecutionError, match="distinct"):
-            estimate_noise_exponent(task, 20_000, [0.1] * 4, seed=0)
+        # one distinct value: nothing to fit a slope to
         with pytest.raises(ExecutionError, match="distinct"):
             loglog_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("grid", [[0.1, 0.1, 0.2, 0.3], [0.1] * 4])
+    def test_fewer_than_four_distinct_grid_points_rejected(self, grid):
+        task = make_task("linear", seed=0)
+        with pytest.raises(ParameterError, match="4 distinct"):
+            estimate_noise_exponent(task, 20_000, grid, seed=0)
+
+    def test_a_repeated_grid_value_counts_once(self):
+        task = make_task("linear", seed=0)
+        repeated = estimate_noise_exponent(task, 20_000, [0.1, 0.1, 0.2, 0.3, 0.4], seed=0)
+        distinct = estimate_noise_exponent(task, 20_000, [0.1, 0.2, 0.3, 0.4], seed=0)
+        for name, value in vars(distinct).items():
+            assert np.array_equal(getattr(repeated, name), value), name
+
+
+class TestTQuantile:
+    NORMAL_95 = 1.6448536269514722  # the p = 0.95 quantile of N(0, 1)
+
+    def test_closed_forms_within_four_ulps(self):
+        # dof 1: tan(pi (p - 1/2)); dof 2: (2p - 1) / sqrt(2 p (1 - p))
+        for got, want in [(t_quantile(0.95, 1), math.tan(0.45 * math.pi)),
+                          (t_quantile(0.95, 2), 0.9 / math.sqrt(0.095))]:
+            assert abs(got - want) <= 4 * math.ulp(want), (got, want)
+
+    def test_agrees_with_scipy_stdtrit(self):
+        stdtrit = pytest.importorskip("scipy.special").stdtrit
+        worst = 0.0
+        for p in (0.9, 0.95, 0.975, 0.99):
+            for dof in range(1, 301):
+                want = float(stdtrit(dof, p))
+                worst = max(worst, abs(t_quantile(p, dof) - want) / want)
+        assert worst <= 1e-13
+
+    def test_decreases_in_dof_toward_the_normal_quantile(self):
+        values = [t_quantile(0.95, dof) for dof in range(1, 301)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert values[-1] > self.NORMAL_95
+
+    def test_symmetric_about_one_half(self):
+        assert t_quantile(0.5, 3) == 0.0
+        for p in (0.75, 0.95):  # 1 - p is exact for p >= 1/2
+            for dof in (1, 2, 7):
+                assert t_quantile(1.0 - p, dof) == -t_quantile(p, dof)
+
+    def test_a_quantile_beyond_the_largest_float_is_infinite(self):
+        # dof 1: -cot(pi p) ~ -1 / (pi p) = -6e322 at the smallest subnormal p
+        assert t_quantile(5e-324, 1) == -math.inf
+        assert math.isfinite(t_quantile(5e-324, 2))
+
+    @pytest.mark.parametrize("p, dof", [(0.95, 0), (0.95, -3), (0.95, 2.5), (0.95, 3.0),
+                                        (0.0, 3), (1.0, 3), (-0.1, 3), (1.5, 3),
+                                        (math.nan, 3)])
+    def test_bad_arguments_rejected(self, p, dof):
+        with pytest.raises(ParameterError):
+            t_quantile(p, dof)
 
 
 class TestFamilies:
