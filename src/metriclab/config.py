@@ -15,7 +15,9 @@ import yaml
 
 from .errors import ConfigError, ParameterError
 from .erm import TrainConfig
-from .synthetic import MODEL_FAMILIES, SyntheticTask, make_task
+from .gadgets import build_sign_approx, product_depth
+from .risk import check_mc_pairs, sweep_seeds, sweep_sizes
+from .synthetic import MODEL_FAMILIES, SyntheticTask, check_noise_pairs, make_task, noise_t_grid
 
 _TASK_KEYS = {"family", "p", "m", "seed", "r", "A", "k", "beta", "rho",
               "p1_left", "p1_right"}
@@ -37,6 +39,13 @@ _LIST_KEYS = {"n_list", "seeds", "t_grid"}
 # task's label count)
 _MODEL_DEFAULTS = {"depth": 2, "width": 4, "epsilon": 1e-2, "a": 0.1, "clamp": True,
                    "init_scale": 1.0}
+
+# the keys whose rule the library owns, each with the function that checks
+# it: load_config calls the same function as the code that uses the value
+_LIBRARY_RULES = {("model", "epsilon"): product_depth, ("model", "a"): build_sign_approx,
+                  ("eval", "mc_pairs"): check_mc_pairs,
+                  ("eval", "n_list"): sweep_sizes, ("eval", "seeds"): sweep_seeds,
+                  ("eval", "t_grid"): noise_t_grid, ("eval", "noise_mc_pairs"): check_noise_pairs}
 
 
 @dataclass
@@ -84,13 +93,6 @@ class ExperimentConfig:
             target = self.model.get("a", _MODEL_DEFAULTS["a"])
             return [max(target, spec["start"] * spec["decay"]**e) for e in range(epochs)]
         return None
-
-
-def _reject_unknown(block_name: str, block: dict, allowed: set, where: str) -> None:
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"{where}: [{block_name}] unknown key {key!r} "
-                              f"(allowed: {sorted(allowed)})")
 
 
 def _require(cond: bool, where: str, message: str) -> None:
@@ -143,7 +145,9 @@ def load_config(path) -> ExperimentConfig:
     for name, allowed in _BLOCKS.items():
         block = doc.get(name, {}) or {}
         _require(isinstance(block, dict), where, f"[{name}] must be a mapping")
-        _reject_unknown(name, block, allowed, where)
+        for key in block:
+            _require(key in allowed, where,
+                     f"[{name}] unknown key {key!r} (allowed: {sorted(allowed)})")
         _cast_numbers(block, where, f"[{name}]")
         # numpy seeds and SeedSequence spawn keys must be non-negative
         _require(block.get("seed", 0) >= 0, where, f"[{name}] seed must be >= 0")
@@ -156,13 +160,8 @@ def load_config(path) -> ExperimentConfig:
     _require(task.get("p", 1) >= 1, where, "[task] p must be >= 1")
 
     model = blocks["model"]
-    if "epsilon" in model:
-        _require(0.0 < model["epsilon"] < 0.5, where, "[model] epsilon must lie in (0, 1/2)")
-    if "a" in model:
-        _require(model["a"] > 0.0, where, "[model] a must be positive")
     for key in ("m", "depth", "width"):
-        if key in model:
-            _require(model[key] >= 1, where, f"[model] {key} must be >= 1")
+        _require(model.get(key, 1) >= 1, where, f"[model] {key} must be >= 1")
     if "clamp" in model:
         _require(isinstance(model["clamp"], bool), where, "[model] clamp must be true or false")
     if "a_anneal" in model:
@@ -174,31 +173,17 @@ def load_config(path) -> ExperimentConfig:
         _require(spec["start"] > 0 and 0 < spec["decay"] <= 1, where,
                  "[model] a_anneal must have positive start and decay in (0, 1]")
 
-    train = blocks["train"]
-    if "n" in train:
-        _require(train["n"] >= 2, where, "[train] n must be >= 2 (pair risk needs pairs)")
+    _require(blocks["train"].get("n", 2) >= 2, where,
+             "[train] n must be >= 2 (pair risk needs pairs)")
 
-    ev = blocks["eval"]
-    if "mc_pairs" in ev:
-        _require(ev["mc_pairs"] >= 100, where, "[eval] mc_pairs must be >= 100")
-    if "n_list" in ev:
-        nl = ev["n_list"]
-        _require(len(set(nl)) >= 4, where,
-                 "[eval] n_list needs at least 4 distinct sample sizes")
-        _require(all(n >= 8 for n in nl), where, "[eval] n_list entries must be >= 8")
-    if "seeds" in ev:
-        _require(len(ev["seeds"]) >= 3, where, "[eval] needs at least 3 seeds")
-        _require(len(set(ev["seeds"])) == len(ev["seeds"]), where,
-                 "[eval] seeds must be distinct")
-        _require(min(ev["seeds"]) >= 0, where, "[eval] seeds entries must be >= 0")
-    if "t_grid" in ev:
-        tg = ev["t_grid"]
-        _require(len(set(tg)) >= 4 and all(0.0 < t < 0.5 for t in tg), where,
-                 "[eval] t_grid needs >= 4 distinct values in (0, 1/2)")
+    for (name, key), rule in _LIBRARY_RULES.items():
+        if key in blocks[name]:
+            try:
+                rule(blocks[name][key])
+            except ParameterError as err:
+                raise ConfigError(f"{where}: [{name}] {err}") from err
 
-    config = ExperimentConfig(
-        task=task, model=model, train=train, eval=ev,
-        source_path=where, sha256=hashlib.sha256(raw).hexdigest(),
-    )
+    config = ExperimentConfig(**blocks, source_path=where,
+                              sha256=hashlib.sha256(raw).hexdigest())
     config.build_train_config()  # TrainConfig validates the [train] block
     return config

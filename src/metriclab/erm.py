@@ -97,13 +97,16 @@ def empirical_risk(metric, data, loss: LossFunction, strategy: str = "all-pairs"
     if n < 2:
         raise ParameterError(f"pair risk needs n >= 2 samples, got {n}")
     if strategy == "all-pairs":
-        iu, ju = np.triu_indices(n, k=1)
+        # the pairs i < j, a range of rows i (at most _CHUNK pairs) at a
+        # time, so the n(n-1)/2 index pairs are never all held at once
+        rows = max(1, _CHUNK // n)
         total = 0.0
-        for lo in range(0, iu.size, _CHUNK):
-            i, j = iu[lo:lo + _CHUNK], ju[lo:lo + _CHUNK]
+        for lo in range(0, n - 1, rows):
+            i, j = np.nonzero(np.arange(n) > np.arange(lo, min(lo + rows, n))[:, None])
+            i += lo
             tau = np.where(y[i] == y[j], 1.0, -1.0)
             total += float(loss.eval(tau * _metric_values(metric, X[i], X[j])).sum())
-        return total / iu.size
+        return total / (n * (n - 1) // 2)
     if strategy == "uniform-subsample":
         rng = np.random.default_rng(seed)
         k = num_pairs if num_pairs is not None else min(n * (n - 1), 16384)

@@ -59,10 +59,15 @@ def _draw_pairs(task: SyntheticTask, mc_pairs: int, seed):
     return sample_inputs(task, mc_pairs, rng), sample_inputs(task, mc_pairs, rng)
 
 
+def check_mc_pairs(mc_pairs: int) -> None:
+    """Raise ParameterError unless a risk estimate gets at least 100 pairs."""
+    if mc_pairs < 100:
+        raise ParameterError(f"mc_pairs must be >= 100, got {mc_pairs}")
+
+
 def _eta_and_values(metric, task: SyntheticTask, mc_pairs: int, seed):
     """eta and the metric's values d on mc_pairs freshly drawn input pairs."""
-    if mc_pairs < 100:
-        raise ParameterError("need at least 100 Monte Carlo pairs")
+    check_mc_pairs(mc_pairs)
     fn = as_pair_fn(metric)
     X, Xp = _draw_pairs(task, mc_pairs, seed)
     return eta_pairs(task, X, Xp), np.asarray(fn(X, Xp), dtype=np.float64)
@@ -301,6 +306,29 @@ def median_of_seeds(items, key=None):
     return ordered[len(ordered) // 2]
 
 
+def sweep_sizes(n_list) -> list:
+    """The sweep's distinct sample sizes, ascending: at least 4, each >= 8,
+    spanning a factor of 8 or more (an octave ladder such as 256..2048)."""
+    sizes = sorted(set(int(n) for n in n_list))
+    if len(sizes) < 4 or sizes[0] < 8 or sizes[-1] < 8 * sizes[0]:
+        raise ParameterError(f"n_list needs >= 4 distinct sizes >= 8 spanning at least "
+                             f"a factor of 8, got {sizes}")
+    return sizes
+
+
+def sweep_seeds(seeds) -> list:
+    """The sweep's seeds: at least 3, distinct (a repeat is one run counted
+    twice) and >= 0."""
+    seeds = list(seeds)
+    if len(seeds) < 3:
+        raise ParameterError(f"seeds needs at least 3 entries, got {seeds}")
+    if len(set(seeds)) != len(seeds):
+        raise ParameterError(f"seeds must be distinct, got {seeds}")
+    if min(seeds) < 0:
+        raise ParameterError(f"seeds entries must be >= 0, got {seeds}")
+    return seeds
+
+
 def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
                mc_pairs: int = 100_000, m: int = 2, epsilon: float = 1e-2,
                a: float = 0.1, clamp: bool = True, init_scale: float = 1.0,
@@ -313,17 +341,7 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
     the number of workers. The slope's one-sided 95% bound is described in
     SweepResult.
     """
-    n_list = sorted(set(int(n) for n in n_list))
-    if len(n_list) < 4:
-        raise ParameterError("need at least 4 distinct sample sizes")
-    # an octave ladder of >= 4 sizes (256..2048) is the smallest accepted span
-    if max(n_list) / min(n_list) < 8.0:
-        raise ParameterError("sample sizes must span at least a factor of 8")
-    seeds = list(seeds)
-    if len(seeds) < 3:
-        raise ParameterError("need at least 3 seeds")
-    if len(set(seeds)) != len(seeds):
-        raise ParameterError(f"seeds must be distinct, got {seeds}")
+    n_list, seeds = sweep_sizes(n_list), sweep_seeds(seeds)
     if task.spec is None:
         raise ParameterError("rate_sweep needs a task built by make_task (picklable spec)")
     if jobs < 1:

@@ -7,10 +7,11 @@ where the product gadget is certified) before entering the product, and the
 final output always lies in [-1, 1].
 
 Evaluation works per point: the metric depends on a pair only through the
-scalars h_i(x), so each sub-network runs once per traced point (a dataset
-row a training batch uses, or a pair side), and the product gadget runs in
-its factored form phi(u, v) = S(u+v) - (S(u) + S(v)) with its squaring
-branch S applied once per point and once per pair sum.  S and its
+scalars h_i(x), so a trace takes checked points and the two row indices of
+each pair (pair_forward), each sub-network runs once per point a batch uses
+(a dataset row in training, a pair side in pair_values), and the product
+gadget runs in its factored form phi(u, v) = S(u+v) - (S(u) + S(v)) with
+its squaring branch S applied once per point and once per pair sum.  S and its
 subgradient come from the gadget's certified knot table
 (gadgets.KnotTable), F_a and its slope from the closed form
 clip(t/a, -1, 1) (SignApprox.value_and_slope), and the sub-network layers
@@ -128,8 +129,7 @@ class PairTrace:
     """
 
     index: np.ndarray
-    values: list  # per subnet: raw h_i at each point
-    subnet_traces: list
+    subnet_traces: list  # per subnet: its layers at each point, raw h_i last
     slopes: np.ndarray
     t_pre: np.ndarray
     sign_slope: np.ndarray
@@ -152,46 +152,22 @@ def _select_points(data: np.ndarray, i: np.ndarray, j: np.ndarray):
     return data[:, ids], rank[sides]
 
 
-def _same_shape(X, Xp):
-    """Both sides as float arrays, which must have one shape."""
-    X = np.asarray(X, dtype=np.float64)
-    Xp = np.asarray(Xp, dtype=np.float64)
-    if X.shape != Xp.shape:
-        raise InputShapeError("pair batches must have matching shapes")
-    return X, Xp
+def pair_forward(net: StructuredMetricNet, i, j, points) -> PairTrace:
+    """Trace of the pairs (points[:, i[k]], points[:, j[k]]) for pair_backward.
 
-
-def _pair_batches(net: StructuredMetricNet, X, Xp):
-    """Both sides as checked (batch, p) arrays of one shape."""
-    X, Xp = _same_shape(X, Xp)
-    return _unit_cube_batch(X, net.input_dim), _unit_cube_batch(Xp, net.input_dim)
-
-
-def pair_forward(net: StructuredMetricNet, X, Xp, data=None) -> PairTrace:
-    """Trace of the pairs (X[j], Xp[j]) for pair_backward.
-
-    X and Xp are (batch, p) points; both are checked, and each side is
-    traced as given.  Given data, the rows of a checked dataset D as a
-    feature-major (p, n) array, X and Xp are instead row indices into D:
-    the pairs are (D[X[j]], D[Xp[j]]), nothing is checked again, and each
-    row the batch uses is traced once (_select_points).  Both give every
-    pair the same values, t_pre and d.
+    points is a checked, feature-major (p, n) array of points of [0, 1]^p,
+    not checked again; i, j are row indices into it, and each row the batch
+    uses is traced once (_select_points).
     """
-    if data is None:
-        X, Xp = _pair_batches(net, X, Xp)
-        points = np.concatenate([X.T, Xp.T], axis=1)
-        index = np.arange(points.shape[1])
-    else:
-        points, index = _select_points(data, X, Xp)
+    points, index = _select_points(points, i, j)
     batch = index.size // 2
     ix, ixp = index[:batch], index[batch:]
 
-    values, subnet_traces, clamped, sums = [], [], [], []
+    subnet_traces, clamped, sums = [], [], []
     for h in net.subnets:
         trace = _forward_trace(h, points)
         v = trace[-1][0]
         c = np.clip(v, *PRODUCT_DOMAIN) if net.clamp_subnet_output else v
-        values.append(v)
         subnet_traces.append(trace)
         clamped.append(c)
         sums.append(c[ix] + c[ixp])
@@ -200,29 +176,33 @@ def pair_forward(net: StructuredMetricNet, X, Xp, data=None) -> PairTrace:
     k = points.shape[1]
     sq_sums = sq[net.m * k:].reshape(net.m, batch)
     phi_sum = np.zeros(batch)
-    for i in range(net.m):
-        sq_c = sq[i * k:(i + 1) * k]
-        phi_sum += sq_sums[i] - (sq_c[ix] + sq_c[ixp])
+    for r in range(net.m):
+        sq_c = sq[r * k:(r + 1) * k]
+        phi_sum += sq_sums[r] - (sq_c[ix] + sq_c[ixp])
 
     t_pre = 1.0 - 2.0 * phi_sum
     d, sign_slope = net.sign.value_and_slope(t_pre)
-    return PairTrace(index, values, subnet_traces, slopes, t_pre, sign_slope, d)
+    return PairTrace(index, subnet_traces, slopes, t_pre, sign_slope, d)
 
 
 def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
     """Batched metric values in [-1, 1].
 
-    The two shapes are compared up front; the pairs are then evaluated in
+    Both sides are checked once, up front; the pairs are then traced in
     blocks of _EVAL_BLOCK = 2048, keeping only each block's d, so a large
-    Monte Carlo stream never holds every layer's trace at once.  Each block
-    is checked as pair_forward traces it, so every value is checked once.
-    A pair's value does not depend on the block it falls in.
+    Monte Carlo stream never holds every layer's trace at once.  A pair's
+    value does not depend on the block it falls in.
     """
-    X, Xp = _same_shape(X, Xp)
-    if X.ndim != 2 or X.shape[0] <= _EVAL_BLOCK:
-        return pair_forward(net, X, Xp).d
-    return np.concatenate([pair_forward(net, X[lo:lo + _EVAL_BLOCK], Xp[lo:lo + _EVAL_BLOCK]).d
-                           for lo in range(0, X.shape[0], _EVAL_BLOCK)])
+    X, Xp = np.asarray(X, dtype=np.float64), np.asarray(Xp, dtype=np.float64)
+    if X.shape != Xp.shape:
+        raise InputShapeError("pair batches must have matching shapes")
+    X, Xp = _unit_cube_batch(X, net.input_dim), _unit_cube_batch(Xp, net.input_dim)
+    d = [np.empty(0)]
+    for lo in range(0, X.shape[0], _EVAL_BLOCK):
+        side = np.arange(min(_EVAL_BLOCK, X.shape[0] - lo))
+        points = np.concatenate([X[lo:lo + side.size].T, Xp[lo:lo + side.size].T], axis=1)
+        d.append(pair_forward(net, side, side.size + side, points).d)
+    return np.concatenate(d)
 
 
 def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarray):
@@ -235,7 +215,7 @@ def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarr
     backpropagated once.
     """
     m, batch, index = net.m, trace.d.size, trace.index
-    k = trace.values[0].size
+    k = trace.subnet_traces[0][0].shape[1]
     g_t = np.asarray(upstream, dtype=np.float64) * trace.sign_slope
     g_phi = -2.0 * g_t  # t = 1 - 2 * sum_i phi_i
     # phi_i = S(s_i) - (S(c_i)[x] + S(c_i)[x']): both sides of a pair carry -g_phi
@@ -252,7 +232,7 @@ def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarr
     for i, h in enumerate(net.subnets):
         g = g_c[i * k:(i + 1) * k]
         if net.clamp_subnet_output:
-            v = trace.values[i]
+            v = trace.subnet_traces[i][-1][0]
             g = g * ((v > PRODUCT_DOMAIN[0]) & (v < PRODUCT_DOMAIN[1]))
         wg, bg, _ = _backprop(h, trace.subnet_traces[i], g[None, :])
         grads.append((wg, bg))

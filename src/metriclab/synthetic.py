@@ -248,6 +248,21 @@ class NoiseExponentFit:
     hard_margin: bool = False
 
 
+def noise_t_grid(t_grid) -> np.ndarray:
+    """The distinct values of t_grid, ascending: at least 4, all in (0, 1/2)."""
+    t_grid = np.asarray(sorted(set(t_grid)), dtype=np.float64)
+    if t_grid.size < 4 or not np.all((t_grid > 0.0) & (t_grid < 0.5)):
+        raise ParameterError(f"t_grid needs >= 4 distinct values in (0, 1/2), "
+                             f"got {t_grid.tolist()}")
+    return t_grid
+
+
+def check_noise_pairs(mc_pairs: int) -> None:
+    """Raise ParameterError unless the noise fit gets at least 1e4 pairs."""
+    if mc_pairs < 10_000:
+        raise ParameterError(f"noise_mc_pairs must be >= 1e4, got {mc_pairs}")
+
+
 def estimate_noise_exponent(task: SyntheticTask, mc_pairs: int, t_grid,
                             seed: int | None = None) -> NoiseExponentFit:
     """Fit Prob{|eta - 1/2| <= t} ~ C * t^theta by log-log least squares.
@@ -256,13 +271,8 @@ def estimate_noise_exponent(task: SyntheticTask, mc_pairs: int, t_grid,
     never reaches the grid (all F(t) = 0) is reported with the hard-margin
     sentinel theta = inf.
     """
-    t_grid = np.asarray(sorted(set(t_grid)), dtype=np.float64)
-    if t_grid.size < 4:
-        raise ParameterError(f"need at least 4 distinct grid points, got {t_grid.size}")
-    if np.any(t_grid <= 0.0) or np.any(t_grid >= 0.5):
-        raise ParameterError("t_grid values must lie in (0, 1/2)")
-    if mc_pairs < 10_000:
-        raise ParameterError("need at least 1e4 Monte Carlo pairs")
+    t_grid = noise_t_grid(t_grid)
+    check_noise_pairs(mc_pairs)
 
     rng = np.random.default_rng(seed) if seed is not None else task.rng(salt=1)
     e = eta_pairs(task, sample_inputs(task, mc_pairs, rng), sample_inputs(task, mc_pairs, rng))

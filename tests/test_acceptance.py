@@ -212,7 +212,7 @@ def _pair_margin(net, x, xp):
     for h in net.subnets:
         for point in (x, xp):
             margin = min(margin, _min_kink_margin(h, point))
-    trace = pair_forward(net, x[None, :], xp[None, :])
+    trace = pair_forward(net, [0], [1], np.column_stack([x, xp]))
     for i in range(net.m):
         a = float(forward(net.subnets[i], x)[0])
         b = float(forward(net.subnets[i], xp)[0])
@@ -255,7 +255,7 @@ def test_criterion_09_finite_difference_gradients():
                     x, xp = cand_x, cand_xp
                     break
             assert x is not None, "could not find a kink-free pair"
-            trace = pair_forward(net, x[None, :], xp[None, :])
+            trace = pair_forward(net, [0], [1], np.column_stack([x, xp]))
             grads = pair_backward(net, trace, np.ones(1))
             h = 1e-5
             for sub, (wg, bg) in zip(net.subnets, grads):
@@ -287,7 +287,8 @@ def sweep_result(linear_task):
     t0 = time.perf_counter()
     result = rate_sweep(linear_task, [256, 512, 1024, 2048, 4096], [0, 1, 2], cfg,
                         mc_pairs=100_000, a=0.1, epsilon=1e-2,
-                        noise_t_grid=np.array([0.02, 0.035, 0.06, 0.1, 0.17, 0.3]))
+                        noise_t_grid=np.array([0.02, 0.035, 0.06, 0.1, 0.17, 0.3]),
+                        jobs=2)
     result.wall_time = time.perf_counter() - t0
     return result
 

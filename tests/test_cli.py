@@ -241,16 +241,29 @@ class TestRateSweepCommand:
                      "[eval] t_grid needs >= 4 distinct values", id="t-grid-two-values"),
         pytest.param("seeds", "[5, 5, 5]", "[eval] seeds must be distinct", id="seeds-one-value"),
         pytest.param("seeds", "[0, 1, 2, 1]", "[eval] seeds must be distinct", id="seeds-repeat"),
+        pytest.param("n_list", "[8, 9, 10, 11]", "[eval] n_list needs >= 4 distinct sizes >= 8 "
+                     "spanning at least a factor of 8, got [8, 9, 10, 11]", id="n-list-span"),
+        pytest.param("noise_mc_pairs", "500", "[eval] noise_mc_pairs must be >= 1e4, got 500",
+                     id="noise-mc-pairs"),
     ])
     def test_degenerate_eval_lists_exit_two_before_out(self, tmp_path, capsys, key, value,
                                                       message):
-        text = SWEEP_CONFIG.replace("seeds: [0, 1, 2]", f"{key}: {value}") if key == "seeds" \
-            else SWEEP_CONFIG + f"  {key}: {value}\n"
-        cfg = write(tmp_path, "c.yaml", text)
+        # [eval] is the last block: drop the key's line there, append the value
+        kept = [line for line in SWEEP_CONFIG.splitlines() if not line.startswith(f"  {key}:")]
+        cfg = write(tmp_path, "c.yaml", "\n".join(kept) + f"\n  {key}: {value}\n")
         out = tmp_path / "o"
         assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_an_epsilon_too_deep_to_certify_exits_two_before_out(self, tmp_path, capsys):
+        # load_config asks gadgets.product_depth, as build_product_gadget will
+        cfg = write(tmp_path, "c.yaml", TINY_CONFIG.replace("epsilon: 1.0e-2", "epsilon: 1.0e-13"))
+        out = tmp_path / "o"
+        assert main(["train-eval", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "[model] epsilon 1e-13 asks for sawtooth depth 24" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_report_needs_sweep_outputs(self, tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from metriclab import erm
 from metriclab.erm import (
     TrainConfig,
     empirical_risk,
@@ -107,6 +108,31 @@ class TestEmpiricalRisk:
         with pytest.raises(ParameterError):
             empirical_risk(small_net(), (np.array([[0.5]]), np.array([0])), hinge)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 40, 1 << 17])
+    def test_row_chunks_cover_every_pair_once(self, hinge, monkeypatch, chunk):
+        rng = np.random.default_rng(5)
+        X = rng.random((23, 1))
+        y = rng.integers(0, 3, size=23)
+        net = small_net()
+        iu, ju = np.triu_indices(23, k=1)
+        tau = np.where(y[iu] == y[ju], 1.0, -1.0)
+        want = float(hinge.eval(tau * pair_values(net, X[iu], X[ju])).mean())
+        monkeypatch.setattr(erm, "_CHUNK", chunk)
+        assert empirical_risk(net, (X, y), hinge) == pytest.approx(want, rel=1e-12)
+
+    def test_all_pairs_memory_does_not_grow_with_the_pair_count(self, hinge):
+        # n = 4096 has 8.4M unordered pairs (134 MB of indices); each chunk
+        # builds only its own rows' pairs
+        X = np.random.default_rng(0).random((4096, 1))
+        y = np.arange(4096) % 2
+        tracemalloc.start()
+        try:
+            empirical_risk(lambda A, B: 1.0 - 2.0 * np.abs(A - B)[:, 0], (X, y), hinge)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
+
 
 class TestHingeSubgradient:
     """tau * l'(tau * d) for the hinge loss: the upstream factor train() uses."""
@@ -201,7 +227,7 @@ class TestTrain:
         def objective():
             return float(hinge.eval(tau * pair_values(net, X[iu], X[ju])).mean())
 
-        trace = pair_forward(net, X[iu], X[ju])
+        trace = pair_forward(net, iu, ju, np.ascontiguousarray(X.T))
         upstream = tau * np.asarray(hinge.subgradient(tau * trace.d)) / iu.size
         grads = pair_backward(net, trace, upstream)
         h = 1e-6

@@ -150,6 +150,12 @@ class TestEvaluate:
             )
 
 
+def stacked(X, Xp):
+    """A pair batch as pair_forward's (i, j, points): each side its own point."""
+    side = np.arange(len(X))
+    return side, len(X) + side, np.concatenate([X.T, Xp.T], axis=1)
+
+
 def dyadic_net(p):
     """A metric net on which every sum is exact in floating point.
 
@@ -181,7 +187,7 @@ class TestBlockedEvaluation:
         X, Xp = np.random.default_rng(n).integers(0, 257, (2, n, p)) / 256.0
         d = pair_values(net, X, Xp)
         assert d.shape == (n,)
-        assert np.array_equal(d, pair_forward(net, X, Xp).d)
+        assert np.array_equal(d, pair_forward(net, *stacked(X, Xp)).d)
 
     def test_dyadic_net_values_vary(self):
         # guards the test above against a net that saturates every pair
@@ -194,28 +200,29 @@ class TestBlockedEvaluation:
         net = make_structured_net(p=p, m=2, depth=3, width=6, epsilon=1e-2, a=0.1, seed=p,
                                   init_scale=2.0)
         X, Xp = np.random.default_rng(p).random((2, 3 * self.B + 5, p))
-        assert np.array_equal(pair_values(net, X, Xp), pair_forward(net, X, Xp).d)
+        assert np.array_equal(pair_values(net, X, Xp), pair_forward(net, *stacked(X, Xp)).d)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), depth=st.integers(2, 4),
            width=st.integers(1, 16), n=st.integers(1, 200), data=st.data())
     def test_any_block_split_matches_the_whole_bit_for_bit(self, seed, p, depth, width, n,
                                                            data):
-        # float weights, both the raw path and train's index path
+        # float weights, both stacked sides (pair_values' form) and dataset
+        # rows (train's)
         net = make_structured_net(p=p, m=2, depth=depth, width=width, epsilon=1e-2, a=0.1,
                                   seed=seed, init_scale=2.0)
         rng = np.random.default_rng(seed)
         D = rng.random((n, p))
         i, j = rng.integers(n, size=(2, n))
         X, Xp = D[i], D[j]
-        whole = pair_forward(net, X, Xp)
+        whole = pair_forward(net, *stacked(X, Xp))
         cuts = data.draw(st.lists(st.integers(1, n), max_size=8))
         bounds = sorted({0, n, *cuts})
         blocks = list(zip(bounds[:-1], bounds[1:]))
-        raw = [pair_forward(net, X[lo:hi], Xp[lo:hi]) for lo, hi in blocks]
+        sides = [pair_forward(net, *stacked(X[lo:hi], Xp[lo:hi])) for lo, hi in blocks]
         indexed = [pair_forward(net, i[lo:hi], j[lo:hi], np.ascontiguousarray(D.T))
                    for lo, hi in blocks]
-        for traces in (raw, indexed):
+        for traces in (sides, indexed):
             assert np.array_equal(np.concatenate([t.t_pre for t in traces]), whole.t_pre)
             assert np.array_equal(np.concatenate([t.d for t in traces]), whole.d)
         with mock.patch.object(structured, "_EVAL_BLOCK", data.draw(st.integers(1, n))):
@@ -234,12 +241,26 @@ class TestBlockedEvaluation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
     def test_a_bad_value_in_a_later_block_is_rejected(self, bad):
-        # pair_values compares shapes only; each block's check catches it
+        # the stream is checked before its first block is traced
         net = make_structured_net(p=2, m=1, depth=1, width=2, epsilon=1e-1, a=0.1, seed=0)
         X, Xp = np.random.default_rng(0).random((2, 2 * self.B + 7, 2))
         Xp[2 * self.B + 3, 1] = bad
-        with pytest.raises(DomainError):
-            pair_values(net, X, Xp)
+        with mock.patch.object(structured, "pair_forward",
+                               wraps=structured.pair_forward) as traced:
+            with pytest.raises(DomainError):
+                pair_values(net, X, Xp)
+        assert traced.call_count == 0
+
+    def test_a_stream_is_checked_once(self):
+        net = make_structured_net(p=2, m=1, depth=1, width=2, epsilon=1e-1, a=0.1, seed=0)
+        X, Xp = np.random.default_rng(0).random((2, 2 * self.B + 7, 2))
+        with mock.patch.object(structured, "_unit_cube_batch",
+                               wraps=structured._unit_cube_batch) as check, \
+                mock.patch.object(structured, "pair_forward",
+                                  wraps=structured.pair_forward) as traced:
+            assert pair_values(net, X, Xp).shape == (2 * self.B + 7,)
+        assert traced.call_count == 3
+        assert check.call_count == 2
 
     @pytest.mark.parametrize("n", [10, B + 10])
     def test_mismatched_shapes_still_rejected(self, n):
@@ -307,7 +328,7 @@ class TestPairBackward:
         rng = np.random.default_rng(seed)
         X, Xp = rng.random((2, batch, p))
         upstream = rng.standard_normal(batch)
-        trace = pair_forward(net, X, Xp)
+        trace = pair_forward(net, *stacked(X, Xp))
         d, want = branch_reference(net, X, Xp, upstream)
         assert np.max(np.abs(trace.d - d)) <= 1e-12
         for (gw, gb), (rw, rb) in zip(pair_backward(net, trace, upstream), want):
@@ -328,7 +349,7 @@ class TestPairBackward:
                                         min_size=i.size, max_size=i.size)))
         X, Xp = points[i], points[j]
         upstream = rng.standard_normal(i.size)
-        got = pair_backward(net, pair_forward(net, X, Xp), upstream)
+        got = pair_backward(net, pair_forward(net, *stacked(X, Xp)), upstream)
         want = reference_subnet_grads(net, X, Xp, upstream)
         for (gw, gb), (rw, rb) in zip(got, want):
             for ours, ref in zip(gw + gb, rw + rb):
@@ -347,7 +368,7 @@ class TestPairBackward:
         rng = np.random.default_rng(seed)
         X, Xp = rng.random((2, batch, 2))
         upstream = rng.standard_normal(batch)
-        trace = pair_forward(net, X, Xp)
+        trace = pair_forward(net, *stacked(X, Xp))
         got = pair_backward(net, trace, upstream)
         sign_net = net.sign.net
         g_t = _backprop(sign_net, _forward_trace(sign_net, trace.t_pre[None, :]),
@@ -362,10 +383,12 @@ class TestPairBackward:
         net = make_structured_net(p=2, m=3, depth=2, width=4, epsilon=1e-2, a=0.2, seed=1)
         rng = np.random.default_rng(4)
         points = rng.random((5, 2))
-        X, Xp = points[[0, 1, 1, 4]], points[[4, 4, 0, 1]]
-        trace = pair_forward(net, X, Xp)
-        raw_x = [v[trace.index[:len(X)]] for v in trace.values]
-        raw_xp = [v[trace.index[len(X):]] for v in trace.values]
+        i, j = np.array([0, 1, 1, 4]), np.array([4, 4, 0, 1])
+        X, Xp = points[i], points[j]
+        trace = pair_forward(net, i, j, np.ascontiguousarray(points.T))
+        values = [t[-1][0] for t in trace.subnet_traces]
+        raw_x = [v[trace.index[:len(X)]] for v in values]
+        raw_xp = [v[trace.index[len(X):]] for v in values]
         for h, rx, rxp in zip(net.subnets, raw_x, raw_xp):
             assert np.allclose(rx, forward(h, X)[:, 0], rtol=0, atol=1e-15)
             assert np.allclose(rxp, forward(h, Xp)[:, 0], rtol=0, atol=1e-15)
@@ -377,19 +400,19 @@ class TestIndexPath:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), distinct=st.integers(1, 12),
            n=st.integers(2, 40), batch=st.integers(1, 60))
-    def test_matches_pair_forward_bit_for_bit(self, seed, p, distinct, n, batch):
+    def test_matches_stacked_sides_bit_for_bit(self, seed, p, distinct, n, batch):
         net = make_structured_net(p=p, m=2, depth=3, width=5, epsilon=1e-2, a=1.5,
                                   seed=seed, init_scale=1.5)
         rng = np.random.default_rng(seed)
         X = rng.random((distinct, p))[rng.integers(distinct, size=n)]  # repeated rows
         iu, ju = rng.integers(n, size=(2, batch))
-        want = pair_forward(net, X[iu], X[ju])
         got = pair_forward(net, iu, ju, np.ascontiguousarray(X.T))
-        for ours, ref in zip(got.values, want.values):
-            assert np.array_equal(ours[got.index], ref[want.index])
-        assert np.array_equal(got.t_pre, want.t_pre)
-        assert np.array_equal(got.d, want.d)
-        # gradients sum each row's sides in another order than the raw path
+        sides = np.concatenate([X[iu].T, X[ju].T], axis=1)
+        for h, trace in zip(net.subnets, got.subnet_traces):
+            assert np.array_equal(trace[-1][0][got.index], _forward_trace(h, sides)[-1][0])
+        assert np.array_equal(got.t_pre, pair_forward(net, *stacked(X[iu], X[ju])).t_pre)
+        assert np.array_equal(got.d, pair_values(net, X[iu], X[ju]))
+        # gradients sum each row's sides in another order than per side
         upstream = rng.standard_normal(batch)
         for (gw, gb), (rw, rb) in zip(pair_backward(net, got, upstream),
                                       reference_subnet_grads(net, X[iu], X[ju], upstream)):

@@ -175,6 +175,8 @@ class TestNoiseExponent:
             estimate_noise_exponent(task, 20_000, [0.1, 0.2, 0.6, 0.3], seed=0)
         with pytest.raises(ParameterError):
             estimate_noise_exponent(task, 20_000, [0.1, 0.2, 0.3], seed=0)
+        with pytest.raises(ParameterError):  # NaN compares false with both ends
+            estimate_noise_exponent(task, 20_000, [0.1, np.nan, 0.2, 0.3], seed=0)
         with pytest.raises(ParameterError):
             estimate_noise_exponent(task, 100, [0.05, 0.1, 0.2, 0.3], seed=0)
 
