@@ -31,7 +31,6 @@ from .losses import (
 from .synthetic import (
     ConditionalModel,
     SyntheticTask,
-    bayes_risk_hinge,
     estimate_noise_exponent,
     eta,
     make_task,
@@ -49,6 +48,7 @@ from .erm import TrainConfig, TrainReport, empirical_risk, train
 from .risk import (
     RiskReport,
     SweepResult,
+    bayes_risk_hinge,
     excess_risk_identity,
     generalization_risk,
     rate_sweep,

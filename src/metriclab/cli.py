@@ -33,7 +33,6 @@ from .losses import (
     check_self_distance,
     continuous_label_degeneracy,
     get_loss,
-    tstar_analytic,
 )
 from .relu_net import complexity
 from .risk import median_of_seeds, rate_sweep, risk_report
@@ -186,8 +185,7 @@ def cmd_metric_lab(args) -> int:
             devs = []
             for e in ETA_SWEEP:
                 idx = int(np.argmin(np.abs(profile.eta_grid - e)))
-                devs.append(abs(profile.tstar[idx]
-                                - tstar_analytic(loss, float(profile.eta_grid[idx]))))
+                devs.append(abs(profile.tstar[idx] - profile.analytic[idx]))
             _lab_check(summary, f"oracle_vs_analytic {name}", max(devs) <= ORACLE_TOL,
                        f"(max dev {max(devs):.2e})")
         if name == "hinge":
@@ -333,8 +331,6 @@ def cmd_rate_sweep(args) -> int:
         raise ValidationFailure(f"{config.source_path}: [eval] needs n_list and seeds")
     train_cfg = config.build_train_config()
     train_cfg.seed = train_seed
-    model = config.model_spec(task)
-    del model["depth"], model["width"]  # the budget recipe sizes each n's sub-networks
     if args.jobs < 1:  # before --out is made: a bad flag writes nothing
         raise ValidationFailure(f"jobs must be >= 1, got {args.jobs}")
     _make_out_dir(args.out)
@@ -344,11 +340,11 @@ def cmd_rate_sweep(args) -> int:
         n_list=ev["n_list"],
         seeds=ev["seeds"],
         train_config=train_cfg,
+        model=config.model_spec(task),
         mc_pairs=ev.get("mc_pairs", 100_000),
         noise_t_grid=np.asarray(ev["t_grid"], dtype=np.float64) if "t_grid" in ev else None,
         noise_mc_pairs=ev.get("noise_mc_pairs", 200_000),
         jobs=args.jobs,
-        **model,
     )
 
     comments = _provenance(f"{task_seed}/{train_seed}/{eval_seed}", config)

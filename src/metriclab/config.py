@@ -78,21 +78,13 @@ class ExperimentConfig:
         return spec
 
     def build_train_config(self) -> TrainConfig:
-        """The [train] block (without n) and the sign-width schedule;
-        TrainConfig supplies the defaults and validates the values."""
+        """The [train] block (without n) and [model] a_anneal; TrainConfig
+        supplies the defaults and validates the values."""
         params = {k: v for k, v in self.train.items() if k != "n"}
-        params["a_schedule"] = self.a_schedule(params.get("epochs", TrainConfig.epochs))
         try:
-            return TrainConfig(**params)
+            return TrainConfig(**params, a_anneal=self.model.get("a_anneal"))
         except ParameterError as err:
             raise ConfigError(f"{self.source_path}: {err}") from err
-
-    def a_schedule(self, epochs: int) -> list | None:
-        if "a_anneal" in self.model:
-            spec = self.model["a_anneal"]
-            target = self.model.get("a", _MODEL_DEFAULTS["a"])
-            return [max(target, spec["start"] * spec["decay"]**e) for e in range(epochs)]
-        return None
 
 
 def _require(cond: bool, where: str, message: str) -> None:
@@ -164,14 +156,9 @@ def load_config(path) -> ExperimentConfig:
         _require(model.get(key, 1) >= 1, where, f"[model] {key} must be >= 1")
     if "clamp" in model:
         _require(isinstance(model["clamp"], bool), where, "[model] clamp must be true or false")
-    if "a_anneal" in model:
-        spec = model["a_anneal"]
-        _require(isinstance(spec, dict) and {"start", "decay"} <= set(spec), where,
-                 "[model] a_anneal needs 'start' and 'decay'")
-        _require(set(spec) <= {"start", "decay"}, where,
-                 "[model] a_anneal allows only 'start' and 'decay'")
-        _require(spec["start"] > 0 and 0 < spec["decay"] <= 1, where,
-                 "[model] a_anneal must have positive start and decay in (0, 1]")
+    # an absent anneal is None to TrainConfig; a null one is a config error
+    _require(isinstance(model.get("a_anneal", {}), dict), where,
+             f"[model] a_anneal must be a mapping, got {model.get('a_anneal')!r}")
 
     _require(blocks["train"].get("n", 2) >= 2, where,
              "[train] n must be >= 2 (pair risk needs pairs)")
@@ -185,5 +172,5 @@ def load_config(path) -> ExperimentConfig:
 
     config = ExperimentConfig(**blocks, source_path=where,
                               sha256=hashlib.sha256(raw).hexdigest())
-    config.build_train_config()  # TrainConfig validates the [train] block
+    config.build_train_config()  # TrainConfig validates [train] and [model] a_anneal
     return config

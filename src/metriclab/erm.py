@@ -6,11 +6,10 @@ computed exactly over unordered pairs (the metric and the reducing function
 are both symmetric, so each unordered pair carries both ordered terms).
 
 Training is plain subgradient descent on the sub-network parameters only;
-the product and sign gadgets stay fixed, except that an optional annealing
-schedule swaps in larger sign-approximator widths early so gradients stay
-alive while the output would otherwise saturate at +-1.  The returned
-parameters are the best-iterate snapshot (lowest recorded epoch risk), so
-this is a trained proxy for the empirical minimizer, not a certified one.
+the product and sign gadgets stay fixed, except that an optional anneal
+widens the sign band a early, so gradients stay alive where the output
+would saturate at +-1.  It returns a copy of the best iterate (lowest
+epoch risk): a trained proxy for the empirical minimizer, not a certified one.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ class TrainConfig:
     pair_batch: int = 512
     lr_init: float = 0.5
     lr_decay: float = 1.0
-    a_schedule: list | None = None  # per-epoch a values; last value persists
+    a_anneal: dict | None = None  # {start, decay}: epoch e uses max(a, start * decay**e)
     seed: int = 0
     pair_strategy: str = "all-pairs"
     pairs_per_epoch: int | None = None  # uniform-subsample only
@@ -55,10 +54,12 @@ class TrainConfig:
             raise ParameterError("learning-rate schedule must be positive")
         if self.pair_strategy not in PAIR_STRATEGIES:
             raise ParameterError(f"pair_strategy must be one of {PAIR_STRATEGIES}")
-        if self.a_schedule is not None:
-            a = np.asarray(self.a_schedule, dtype=np.float64)
-            if a.size == 0 or np.any(a <= 0.0) or np.any(np.diff(a) > 0.0):
-                raise ParameterError("a_schedule must be positive and non-increasing")
+        spec = self.a_anneal
+        if spec is not None and not (isinstance(spec, dict) and set(spec) == {"start", "decay"}
+                                     and 0.0 < spec["start"] < math.inf
+                                     and 0.0 < spec["decay"] <= 1.0):
+            raise ParameterError("a_anneal must be exactly {start: finite > 0, "
+                                 f"decay: in (0, 1]}}, got {spec!r}")
 
 
 @dataclass
@@ -126,17 +127,6 @@ def _sample_ordered_pairs(rng, n, k):
     return i, j
 
 
-def _snapshot(net: StructuredMetricNet):
-    return [[(l.weights.copy(), l.bias.copy()) for l in h.layers] for h in net.subnets]
-
-
-def _restore(net: StructuredMetricNet, snap):
-    for h, layers in zip(net.subnets, snap):
-        for layer, (w, b) in zip(h.layers, layers):
-            layer.weights[...] = w
-            layer.bias[...] = b
-
-
 def train(net: StructuredMetricNet, data, config: TrainConfig,
           loss: LossFunction) -> tuple[StructuredMetricNet, TrainReport]:
     """Subgradient descent on the sub-networks; returns the best iterate.
@@ -167,9 +157,10 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
 
     risks, gnorms, actives, a_vals = [], [], [], []
     best = (math.inf, None, -1)
-    sched = config.a_schedule
+    anneal = config.a_anneal
     for epoch in range(config.epochs):
-        a_now = target_a if sched is None else float(sched[min(epoch, len(sched) - 1)])
+        a_now = target_a if anneal is None else max(
+            target_a, anneal["start"] * anneal["decay"]**epoch)
         if a_now != work.sign.a:
             work.sign = build_sign_approx(a_now)
         lr = config.lr_init * config.lr_decay**epoch
@@ -220,11 +211,10 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
         actives.append(float(np.average(batch_active, weights=batch_sizes)))
         a_vals.append(a_now)
         if risks[-1] < best[0]:
-            best = (risks[-1], _snapshot(work), epoch)
+            best = (risks[-1], work.copy(), epoch)
 
-    if best[1] is not None:
-        _restore(work, best[1])
-    work.sign = net.sign if work.sign.a == target_a else build_sign_approx(target_a)
+    trained = best[1]  # every epoch's risk is finite, so the first one sets best
+    trained.sign = net.sign
     report = TrainReport(
         risk=np.array(risks),
         grad_norm=np.array(gnorms),
@@ -233,4 +223,4 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
         final_risk=best[0],
         best_epoch=best[2],
     )
-    return work, report
+    return trained, report

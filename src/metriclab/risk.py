@@ -28,7 +28,6 @@ from .structured import (
 )
 from .synthetic import (
     SyntheticTask,
-    bayes_risk_hinge,
     estimate_noise_exponent,
     eta_pairs,
     hinge_metric_values,
@@ -71,6 +70,13 @@ def _eta_and_values(metric, task: SyntheticTask, mc_pairs: int, seed):
     fn = as_pair_fn(metric)
     X, Xp = _draw_pairs(task, mc_pairs, seed)
     return eta_pairs(task, X, Xp), np.asarray(fn(X, Xp), dtype=np.float64)
+
+
+def bayes_risk_hinge(task: SyntheticTask, mc_pairs: int, seed) -> tuple[float, float]:
+    """Monte Carlo estimate of E[2 min(eta, 1 - eta)] with its standard error."""
+    check_mc_pairs(mc_pairs)
+    e = eta_pairs(task, *_draw_pairs(task, mc_pairs, seed))
+    return _mean_se(2.0 * np.minimum(e, 1.0 - e))
 
 
 def generalization_risk(metric, task: SyntheticTask, loss: LossFunction,
@@ -329,17 +335,15 @@ def sweep_seeds(seeds) -> list:
     return seeds
 
 
-def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
-               mc_pairs: int = 100_000, m: int = 2, epsilon: float = 1e-2,
-               a: float = 0.1, clamp: bool = True, init_scale: float = 1.0,
-               theta: float | None = None, noise_t_grid=None,
+def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig, model: dict,
+               mc_pairs: int = 100_000, theta: float | None = None, noise_t_grid=None,
                noise_mc_pairs: int = 200_000, jobs: int = 1) -> SweepResult:
     """Train-and-evaluate ladder over sample sizes with a log-log slope fit.
 
-    Per-n budgets follow the unit-constant recipe; every (n, seed) job is
-    independently and deterministically seeded, so results do not depend on
-    the number of workers. The slope's one-sided 95% bound is described in
-    SweepResult.
+    model holds make_structured_net's keywords besides p and seed; each n's
+    unit-constant budget recipe sets its depth and width. Every (n, seed) job
+    is independently and deterministically seeded, so results do not depend
+    on the number of workers. SweepResult describes the slope's 95% bound.
     """
     n_list, seeds = sweep_sizes(n_list), sweep_seeds(seeds)
     if task.spec is None:
@@ -356,13 +360,12 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig,
 
     # phi depends on epsilon alone, so every job shares one certified gadget
     # (called through the structured module, the binding bench/spans.py traces)
-    product = structured.build_product_gadget(epsilon)
+    product = structured.build_product_gadget(model["epsilon"])
     jobs_list = []
     for n in n_list:
         depth, width = subnet_shape_for_budget(theorem_budget(n, task.p, task.model.r, theta))
-        model = {"m": m, "depth": depth, "width": width, "epsilon": epsilon, "a": a,
-                 "clamp": clamp, "init_scale": init_scale, "product": product}
-        jobs_list += [_SweepJob(task.spec, n, si, train_config, model, mc_pairs) for si in seeds]
+        spec = {**model, "depth": depth, "width": width, "product": product}
+        jobs_list += [_SweepJob(task.spec, n, si, train_config, spec, mc_pairs) for si in seeds]
 
     # a pool starts all its workers at once: never more than there are jobs
     workers = min(jobs, len(jobs_list))

@@ -117,16 +117,6 @@ def true_metric_fn(task: SyntheticTask, convention: str = "theorem"):
     return metric
 
 
-def bayes_risk_hinge(task: SyntheticTask, mc_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of E[2 min(eta, 1 - eta)] with its standard error."""
-    if mc_samples < 2:
-        raise ParameterError("need at least 2 Monte Carlo samples")
-    rng = np.random.default_rng(seed)
-    e = eta_pairs(task, sample_inputs(task, mc_samples, rng), sample_inputs(task, mc_samples, rng))
-    vals = 2.0 * np.minimum(e, 1.0 - e)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples))
-
-
 def sample_dataset(task: SyntheticTask, n: int, seed: int | None = None):
     """n i.i.d. draws (x, y); y sampled from the categorical law P_x."""
     if n < 2:
@@ -438,6 +428,8 @@ def make_task(family: str, p: int = 1, seed: int = 0, **params) -> SyntheticTask
     """Instantiate a built-in family by name."""
     if family not in MODEL_FAMILIES:
         raise ParameterError(f"unknown task family {family!r}; known: {sorted(MODEL_FAMILIES)}")
+    if p < 1:
+        raise ParameterError(f"input dimension p must be >= 1, got {p}")
     if family == "cosine":
         model = cosine_model(p=p, **params)
     elif p != 1:

@@ -281,12 +281,12 @@ def test_criterion_09_finite_difference_gradients():
 @pytest.fixture(scope="module")
 def sweep_result(linear_task):
     cfg = TrainConfig(epochs=200, pair_batch=1024, lr_init=0.5, lr_decay=0.97,
-                      a_schedule=[max(0.1, 3.0 * 0.93**e) for e in range(200)],
+                      a_anneal={"start": 3.0, "decay": 0.93},
                       seed=100, pair_strategy="uniform-subsample",
                       pairs_per_epoch=16384)
     t0 = time.perf_counter()
     result = rate_sweep(linear_task, [256, 512, 1024, 2048, 4096], [0, 1, 2], cfg,
-                        mc_pairs=100_000, a=0.1, epsilon=1e-2,
+                        {"m": 2, "epsilon": 1e-2, "a": 0.1}, mc_pairs=100_000,
                         noise_t_grid=np.array([0.02, 0.035, 0.06, 0.1, 0.17, 0.3]),
                         jobs=2)
     result.wall_time = time.perf_counter() - t0

@@ -190,10 +190,23 @@ class TestTrainEval:
 
 
 class TestRateSweepCommand:
-    def test_sweep_writes_all_outputs(self, tmp_path):
+    def test_sweep_writes_all_outputs(self, tmp_path, monkeypatch):
+        # bench/spans.py reads the worker count from the jobs keyword
+        import metriclab.cli as cli
+
+        calls, sweep = [], cli.rate_sweep
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "rate_sweep", recorded)
         cfg = write(tmp_path, "c.yaml", SWEEP_CONFIG)
         code = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path / "sw")])
         assert code == EXIT_OK
+        assert len(calls) == 1 and calls[0]["jobs"] == 1
+        assert calls[0]["model"] == {"m": 2, "depth": 2, "width": 4, "epsilon": 1e-2,
+                                     "a": 0.1, "clamp": True, "init_scale": 1.0}
         for name in ("sweep_rows.csv", "sweep_fit.csv", "plot_data.csv", "timings.csv"):
             assert (tmp_path / "sw" / name).exists()
         rows = (tmp_path / "sw" / "sweep_rows.csv").read_text().splitlines()
@@ -460,6 +473,24 @@ class TestConfigValidation:
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) \
             == EXIT_VALIDATION
         assert "[model] unknown key 'a_schedule'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [
+        pytest.param("{start: 3.0}", id="no-decay"),
+        pytest.param("{start: 3.0, decay: 0.8, floor: 0.1}", id="extra-key"),
+        pytest.param("{start: 0, decay: 0.8}", id="zero-start"),
+        pytest.param("{start: 3.0, decay: 0}", id="zero-decay"),
+        pytest.param("{start: 3.0, decay: 1.5}", id="growing"),
+        pytest.param("null", id="null"),
+        pytest.param("[3.0, 0.8]", id="list"),
+    ])
+    def test_a_malformed_anneal_exits_two_before_out(self, tmp_path, capsys, value):
+        cfg = write(tmp_path, "c.yaml", TINY_CONFIG.replace(
+            "a_anneal: {start: 3.0, decay: 0.8}", f"a_anneal: {value}"))
+        out = tmp_path / "o"
+        assert main(["train-eval", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "a_anneal" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_jobs_below_one_exit_two(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.yaml", SWEEP_CONFIG)

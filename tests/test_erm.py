@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab import erm
 from metriclab.erm import (
@@ -199,7 +201,7 @@ class TestTrain:
         data = toy_separable_data()
         net = small_net(seed=7)
         cfg = TrainConfig(epochs=200, pair_batch=256, lr_init=0.5, lr_decay=0.99,
-                          a_schedule=[max(0.1, 3.0 * 0.93**e) for e in range(200)], seed=11)
+                          a_anneal={"start": 3.0, "decay": 0.93}, seed=11)
         trained, report = train(net, data, cfg, hinge)
         assert empirical_risk(trained, data, hinge) <= 0.05
 
@@ -303,6 +305,19 @@ class TestTrain:
         assert HypothesisBudget(1, 1, 1).admits(aggregate_complexity(small_net())) is False
 
 
+@settings(max_examples=40, deadline=None)
+@given(a=st.sampled_from([0.05, 0.1, 0.7]), start=st.floats(1e-3, 10.0),
+       decay=st.floats(1e-3, 1.0), epochs=st.integers(1, 12))
+def test_anneal_gives_each_epoch_its_rule_value_bit_for_bit(a, start, decay, epochs):
+    # lr_init = 0 keeps the steps free: only the per-epoch a is under test
+    cfg = TrainConfig(epochs=epochs, pair_batch=8, lr_init=0.0, seed=0,
+                      a_anneal={"start": start, "decay": decay},
+                      pair_strategy="uniform-subsample", pairs_per_epoch=8)
+    trained, report = train(small_net(a=a), toy_separable_data(n=6), cfg, get_loss("hinge"))
+    assert report.a_values.tolist() == [max(a, start * decay**e) for e in range(epochs)]
+    assert trained.sign.a == a
+
+
 class TestTrainConfigValidation:
     def test_rejects_zero_pairs_per_epoch(self):
         with pytest.raises(ParameterError, match="pairs_per_epoch"):
@@ -318,8 +333,8 @@ class TestTrainConfigValidation:
 
     def test_rejects_increasing_a_schedule(self):
         with pytest.raises(ParameterError):
-            TrainConfig(a_schedule=[0.1, 0.5])
+            TrainConfig(a_anneal={"start": 0.1, "decay": 5.0})
 
     def test_rejects_nonpositive_a(self):
         with pytest.raises(ParameterError):
-            TrainConfig(a_schedule=[0.5, 0.0])
+            TrainConfig(a_anneal={"start": 0.0, "decay": 0.5})

@@ -8,6 +8,7 @@ from metriclab.erm import TrainConfig
 from metriclab.errors import ContractError, ParameterError
 from metriclab.losses import get_loss
 from metriclab.risk import (
+    bayes_risk_hinge,
     excess_risk_identity,
     generalization_risk,
     rate_sweep,
@@ -26,6 +27,11 @@ from metriclab.synthetic import (
     true_metric_fn,
     two_value_model,
 )
+
+
+# make_structured_net's keywords besides p and seed; the sweep sizes depth
+# and width per n
+MODEL = {"m": 2, "epsilon": 1e-2, "a": 0.1}
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +58,6 @@ class TestGeneralizationRisk:
         assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_true_metric_matches_bayes(self, hinge, linear_task):
-        from metriclab.synthetic import bayes_risk_hinge
-
         est, se = generalization_risk(true_metric_fn(linear_task), linear_task,
                                       hinge, 100_000, seed=2)
         bayes, bse = bayes_risk_hinge(linear_task, 100_000, seed=3)
@@ -166,10 +170,10 @@ class TestBudgetRecipe:
 
 def mini_sweep(task, seed=100, jobs=1):
     cfg = TrainConfig(epochs=8, pair_batch=128, lr_init=0.5, lr_decay=0.97,
-                      a_schedule=[max(0.1, 3.0 * 0.8**e) for e in range(8)],
+                      a_anneal={"start": 3.0, "decay": 0.8},
                       seed=seed, pair_strategy="uniform-subsample", pairs_per_epoch=512)
-    return rate_sweep(task, [16, 32, 64, 128], [0, 1, 2], cfg,
-                      mc_pairs=2000, a=0.1, epsilon=1e-2, theta=1.0, jobs=jobs)
+    return rate_sweep(task, [16, 32, 64, 128], [0, 1, 2], cfg, MODEL,
+                      mc_pairs=2000, theta=1.0, jobs=jobs)
 
 
 class TestRateSweep:
@@ -221,22 +225,22 @@ class TestRateSweep:
     def test_validation(self, linear_task):
         cfg = TrainConfig(epochs=1, pair_batch=64, lr_init=0.1, seed=0)
         with pytest.raises(ParameterError):
-            rate_sweep(linear_task, [64, 128], [0, 1, 2], cfg, theta=1.0)
+            rate_sweep(linear_task, [64, 128], [0, 1, 2], cfg, MODEL, theta=1.0)
         with pytest.raises(ParameterError):
-            rate_sweep(linear_task, [16, 32, 64, 128], [0, 1], cfg, theta=1.0)
+            rate_sweep(linear_task, [16, 32, 64, 128], [0, 1], cfg, MODEL, theta=1.0)
         with pytest.raises(ParameterError):
-            rate_sweep(linear_task, [16, 24, 48, 96], [0, 1, 2], cfg, theta=1.0)
+            rate_sweep(linear_task, [16, 24, 48, 96], [0, 1, 2], cfg, MODEL, theta=1.0)
 
     def test_repeated_seeds_rejected(self, linear_task):
         # [5, 5, 5] would be one run counted three times
         cfg = TrainConfig(epochs=1, pair_batch=64, lr_init=0.1, seed=0)
         with pytest.raises(ParameterError, match="distinct"):
-            rate_sweep(linear_task, [16, 32, 64, 128], [5, 5, 5], cfg, theta=1.0)
+            rate_sweep(linear_task, [16, 32, 64, 128], [5, 5, 5], cfg, MODEL, theta=1.0)
         with pytest.raises(ParameterError, match="distinct"):
-            rate_sweep(linear_task, [16, 32, 64, 128], [0, 1, 2, 1], cfg, theta=1.0)
+            rate_sweep(linear_task, [16, 32, 64, 128], [0, 1, 2, 1], cfg, MODEL, theta=1.0)
 
     def test_requires_task_spec(self):
         bare = SyntheticTask(p=1, model=two_value_model(), seed=0)
         cfg = TrainConfig(epochs=1, pair_batch=64, lr_init=0.1, seed=0)
         with pytest.raises(ParameterError):
-            rate_sweep(bare, [16, 32, 64, 128], [0, 1, 2], cfg, theta=1.0)
+            rate_sweep(bare, [16, 32, 64, 128], [0, 1, 2], cfg, MODEL, theta=1.0)

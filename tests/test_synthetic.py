@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from metriclab.errors import DomainError, ExecutionError, ParameterError
+from metriclab.risk import bayes_risk_hinge
 from metriclab.synthetic import (
     SyntheticTask,
     atom_marginal,
-    bayes_risk_hinge,
     conditional_probs,
     constant_model,
     cosine_model,
@@ -116,6 +116,11 @@ class TestBayesRisk:
         assert oracle == pytest.approx(0.75, abs=1e-3)
         est, se = bayes_risk_hinge(make_task("linear", seed=9), 100_000, seed=3)
         assert abs(est - oracle) <= 3 * se
+
+    def test_minimum_pairs(self):
+        # the floor every Monte Carlo risk estimate shares
+        with pytest.raises(ParameterError, match="mc_pairs must be >= 100, got 99"):
+            bayes_risk_hinge(make_task("linear", seed=0), 99, seed=0)
 
 
 class TestSampling:
@@ -266,3 +271,9 @@ class TestFamilies:
     def test_linear_requires_p1(self):
         with pytest.raises(ParameterError):
             make_task("linear", p=2, seed=0)
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_input_dimension_below_one_rejected(self, p):
+        # p = 0 would give inputs of shape (n, 0); p = -1 a bare numpy error
+        with pytest.raises(ParameterError, match=f"p must be >= 1, got {p}"):
+            make_task("cosine", p=p, seed=0, A=0.05, k=1, r=1)
