@@ -8,7 +8,7 @@ a general-loss study of the true metric.
 
 __version__ = "0.1.0"
 
-from .relu_net import DenseLayer, NetworkComplexity, ReluNetwork, backward, complexity, forward
+from .relu_net import DenseLayer, NetworkComplexity, ReluNetwork, complexity, forward
 from .gadgets import (
     ProductGadget,
     SignApprox,

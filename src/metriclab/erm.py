@@ -127,6 +127,28 @@ def _sample_ordered_pairs(rng, n, k):
     return i, j
 
 
+def _epoch_batches(config: TrainConfig, rng, n: int):
+    """One epoch's pair batches (i, j); the epoch's pairs are drawn from rng
+    before its first batch."""
+    if config.pair_strategy == "uniform-subsample":
+        k = config.pairs_per_epoch if config.pairs_per_epoch is not None else 16384
+        i_stream, j_stream = _sample_ordered_pairs(rng, n, k)
+        for lo in range(0, k, config.pair_batch):
+            yield i_stream[lo:lo + config.pair_batch], j_stream[lo:lo + config.pair_batch]
+        return
+    # a shuffle of the positions of the unordered pairs i < j in
+    # np.triu_indices(n, k=1)'s row-major order, each batch mapped back to
+    # its pairs, so only the permutation is n(n-1)/2 long; unordered pairs
+    # carry both ordered terms of the U-statistic
+    rows = np.arange(n - 1)
+    row_start = rows * (2 * n - rows - 1) // 2  # position of the pair (i, i + 1)
+    order = rng.permutation(n * (n - 1) // 2)
+    for lo in range(0, order.size, config.pair_batch):
+        k = order[lo:lo + config.pair_batch]
+        i = np.searchsorted(row_start, k, side="right") - 1
+        yield i, k - row_start[i] + i + 1
+
+
 def train(net: StructuredMetricNet, data, config: TrainConfig,
           loss: LossFunction) -> tuple[StructuredMetricNet, TrainReport]:
     """Subgradient descent on the sub-networks; returns the best iterate.
@@ -152,8 +174,6 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
     work = net.copy()
     target_a = net.sign.a
     rng = np.random.default_rng(config.seed)
-    if config.pair_strategy == "all-pairs":
-        iu_all, ju_all = np.triu_indices(n, k=1)
 
     risks, gnorms, actives, a_vals = [], [], [], []
     best = (math.inf, None, -1)
@@ -165,18 +185,8 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
             work.sign = build_sign_approx(a_now)
         lr = config.lr_init * config.lr_decay**epoch
 
-        if config.pair_strategy == "all-pairs":
-            order = rng.permutation(iu_all.size)
-            i_stream, j_stream = iu_all[order], ju_all[order]
-            # unordered pairs carry both ordered terms of the U-statistic
-        else:
-            k = config.pairs_per_epoch if config.pairs_per_epoch is not None else 16384
-            i_stream, j_stream = _sample_ordered_pairs(rng, n, k)
-
         batch_risks, batch_sizes, batch_gnorms, batch_active = [], [], [], []
-        for lo in range(0, i_stream.size, config.pair_batch):
-            iu = i_stream[lo:lo + config.pair_batch]
-            ju = j_stream[lo:lo + config.pair_batch]
+        for iu, ju in _epoch_batches(config, rng, n):
             trace = pair_forward(work, iu, ju, data)
             tau = np.where(y[iu] == y[ju], 1.0, -1.0)
             margin = tau * trace.d

@@ -102,15 +102,6 @@ class ReluNetwork:
         return forward(self, x)
 
 
-@dataclass
-class GradientRecord:
-    """Reverse-mode derivatives of forward() w.r.t. parameters and input."""
-
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray]
-    input_grad: np.ndarray
-
-
 def _as_batch(x, dim: int, what: str = "input"):
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -161,21 +152,6 @@ def _forward_trace(net: ReluNetwork, h: np.ndarray) -> list[np.ndarray]:
             np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
-
-
-def backward(net: ReluNetwork, x, upstream) -> GradientRecord:
-    """Reverse-mode gradients with the subgradient convention sigma'(0) = 0.
-
-    ``upstream`` is d(objective)/d(output); batched inputs get batched
-    upstreams and the parameter gradients are summed over the batch.
-    """
-    xb, squeeze = _as_batch(x, net.input_dim)
-    ub, usq = _as_batch(upstream, net.output_dim, "upstream")
-    if squeeze != usq or xb.shape[0] != ub.shape[0]:
-        raise InputShapeError("input and upstream batch shapes disagree")
-    acts = _forward_trace(net, xb.T)
-    wgrads, bgrads, ginput = _backprop(net, acts, ub.T)
-    return GradientRecord(wgrads, bgrads, ginput[:, 0] if squeeze else ginput.T)
 
 
 def _backprop(net: ReluNetwork, acts: list[np.ndarray], upstream: np.ndarray):

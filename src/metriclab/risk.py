@@ -33,6 +33,7 @@ from .synthetic import (
     hinge_metric_values,
     loglog_fit,
     make_task,
+    pair_blocks,
     sample_dataset,
     sample_inputs,
     t_quantile,
@@ -42,10 +43,11 @@ D_SUP_TOL = 1e-9
 
 
 def as_pair_fn(metric):
+    """The metric as a batched pair function with float64 values."""
     if isinstance(metric, StructuredMetricNet):
         return lambda X, Xp: pair_values(metric, X, Xp)
     if callable(metric):
-        return metric
+        return lambda X, Xp: np.asarray(metric(X, Xp), dtype=np.float64)
     raise ParameterError(f"cannot evaluate {type(metric).__name__} as a pair metric")
 
 
@@ -64,39 +66,62 @@ def check_mc_pairs(mc_pairs: int) -> None:
         raise ParameterError(f"mc_pairs must be >= 100, got {mc_pairs}")
 
 
-def _eta_and_values(metric, task: SyntheticTask, mc_pairs: int, seed):
-    """eta and the metric's values d on mc_pairs freshly drawn input pairs."""
+def _integrate(task: SyntheticTask, mc_pairs: int, seed, integrand) -> tuple[float, float]:
+    """Mean and standard error of an integrand over mc_pairs freshly drawn
+    input pairs, called as integrand(x, xp, eta) on one block of MC_BLOCK
+    pairs at a time.
+
+    Memory per pair: 16 p bytes for the drawn inputs plus 8 for the
+    integrand; every other temporary is one block long, or outlives the
+    inputs.
+    """
     check_mc_pairs(mc_pairs)
-    fn = as_pair_fn(metric)
     X, Xp = _draw_pairs(task, mc_pairs, seed)
-    return eta_pairs(task, X, Xp), np.asarray(fn(X, Xp), dtype=np.float64)
+    vals = np.empty(mc_pairs)
+    for block in pair_blocks(mc_pairs):
+        x, xp = X[block], Xp[block]
+        vals[block] = integrand(x, xp, eta_pairs(task, x, xp))
+    del X, Xp, x, xp  # the standard error takes one more stream-long temporary
+    return _mean_se(vals)
 
 
 def bayes_risk_hinge(task: SyntheticTask, mc_pairs: int, seed) -> tuple[float, float]:
-    """Monte Carlo estimate of E[2 min(eta, 1 - eta)] with its standard error."""
-    check_mc_pairs(mc_pairs)
-    e = eta_pairs(task, *_draw_pairs(task, mc_pairs, seed))
-    return _mean_se(2.0 * np.minimum(e, 1.0 - e))
+    """Monte Carlo estimate of E[2 min(eta, 1 - eta)] with its standard error.
+    Memory: 16 p + 8 bytes per pair, plus one block of MC_BLOCK pairs."""
+    return _integrate(task, mc_pairs, seed, lambda x, xp, e: 2.0 * np.minimum(e, 1.0 - e))
 
 
 def generalization_risk(metric, task: SyntheticTask, loss: LossFunction,
                         mc_pairs: int, seed) -> tuple[float, float]:
     """Monte Carlo risk with labels integrated out:
-    E[ eta*l(d) + (1 - eta)*l(-d) ] over input pairs."""
-    e, d = _eta_and_values(metric, task, mc_pairs, seed)
-    return _mean_se(e * loss.eval(d) + (1.0 - e) * loss.eval(-d))
+    E[ eta*l(d) + (1 - eta)*l(-d) ] over input pairs.
+    Memory: 16 p + 8 bytes per pair, plus one block of MC_BLOCK pairs."""
+    fn = as_pair_fn(metric)
+
+    def integrand(x, xp, e):
+        d = fn(x, xp)
+        return e * loss.eval(d) + (1.0 - e) * loss.eval(-d)
+
+    return _integrate(task, mc_pairs, seed, integrand)
 
 
 def excess_risk_identity(metric, task: SyntheticTask, mc_pairs: int, seed) -> tuple[float, float]:
     """Monte Carlo estimate of E[ |2 eta - 1| * |d - sgn(1 - 2 eta)| ].
 
     Valid for the hinge loss and metrics bounded by 1 in sup norm; a metric
-    leaving [-1, 1] violates the identity's contract and is rejected.
+    leaving [-1, 1] on any block violates the identity's contract and is
+    rejected. Memory: 16 p + 8 bytes per pair, plus one block of MC_BLOCK
+    pairs.
     """
-    e, d = _eta_and_values(metric, task, mc_pairs, seed)
-    if np.max(np.abs(d)) > 1.0 + D_SUP_TOL:
-        raise ContractError("excess-risk identity requires sup|d| <= 1")
-    return _mean_se(np.abs(2.0 * e - 1.0) * np.abs(d - np.sign(1.0 - 2.0 * e)))
+    fn = as_pair_fn(metric)
+
+    def integrand(x, xp, e):
+        d = fn(x, xp)
+        if np.max(np.abs(d)) > 1.0 + D_SUP_TOL:
+            raise ContractError("excess-risk identity requires sup|d| <= 1")
+        return np.abs(2.0 * e - 1.0) * np.abs(d - np.sign(1.0 - 2.0 * e))
+
+    return _integrate(task, mc_pairs, seed, integrand)
 
 
 @dataclass
@@ -165,7 +190,14 @@ def variance_expectation_check(metrics, task: SyntheticTask, theta: float, c_the
                                mc_pairs: int, seed: int = 0,
                                loss: LossFunction | None = None) -> VarianceExpectationReport:
     """Check E[q^2] <= M * E[q]^beta for the shifted hinge-loss class,
-    with beta = theta/(theta+1) and M = 2^(3/(theta+1)) * c_theta^(1/(theta+1))."""
+    with beta = theta/(theta+1) and M = 2^(3/(theta+1)) * c_theta^(1/(theta+1)).
+
+    All metrics share one stream of mc_pairs input pairs, evaluated one
+    block of MC_BLOCK pairs at a time. Memory per pair: 16 p bytes for the
+    drawn inputs, 8 for eta and 16 for the integrands q and q^2 (reused
+    from metric to metric), plus one block, and 8 more while a standard
+    error is taken.
+    """
     if theta <= 0.0 or c_theta <= 0.0:
         raise ParameterError("noise parameters must be positive")
     loss = loss if loss is not None else hinge_loss()
@@ -173,17 +205,22 @@ def variance_expectation_check(metrics, task: SyntheticTask, theta: float, c_the
     M = 2.0 ** (3.0 / (theta + 1.0)) * c_theta ** (1.0 / (theta + 1.0))
 
     X, Xp = _draw_pairs(task, mc_pairs, seed)
-    e = eta_pairs(task, X, Xp)
-    d_rho = hinge_metric_values(e, "theorem")
-    l_pos_rho, l_neg_rho = loss.eval(d_rho), loss.eval(-d_rho)
+    blocks = pair_blocks(mc_pairs)
+    e = np.empty(mc_pairs)
+    for block in blocks:
+        e[block] = eta_pairs(task, X[block], Xp[block])
+    q, q2 = np.empty(mc_pairs), np.empty(mc_pairs)
 
     rows = []
     for metric in metrics:
-        d = np.asarray(as_pair_fn(metric)(X, Xp), dtype=np.float64)
-        dl_pos = loss.eval(d) - l_pos_rho
-        dl_neg = loss.eval(-d) - l_neg_rho
-        q = e * dl_pos + (1.0 - e) * dl_neg
-        q2 = e * dl_pos**2 + (1.0 - e) * dl_neg**2
+        fn = as_pair_fn(metric)
+        for block in blocks:
+            eb, d = e[block], fn(X[block], Xp[block])
+            d_rho = hinge_metric_values(eb, "theorem")
+            dl_pos = loss.eval(d) - loss.eval(d_rho)
+            dl_neg = loss.eval(-d) - loss.eval(-d_rho)
+            q[block] = eb * dl_pos + (1.0 - eb) * dl_neg
+            q2[block] = eb * dl_pos**2 + (1.0 - eb) * dl_neg**2
         q_mean, q_se = _mean_se(q)
         q_sq, q2_se = _mean_se(q2)
         if q_mean < -3.0 * q_se:

@@ -295,14 +295,6 @@ def random_subnet(p: int, depth: int, width: int, rng: np.random.Generator,
     return ReluNetwork(layers, input_dim=p)
 
 
-def constant_subnet(p: int, value: float, depth: int = 1) -> ReluNetwork:
-    """Sub-network that outputs a constant regardless of the input."""
-    layers = [DenseLayer(np.zeros((1, p)), np.array([float(value)]))]
-    for _ in range(depth - 1):
-        layers.append(DenseLayer(np.array([[1.0]]), np.array([0.0])))
-    return ReluNetwork(layers, input_dim=p)
-
-
 def make_structured_net(p: int, m: int, depth: int, width: int, epsilon: float,
                         a: float, clamp: bool = True, seed: int = 0,
                         init_scale: float = 1.0,

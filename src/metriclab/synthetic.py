@@ -20,6 +20,9 @@ from .errors import ExecutionError, ParameterError
 from .relu_net import _unit_cube_batch
 
 _SIMPLEX_TOL = 1e-12
+# pairs per Monte Carlo block: past a few thousand pairs numpy's per-call
+# overhead is amortized, and each block's temporaries stay near 1 MB
+MC_BLOCK = 8192
 
 
 @dataclass
@@ -91,6 +94,12 @@ def eta_pairs(task: SyntheticTask, X, Xp) -> np.ndarray:
     return np.einsum("ij,ij->i", P, Pp)
 
 
+def pair_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most MC_BLOCK pairs covering range(n): the
+    blocks every Monte Carlo stream evaluates its pairs in."""
+    return [slice(lo, min(lo + MC_BLOCK, n)) for lo in range(0, n, MC_BLOCK)]
+
+
 def hinge_metric_values(etas: np.ndarray, convention: str = "theorem") -> np.ndarray:
     """sgn(1 - 2*eta) with the chosen convention at eta = 1/2.
 
@@ -106,15 +115,6 @@ def hinge_metric_values(etas: np.ndarray, convention: str = "theorem") -> np.nda
 
 def true_metric_hinge(task: SyntheticTask, x, xp, convention: str = "theorem") -> float:
     return float(hinge_metric_values(np.array([eta(task, x, xp)]), convention)[0])
-
-
-def true_metric_fn(task: SyntheticTask, convention: str = "theorem"):
-    """The true metric as a batched pair function, for risk evaluation."""
-
-    def metric(X, Xp):
-        return hinge_metric_values(eta_pairs(task, X, Xp), convention)
-
-    return metric
 
 
 def sample_dataset(task: SyntheticTask, n: int, seed: int | None = None):
@@ -259,15 +259,22 @@ def estimate_noise_exponent(task: SyntheticTask, mc_pairs: int, t_grid,
 
     The fit uses each distinct grid value once. A task whose margin mass
     never reaches the grid (all F(t) = 0) is reported with the hard-margin
-    sentinel theta = inf.
+    sentinel theta = inf. The pairs are drawn whole (16 p bytes each) and
+    counted one block of MC_BLOCK pairs at a time, so the stream holds no
+    other per-pair array.
     """
     t_grid = noise_t_grid(t_grid)
     check_noise_pairs(mc_pairs)
 
     rng = np.random.default_rng(seed) if seed is not None else task.rng(salt=1)
-    e = eta_pairs(task, sample_inputs(task, mc_pairs, rng), sample_inputs(task, mc_pairs, rng))
-    margins = np.sort(np.abs(e - 0.5))
-    F = np.searchsorted(margins, t_grid, side="right") / mc_pairs
+    X, Xp = sample_inputs(task, mc_pairs, rng), sample_inputs(task, mc_pairs, rng)
+    # counts[k] = #{t_grid[k-1] < |eta - 1/2| <= t_grid[k]}, exact integers
+    counts = np.zeros(t_grid.size + 1, dtype=np.int64)
+    for block in pair_blocks(mc_pairs):
+        margins = np.abs(eta_pairs(task, X[block], Xp[block]) - 0.5)
+        counts += np.bincount(np.searchsorted(t_grid, margins, side="left"),
+                              minlength=t_grid.size + 1)
+    F = np.cumsum(counts[:-1]) / mc_pairs
 
     usable = F > 0.0
     if not usable.any():
@@ -387,32 +394,6 @@ def two_value_model(p1_left: float = 0.9, p1_right: float = 0.1) -> ConditionalM
 
     return ConditionalModel(2, prob, r=1, sobolev_budget=1.0,
                             name=f"two_value({p1_left},{p1_right})")
-
-
-def constant_model(p_vec) -> ConditionalModel:
-    """Location-independent P_x; useful for exact-value checks."""
-    p_vec = np.asarray(p_vec, dtype=np.float64)
-    if np.any(p_vec < 0.0) or abs(float(p_vec.sum()) - 1.0) > _SIMPLEX_TOL:
-        raise ParameterError("constant model needs a simplex vector")
-
-    def prob(X):
-        return np.tile(p_vec, (X.shape[0], 1))
-
-    return ConditionalModel(max(2, p_vec.size), prob, r=1, sobolev_budget=1.0,
-                            name="constant")
-
-
-def atom_marginal(atoms, weights=None):
-    """Discrete marginal over fixed input atoms (rows of `atoms`)."""
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=np.float64))
-    if weights is None:
-        weights = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
-
-    def sampler(rng, n):
-        idx = rng.choice(atoms.shape[0], size=n, p=weights)
-        return atoms[idx]
-
-    return sampler
 
 
 MODEL_FAMILIES = {

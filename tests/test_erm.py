@@ -24,7 +24,9 @@ from metriclab.structured import (
     pair_forward,
     pair_values,
 )
-from metriclab.synthetic import SyntheticTask, atom_marginal, sample_dataset, two_value_model
+from metriclab.synthetic import SyntheticTask, sample_dataset, two_value_model
+
+from helpers import atom_marginal
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +265,34 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 20e6, peak
+
+    def test_all_pairs_epoch_holds_one_pair_array(self, hinge):
+        # the epoch's shuffle of the n(n-1)/2 pair positions (8 bytes each)
+        # is the only full-length array; the pairs' two row indices are
+        # made one batch at a time
+        n = 2048
+        rng = np.random.default_rng(1)
+        X = rng.random((n, 1))
+        y = (X[:, 0] > 0.5).astype(int)
+        net = make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2, a=0.1, seed=0)
+        cfg = TrainConfig(epochs=1, pair_batch=4096, lr_init=0.1, seed=0)
+        tracemalloc.start()
+        try:
+            train(net, (X, y), cfg, hinge)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * n * (n - 1) // 2, peak
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 1000])
+    def test_all_pairs_batches_follow_the_shuffled_triu_order(self, n):
+        cfg = TrainConfig(pair_batch=97)
+        iu, ju = np.triu_indices(n, k=1)
+        order = np.random.default_rng(5).permutation(iu.size)
+        batches = list(erm._epoch_batches(cfg, np.random.default_rng(5), n))
+        assert all(i.size <= 97 for i, _ in batches)
+        np.testing.assert_array_equal(np.concatenate([i for i, _ in batches]), iu[order])
+        np.testing.assert_array_equal(np.concatenate([j for _, j in batches]), ju[order])
 
     def test_rejects_a_row_outside_the_cube_that_no_batch_samples(self, hinge):
         X, y = toy_separable_data(n=40)

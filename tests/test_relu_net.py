@@ -10,12 +10,13 @@ from metriclab.relu_net import (
     DenseLayer,
     ReluNetwork,
     _forward_trace,
-    backward,
     complexity,
     forward,
     load_model,
     save_model,
 )
+
+from helpers import backward
 
 
 def single_layer(w, b):

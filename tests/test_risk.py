@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclab import gadgets, risk
 from metriclab.erm import TrainConfig
@@ -20,13 +23,17 @@ from metriclab.risk import (
 )
 from metriclab.structured import make_structured_net
 from metriclab.synthetic import (
+    MC_BLOCK,
     SyntheticTask,
-    atom_marginal,
-    constant_model,
+    estimate_noise_exponent,
+    eta_pairs,
+    hinge_metric_values,
     make_task,
-    true_metric_fn,
+    sample_inputs,
     two_value_model,
 )
+
+from helpers import atom_marginal, constant_model, true_metric_fn
 
 
 # make_structured_net's keywords besides p and seed; the sweep sizes depth
@@ -119,8 +126,6 @@ class TestVarianceExpectation:
         assert row.passed
 
     def test_random_nets_pass(self, linear_task):
-        from metriclab.synthetic import estimate_noise_exponent
-
         fit = estimate_noise_exponent(linear_task, 200_000,
                                       np.geomspace(0.02, 0.3, 8), seed=3)
         nets = [make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2,
@@ -145,6 +150,116 @@ class TestEstimatorConsistency:
         _, se2 = generalization_risk(net, linear_task, hinge, 80_000, seed=11)
         ratio = se2 / se1
         assert 0.7071 * 0.8 <= ratio <= 0.7071 * 1.2
+
+
+B = MC_BLOCK
+# stream lengths on and around the block edges; the noise fit needs 1e4 pairs
+EDGE_PAIRS = [100, B - 1, B, B + 1, 3 * B + 17]
+NOISE_EDGE_PAIRS = [2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 17]
+
+
+def _unblocked_draw(task, mc_pairs, seed):
+    """The whole stream at once: all of X, then all of Xp, from one generator."""
+    rng = np.random.default_rng(seed)
+    X, Xp = sample_inputs(task, mc_pairs, rng), sample_inputs(task, mc_pairs, rng)
+    return X, Xp, eta_pairs(task, X, Xp)
+
+
+def _unblocked_mean_se(vals):
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedStreams:
+    """Every Monte Carlo estimate runs one block of MC_BLOCK pairs at a time;
+    each must equal its unblocked computation on the same draws bit for bit."""
+
+    TASKS = [make_task("linear", seed=3), make_task("cosine", p=2, seed=1, A=0.07, k=1, r=1)]
+
+    @staticmethod
+    def _metric(task, which, seed):
+        if which == "net":
+            return make_structured_net(p=task.p, m=2, depth=2, width=4, epsilon=1e-2,
+                                       a=0.3, seed=seed, init_scale=2.0)
+        return lambda X, Xp: np.cos(3.0 * X[:, 0] + Xp[:, -1])  # values in [-1, 1]
+
+    @settings(max_examples=12, deadline=None)
+    @given(mc_pairs=st.sampled_from(EDGE_PAIRS), task_k=st.integers(0, 1),
+           which=st.sampled_from(["net", "fn"]), seed=st.integers(0, 2**32 - 1))
+    def test_risk_estimates_match_the_unblocked_stream(self, mc_pairs, task_k, which, seed):
+        task, hinge = self.TASKS[task_k], get_loss("hinge")
+        metric = self._metric(task, which, seed % 97)
+        X, Xp, e = _unblocked_draw(task, mc_pairs, seed)
+        d = np.asarray(risk.as_pair_fn(metric)(X, Xp), dtype=np.float64)
+
+        assert bayes_risk_hinge(task, mc_pairs, seed) == _unblocked_mean_se(
+            2.0 * np.minimum(e, 1.0 - e))
+        assert generalization_risk(metric, task, hinge, mc_pairs, seed) == _unblocked_mean_se(
+            e * hinge.eval(d) + (1.0 - e) * hinge.eval(-d))
+        assert excess_risk_identity(metric, task, mc_pairs, seed) == _unblocked_mean_se(
+            np.abs(2.0 * e - 1.0) * np.abs(d - np.sign(1.0 - 2.0 * e)))
+
+    @settings(max_examples=8, deadline=None)
+    @given(mc_pairs=st.sampled_from(EDGE_PAIRS), seed=st.integers(0, 2**32 - 1))
+    def test_variance_check_matches_the_unblocked_stream(self, mc_pairs, seed):
+        task, hinge = self.TASKS[0], get_loss("hinge")
+        metrics = [self._metric(task, "net", seed % 89), self._metric(task, "fn", 0)]
+        rep = variance_expectation_check(metrics, task, theta=0.6, c_theta=2.4,
+                                         mc_pairs=mc_pairs, seed=seed)
+        X, Xp, e = _unblocked_draw(task, mc_pairs, seed)
+        d_rho = hinge_metric_values(e, "theorem")
+        for metric, row in zip(metrics, rep.rows):
+            d = np.asarray(risk.as_pair_fn(metric)(X, Xp), dtype=np.float64)
+            dl_pos = hinge.eval(d) - hinge.eval(d_rho)
+            dl_neg = hinge.eval(-d) - hinge.eval(-d_rho)
+            assert (row.q_mean, row.q_mean_se) == _unblocked_mean_se(
+                e * dl_pos + (1.0 - e) * dl_neg)
+            assert (row.q_sq, row.q_sq_se) == _unblocked_mean_se(
+                e * dl_pos**2 + (1.0 - e) * dl_neg**2)
+
+    @settings(max_examples=8, deadline=None)
+    @given(mc_pairs=st.sampled_from(NOISE_EDGE_PAIRS), task_k=st.integers(0, 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_noise_fit_counts_match_the_sorted_margins(self, mc_pairs, task_k, seed):
+        task = self.TASKS[task_k]
+        t_grid = np.geomspace(0.001, 0.3, 9)
+        fit = estimate_noise_exponent(task, mc_pairs, t_grid, seed=seed)
+        _, _, e = _unblocked_draw(task, mc_pairs, seed)
+        margins = np.sort(np.abs(e - 0.5))
+        want = np.searchsorted(margins, t_grid, side="right") / mc_pairs
+        assert fit.f_values.tobytes() == want.tobytes()
+
+    def test_a_late_block_leaving_the_unit_ball_is_rejected(self, linear_task):
+        calls = []
+
+        def late_bad(X, Xp):
+            calls.append(X.shape[0])
+            return np.full(X.shape[0], 1.5 if len(calls) == 3 else 0.0)
+
+        with pytest.raises(ContractError):
+            excess_risk_identity(late_bad, linear_task, 3 * B + 17, seed=0)
+        assert calls == [B, B, B]
+
+    @pytest.mark.parametrize("estimate", ["noise_fit", "identity"])
+    def test_stream_memory_grows_by_at_most_32_bytes_per_pair(self, linear_task, estimate):
+        net = self._metric(linear_task, "net", 0)
+        grid = np.geomspace(0.02, 0.3, 8)
+        run = {
+            "noise_fit": lambda m: estimate_noise_exponent(linear_task, m, grid, seed=1),
+            "identity": lambda m: excess_risk_identity(net, linear_task, m, seed=1),
+        }[estimate]
+        small, large = 100_000, 400_000
+        per_pair = (_traced_peak(lambda: run(large)) - _traced_peak(lambda: run(small))) \
+            / (large - small)
+        assert per_pair <= 32.0, per_pair
 
 
 class TestBudgetRecipe:

@@ -24,7 +24,6 @@ from metriclab.relu_net import (
     ReluNetwork,
     _backprop,
     _forward_trace,
-    backward,
     complexity,
     forward,
 )
@@ -33,7 +32,6 @@ from metriclab.structured import (
     HypothesisBudget,
     StructuredMetricNet,
     aggregate_complexity,
-    constant_subnet,
     glue_constants,
     load_manifest,
     make_structured_net,
@@ -47,11 +45,12 @@ from metriclab import structured
 from metriclab.structured import _EVAL_BLOCK, _select_points
 from metriclab.synthetic import (
     SyntheticTask,
-    atom_marginal,
     eta_pairs,
     make_task,
     two_value_model,
 )
+
+from helpers import atom_marginal, backward, constant_subnet
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,7 @@ from metriclab.errors import DomainError, ExecutionError, ParameterError
 from metriclab.risk import bayes_risk_hinge
 from metriclab.synthetic import (
     SyntheticTask,
-    atom_marginal,
     conditional_probs,
-    constant_model,
     cosine_model,
     counterexample_model,
     estimate_noise_exponent,
@@ -24,6 +22,8 @@ from metriclab.synthetic import (
     true_metric_hinge,
     two_value_model,
 )
+
+from helpers import atom_marginal, constant_model
 
 
 def constant_task(p_vec, seed=0):
