@@ -44,11 +44,12 @@ from .structured import (
     make_structured_net,
     pdim_bound,
 )
-from .erm import TrainConfig, TrainReport, empirical_risk, train
+from .erm import TrainConfig, TrainReport, train
 from .risk import (
     RiskReport,
     SweepResult,
     bayes_risk_hinge,
+    empirical_risk,
     excess_risk_identity,
     generalization_risk,
     rate_sweep,

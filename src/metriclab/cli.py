@@ -35,7 +35,7 @@ from .losses import (
     get_loss,
 )
 from .relu_net import complexity
-from .risk import median_of_seeds, rate_sweep, risk_report
+from .risk import MC_PAIRS, NOISE_MC_PAIRS, median_of_seeds, rate_sweep, risk_report
 from .structured import aggregate_complexity, make_structured_net, pdim_bound, save_manifest
 from .synthetic import sample_dataset
 from .erm import train
@@ -119,8 +119,8 @@ def cmd_verify_gadgets(args) -> int:
 
     grid = np.linspace(-5.0, 5.0, 10_001)
     for a, fa in zip(a_list, signs):
-        expected = np.where(grid >= a, 1.0, np.where(grid <= -a, -1.0, grid / a))
-        err = float(np.max(np.abs(fa(grid) - expected)))
+        # the network against value_and_slope, the closed form pair evaluation uses
+        err = float(np.max(np.abs(fa(grid) - fa.value_and_slope(grid)[0])))
         comp = fa.complexity
         ok = err <= 1e-12
         if not ok:
@@ -290,7 +290,7 @@ def cmd_train_eval(args) -> int:
               ["epoch", "risk", "grad_norm", "active_fraction", "a"],
               list(report.rows()), comments)
 
-    rep = risk_report(trained, task, loss, config.eval.get("mc_pairs", 100_000), eval_seed)
+    rep = risk_report(trained, task, loss, config.eval.get("mc_pairs", MC_PAIRS), eval_seed)
     write_csv(os.path.join(args.out, "risk_report.csv"),
               ["risk", "risk_se", "bayes", "bayes_se", "excess_direct", "excess_direct_se",
                "excess_identity", "excess_identity_se", "mc_pairs", "seed"],
@@ -341,9 +341,9 @@ def cmd_rate_sweep(args) -> int:
         seeds=ev["seeds"],
         train_config=train_cfg,
         model=config.model_spec(task),
-        mc_pairs=ev.get("mc_pairs", 100_000),
+        mc_pairs=ev.get("mc_pairs", MC_PAIRS),
         noise_t_grid=np.asarray(ev["t_grid"], dtype=np.float64) if "t_grid" in ev else None,
-        noise_mc_pairs=ev.get("noise_mc_pairs", 200_000),
+        noise_mc_pairs=ev.get("noise_mc_pairs", NOISE_MC_PAIRS),
         jobs=args.jobs,
     )
 

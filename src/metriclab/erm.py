@@ -1,9 +1,9 @@
-"""Pairwise empirical risk and subgradient training of the sub-networks.
+"""Subgradient training of the sub-networks on the pairwise empirical risk.
 
 The empirical objective is the U-statistic
-    E_S(d) = 1/(n(n-1)) * sum_{i != j} loss(tau(y_i, y_j) * d(x_i, x_j)),
-computed exactly over unordered pairs (the metric and the reducing function
-are both symmetric, so each unordered pair carries both ordered terms).
+    E_S(d) = 1/(n(n-1)) * sum_{i != j} loss(tau(y_i, y_j) * d(x_i, x_j));
+the metric and the reducing function are both symmetric, so each unordered
+pair carries both ordered terms (risk.empirical_risk evaluates it).
 
 Training is plain subgradient descent on the sub-network parameters only;
 the product and sign gadgets stay fixed, except that an optional anneal
@@ -27,11 +27,10 @@ from .structured import (
     StructuredMetricNet,
     pair_backward,
     pair_forward,
-    pair_values,
+    pair_values,  # unused here; kept importable as bench/spans.py traces erm.pair_values
 )
 
 PAIR_STRATEGIES = ("all-pairs", "uniform-subsample")
-_CHUNK = 1 << 17
 
 
 @dataclass
@@ -76,47 +75,6 @@ class TrainReport:
             yield (e, self.risk[e], self.grad_norm[e], self.active_fraction[e], self.a_values[e])
 
 
-def _metric_values(metric, Xa, Xb):
-    if isinstance(metric, StructuredMetricNet):
-        return pair_values(metric, Xa, Xb)
-    return np.asarray(metric(Xa, Xb), dtype=np.float64)
-
-
-def empirical_risk(metric, data, loss: LossFunction, strategy: str = "all-pairs",
-                   seed: int = 0, num_pairs: int | None = None) -> float:
-    """U-statistic pair risk over ordered pairs i != j.
-
-    The metric may be a StructuredMetricNet or any batched pair function.
-    Both orderings of a pair contribute the same term (tau and the metric
-    are symmetric), so the exact average runs over unordered pairs; the
-    subsample strategy draws ordered pairs uniformly and is unbiased.
-    """
-    X, y = data
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    n = X.shape[0]
-    if n < 2:
-        raise ParameterError(f"pair risk needs n >= 2 samples, got {n}")
-    if strategy == "all-pairs":
-        # the pairs i < j, a range of rows i (at most _CHUNK pairs) at a
-        # time, so the n(n-1)/2 index pairs are never all held at once
-        rows = max(1, _CHUNK // n)
-        total = 0.0
-        for lo in range(0, n - 1, rows):
-            i, j = np.nonzero(np.arange(n) > np.arange(lo, min(lo + rows, n))[:, None])
-            i += lo
-            tau = np.where(y[i] == y[j], 1.0, -1.0)
-            total += float(loss.eval(tau * _metric_values(metric, X[i], X[j])).sum())
-        return total / (n * (n - 1) // 2)
-    if strategy == "uniform-subsample":
-        rng = np.random.default_rng(seed)
-        k = num_pairs if num_pairs is not None else min(n * (n - 1), 16384)
-        i, j = _sample_ordered_pairs(rng, n, k)
-        tau = np.where(y[i] == y[j], 1.0, -1.0)
-        return float(loss.eval(tau * _metric_values(metric, X[i], X[j])).mean())
-    raise ParameterError(f"unknown strategy {strategy!r}")
-
-
 def _sample_ordered_pairs(rng, n, k):
     i = rng.integers(n, size=k)
     j = rng.integers(n, size=k)
@@ -125,6 +83,15 @@ def _sample_ordered_pairs(rng, n, k):
         j[clash] = rng.integers(n, size=int(clash.sum()))
         clash = i == j
     return i, j
+
+
+def triu_pairs(n: int, k: np.ndarray):
+    """The pairs (i, j), i < j, at positions k of np.triu_indices(n, k=1)'s
+    row-major order."""
+    rows = np.arange(n - 1)
+    row_start = rows * (2 * n - rows - 1) // 2  # position of the pair (i, i + 1)
+    i = np.searchsorted(row_start, k, side="right") - 1
+    return i, k - row_start[i] + i + 1
 
 
 def _epoch_batches(config: TrainConfig, rng, n: int):
@@ -136,17 +103,12 @@ def _epoch_batches(config: TrainConfig, rng, n: int):
         for lo in range(0, k, config.pair_batch):
             yield i_stream[lo:lo + config.pair_batch], j_stream[lo:lo + config.pair_batch]
         return
-    # a shuffle of the positions of the unordered pairs i < j in
-    # np.triu_indices(n, k=1)'s row-major order, each batch mapped back to
-    # its pairs, so only the permutation is n(n-1)/2 long; unordered pairs
-    # carry both ordered terms of the U-statistic
-    rows = np.arange(n - 1)
-    row_start = rows * (2 * n - rows - 1) // 2  # position of the pair (i, i + 1)
+    # a shuffle of the positions of the unordered pairs, each batch mapped
+    # back to its pairs, so only the permutation is n(n-1)/2 long; unordered
+    # pairs carry both ordered terms of the U-statistic
     order = rng.permutation(n * (n - 1) // 2)
     for lo in range(0, order.size, config.pair_batch):
-        k = order[lo:lo + config.pair_batch]
-        i = np.searchsorted(row_start, k, side="right") - 1
-        yield i, k - row_start[i] + i + 1
+        yield triu_pairs(n, order[lo:lo + config.pair_batch])
 
 
 def train(net: StructuredMetricNet, data, config: TrainConfig,

@@ -58,12 +58,9 @@ class LossFunction:
                                     "by the secant slopes")
 
 
-def _hinge_analytic(eta: float, convention: str = "infimum") -> float:
-    if eta < 0.5:
-        return 1.0
-    if eta > 0.5:
-        return -1.0
-    return -1.0 if convention == "infimum" else 0.0
+def _hinge_analytic(eta: float) -> float:
+    """The infimum of the hinge argmin: -1 from eta = 1/2 on."""
+    return 1.0 if eta < 0.5 else -1.0
 
 
 def hinge_loss() -> LossFunction:
@@ -180,14 +177,12 @@ def tstar_oracle(loss: LossFunction, eta: float) -> float:
         lambda t: eta * loss.subgradient(t) - (1.0 - eta) * loss.subgradient(-t))
 
 
-def tstar_analytic(loss: LossFunction, eta: float, hinge_convention: str = "infimum"):
+def tstar_analytic(loss: LossFunction, eta: float):
     """Closed-form minimizer where one is registered; None otherwise."""
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"eta must lie in [0, 1], got {eta}")
     if loss.analytic_tstar is None:
         return None
-    if loss.name == "hinge":
-        return loss.analytic_tstar(eta, hinge_convention)
     return loss.analytic_tstar(eta)
 
 

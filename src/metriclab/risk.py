@@ -1,9 +1,10 @@
-"""Exact-distribution risk evaluation and the learning-curve sweep.
+"""Exact-distribution risk evaluation, the empirical pair risk and the
+learning-curve sweep.
 
 Labels are always integrated out analytically: the synthetic tasks expose
-eta(x, x') exactly, so every estimator below averages conditional
-expectations over input pairs only.  This changes no expected value and
-removes the label-sampling component of the Monte Carlo variance.
+eta(x, x') exactly, so every Monte Carlo estimator below averages
+conditional expectations over input pairs only.  This changes no expected
+value and removes the label-sampling component of the Monte Carlo variance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import structured
 from .errors import ContractError, ExecutionError, ParameterError
-from .erm import TrainConfig, train
+from .erm import TrainConfig, _sample_ordered_pairs, train, triu_pairs
 from .losses import LossFunction, hinge_loss
 from .structured import (
     HypothesisBudget,
@@ -40,6 +41,9 @@ from .synthetic import (
 )
 
 D_SUP_TOL = 1e-9
+# the default Monte Carlo stream lengths of a risk estimate and a noise fit
+MC_PAIRS = 100_000
+NOISE_MC_PAIRS = 200_000
 
 
 def as_pair_fn(metric):
@@ -55,40 +59,41 @@ def _mean_se(vals: np.ndarray) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
-def _draw_pairs(task: SyntheticTask, mc_pairs: int, seed):
-    rng = np.random.default_rng(seed)
-    return sample_inputs(task, mc_pairs, rng), sample_inputs(task, mc_pairs, rng)
-
-
 def check_mc_pairs(mc_pairs: int) -> None:
     """Raise ParameterError unless a risk estimate gets at least 100 pairs."""
     if mc_pairs < 100:
         raise ParameterError(f"mc_pairs must be >= 100, got {mc_pairs}")
 
 
-def _integrate(task: SyntheticTask, mc_pairs: int, seed, integrand) -> tuple[float, float]:
-    """Mean and standard error of an integrand over mc_pairs freshly drawn
-    input pairs, called as integrand(x, xp, eta) on one block of MC_BLOCK
-    pairs at a time.
+def _integrate(task: SyntheticTask, mc_pairs: int, seed, integrand) -> list[tuple[float, float]]:
+    """Mean and standard error of each array an integrand returns, over
+    mc_pairs freshly drawn input pairs. The integrand is called as
+    integrand(x, xp, eta) on one block of MC_BLOCK pairs at a time and
+    returns a tuple of block-length arrays; each array fills one
+    stream-long row.
 
-    Memory per pair: 16 p bytes for the drawn inputs plus 8 for the
-    integrand; every other temporary is one block long, or outlives the
-    inputs.
+    Memory per pair: 16 p bytes for the drawn inputs plus 8 per row; every
+    other temporary is one block long, or outlives the inputs.
     """
     check_mc_pairs(mc_pairs)
-    X, Xp = _draw_pairs(task, mc_pairs, seed)
-    vals = np.empty(mc_pairs)
+    rng = np.random.default_rng(seed)
+    X, Xp = sample_inputs(task, mc_pairs, rng), sample_inputs(task, mc_pairs, rng)
+    vals = None
     for block in pair_blocks(mc_pairs):
         x, xp = X[block], Xp[block]
-        vals[block] = integrand(x, xp, eta_pairs(task, x, xp))
+        parts = integrand(x, xp, eta_pairs(task, x, xp))
+        if vals is None:
+            vals = np.empty((len(parts), mc_pairs))
+        for row, part in zip(vals, parts):
+            row[block] = part
     del X, Xp, x, xp  # the standard error takes one more stream-long temporary
-    return _mean_se(vals)
+    return [_mean_se(row) for row in vals]
 
 
 def bayes_risk_hinge(task: SyntheticTask, mc_pairs: int, seed) -> tuple[float, float]:
     """Monte Carlo estimate of E[2 min(eta, 1 - eta)] with its standard error.
     Memory: 16 p + 8 bytes per pair, plus one block of MC_BLOCK pairs."""
-    return _integrate(task, mc_pairs, seed, lambda x, xp, e: 2.0 * np.minimum(e, 1.0 - e))
+    return _integrate(task, mc_pairs, seed, lambda x, xp, e: (2.0 * np.minimum(e, 1.0 - e),))[0]
 
 
 def generalization_risk(metric, task: SyntheticTask, loss: LossFunction,
@@ -100,9 +105,9 @@ def generalization_risk(metric, task: SyntheticTask, loss: LossFunction,
 
     def integrand(x, xp, e):
         d = fn(x, xp)
-        return e * loss.eval(d) + (1.0 - e) * loss.eval(-d)
+        return (e * loss.eval(d) + (1.0 - e) * loss.eval(-d),)
 
-    return _integrate(task, mc_pairs, seed, integrand)
+    return _integrate(task, mc_pairs, seed, integrand)[0]
 
 
 def excess_risk_identity(metric, task: SyntheticTask, mc_pairs: int, seed) -> tuple[float, float]:
@@ -119,9 +124,44 @@ def excess_risk_identity(metric, task: SyntheticTask, mc_pairs: int, seed) -> tu
         d = fn(x, xp)
         if np.max(np.abs(d)) > 1.0 + D_SUP_TOL:
             raise ContractError("excess-risk identity requires sup|d| <= 1")
-        return np.abs(2.0 * e - 1.0) * np.abs(d - np.sign(1.0 - 2.0 * e))
+        return (np.abs(2.0 * e - 1.0) * np.abs(d - np.sign(1.0 - 2.0 * e)),)
 
-    return _integrate(task, mc_pairs, seed, integrand)
+    return _integrate(task, mc_pairs, seed, integrand)[0]
+
+
+def empirical_risk(metric, data, loss: LossFunction, strategy: str = "all-pairs",
+                   seed: int = 0, num_pairs: int | None = None) -> float:
+    """The empirical U-statistic pair risk
+        E_S(d) = 1/(n(n-1)) * sum_{i != j} loss(tau(y_i, y_j) * d(x_i, x_j)).
+
+    The metric may be a StructuredMetricNet or any batched pair function.
+    Both orderings of a pair contribute the same term (tau and the metric
+    are symmetric), so the exact average runs over the n(n-1)/2 unordered
+    pairs, one block of MC_BLOCK of them at a time; the subsample strategy
+    draws ordered pairs uniformly and is unbiased.
+    """
+    fn = as_pair_fn(metric)
+    X, y = data
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    n = X.shape[0]
+    if n < 2:
+        raise ParameterError(f"pair risk needs n >= 2 samples, got {n}")
+    if strategy == "all-pairs":
+        total_pairs = n * (n - 1) // 2
+        total = 0.0
+        for block in pair_blocks(total_pairs):
+            i, j = triu_pairs(n, np.arange(block.start, block.stop))
+            tau = np.where(y[i] == y[j], 1.0, -1.0)
+            total += float(loss.eval(tau * fn(X[i], X[j])).sum())
+        return total / total_pairs
+    if strategy == "uniform-subsample":
+        rng = np.random.default_rng(seed)
+        k = num_pairs if num_pairs is not None else min(n * (n - 1), 16384)
+        i, j = _sample_ordered_pairs(rng, n, k)
+        tau = np.where(y[i] == y[j], 1.0, -1.0)
+        return float(loss.eval(tau * fn(X[i], X[j])).mean())
+    raise ParameterError(f"unknown strategy {strategy!r}")
 
 
 @dataclass
@@ -192,11 +232,10 @@ def variance_expectation_check(metrics, task: SyntheticTask, theta: float, c_the
     """Check E[q^2] <= M * E[q]^beta for the shifted hinge-loss class,
     with beta = theta/(theta+1) and M = 2^(3/(theta+1)) * c_theta^(1/(theta+1)).
 
-    All metrics share one stream of mc_pairs input pairs, evaluated one
-    block of MC_BLOCK pairs at a time. Memory per pair: 16 p bytes for the
-    drawn inputs, 8 for eta and 16 for the integrands q and q^2 (reused
-    from metric to metric), plus one block, and 8 more while a standard
-    error is taken.
+    Every metric is one integrand over the same seeded stream of mc_pairs
+    input pairs, evaluated one block of MC_BLOCK pairs at a time. Memory
+    per pair: 16 p bytes for the drawn inputs and 16 for q and q^2, plus
+    one block, and 8 more while a standard error is taken.
     """
     if theta <= 0.0 or c_theta <= 0.0:
         raise ParameterError("noise parameters must be positive")
@@ -204,25 +243,17 @@ def variance_expectation_check(metrics, task: SyntheticTask, theta: float, c_the
     beta = theta / (theta + 1.0)
     M = 2.0 ** (3.0 / (theta + 1.0)) * c_theta ** (1.0 / (theta + 1.0))
 
-    X, Xp = _draw_pairs(task, mc_pairs, seed)
-    blocks = pair_blocks(mc_pairs)
-    e = np.empty(mc_pairs)
-    for block in blocks:
-        e[block] = eta_pairs(task, X[block], Xp[block])
-    q, q2 = np.empty(mc_pairs), np.empty(mc_pairs)
-
     rows = []
     for metric in metrics:
         fn = as_pair_fn(metric)
-        for block in blocks:
-            eb, d = e[block], fn(X[block], Xp[block])
-            d_rho = hinge_metric_values(eb, "theorem")
+
+        def integrand(x, xp, e):
+            d, d_rho = fn(x, xp), hinge_metric_values(e)
             dl_pos = loss.eval(d) - loss.eval(d_rho)
             dl_neg = loss.eval(-d) - loss.eval(-d_rho)
-            q[block] = eb * dl_pos + (1.0 - eb) * dl_neg
-            q2[block] = eb * dl_pos**2 + (1.0 - eb) * dl_neg**2
-        q_mean, q_se = _mean_se(q)
-        q_sq, q2_se = _mean_se(q2)
+            return e * dl_pos + (1.0 - e) * dl_neg, e * dl_pos**2 + (1.0 - e) * dl_neg**2
+
+        (q_mean, q_se), (q_sq, q2_se) = _integrate(task, mc_pairs, seed, integrand)
         if q_mean < -3.0 * q_se:
             raise ContractError(
                 f"E[q] = {q_mean:.4g} negative beyond noise; d_rho must be optimal"
@@ -373,8 +404,8 @@ def sweep_seeds(seeds) -> list:
 
 
 def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig, model: dict,
-               mc_pairs: int = 100_000, theta: float | None = None, noise_t_grid=None,
-               noise_mc_pairs: int = 200_000, jobs: int = 1) -> SweepResult:
+               mc_pairs: int = MC_PAIRS, theta: float | None = None, noise_t_grid=None,
+               noise_mc_pairs: int = NOISE_MC_PAIRS, jobs: int = 1) -> SweepResult:
     """Train-and-evaluate ladder over sample sizes with a log-log slope fit.
 
     model holds make_structured_net's keywords besides p and seed; each n's

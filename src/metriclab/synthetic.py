@@ -96,25 +96,19 @@ def eta_pairs(task: SyntheticTask, X, Xp) -> np.ndarray:
 
 def pair_blocks(n: int) -> list[slice]:
     """Consecutive slices of at most MC_BLOCK pairs covering range(n): the
-    blocks every Monte Carlo stream evaluates its pairs in."""
+    blocks every Monte Carlo stream and the all-pairs empirical risk
+    evaluate their pairs in."""
     return [slice(lo, min(lo + MC_BLOCK, n)) for lo in range(0, n, MC_BLOCK)]
 
 
-def hinge_metric_values(etas: np.ndarray, convention: str = "theorem") -> np.ndarray:
-    """sgn(1 - 2*eta) with the chosen convention at eta = 1/2.
-
-    theorem form: sgn(0) := 0; infimum form: the smallest minimizer, -1.
-    """
-    etas = np.asarray(etas, dtype=np.float64)
-    if convention == "theorem":
-        return np.sign(1.0 - 2.0 * etas)
-    if convention == "infimum":
-        return np.where(etas >= 0.5, -1.0, 1.0)
-    raise ParameterError(f"unknown convention {convention!r}")
+def hinge_metric_values(etas: np.ndarray) -> np.ndarray:
+    """The hinge-loss true metric sgn(1 - 2*eta), in the theorem's form
+    sgn(0) = 0 at eta = 1/2."""
+    return np.sign(1.0 - 2.0 * np.asarray(etas, dtype=np.float64))
 
 
-def true_metric_hinge(task: SyntheticTask, x, xp, convention: str = "theorem") -> float:
-    return float(hinge_metric_values(np.array([eta(task, x, xp)]), convention)[0])
+def true_metric_hinge(task: SyntheticTask, x, xp) -> float:
+    return float(hinge_metric_values(np.array([eta(task, x, xp)]))[0])
 
 
 def sample_dataset(task: SyntheticTask, n: int, seed: int | None = None):

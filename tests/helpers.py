@@ -41,11 +41,11 @@ def atom_marginal(atoms, weights=None):
     return sampler
 
 
-def true_metric_fn(task, convention: str = "theorem"):
+def true_metric_fn(task):
     """The true metric as a batched pair function, for risk evaluation."""
 
     def metric(X, Xp):
-        return hinge_metric_values(eta_pairs(task, X, Xp), convention)
+        return hinge_metric_values(eta_pairs(task, X, Xp))
 
     return metric
 

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab import erm
-from metriclab.erm import (
-    TrainConfig,
-    empirical_risk,
-    train,
-)
+from metriclab import erm, synthetic
+from metriclab.erm import TrainConfig, train
 from metriclab.errors import DivergenceError, DomainError, InputShapeError, ParameterError
 from metriclab.gadgets import build_product_gadget, build_sign_approx
 from metriclab.losses import get_loss
 from metriclab.relu_net import DenseLayer, ReluNetwork
+from metriclab.risk import empirical_risk
 from metriclab.structured import (
     HypothesisBudget,
     StructuredMetricNet,
@@ -112,6 +109,11 @@ class TestEmpiricalRisk:
         with pytest.raises(ParameterError):
             empirical_risk(small_net(), (np.array([[0.5]]), np.array([0])), hinge)
 
+    def test_rejects_what_is_no_pair_metric(self, hinge):
+        X, y = np.array([[0.1], [0.9]]), np.array([0, 1])
+        with pytest.raises(ParameterError):
+            empirical_risk(object(), (X, y), hinge)
+
     @pytest.mark.parametrize("chunk", [1, 7, 40, 1 << 17])
     def test_row_chunks_cover_every_pair_once(self, hinge, monkeypatch, chunk):
         rng = np.random.default_rng(5)
@@ -121,7 +123,7 @@ class TestEmpiricalRisk:
         iu, ju = np.triu_indices(23, k=1)
         tau = np.where(y[iu] == y[ju], 1.0, -1.0)
         want = float(hinge.eval(tau * pair_values(net, X[iu], X[ju])).mean())
-        monkeypatch.setattr(erm, "_CHUNK", chunk)
+        monkeypatch.setattr(synthetic, "MC_BLOCK", chunk)
         assert empirical_risk(net, (X, y), hinge) == pytest.approx(want, rel=1e-12)
 
     def test_all_pairs_memory_does_not_grow_with_the_pair_count(self, hinge):

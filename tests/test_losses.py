@@ -140,8 +140,7 @@ class TestAnalytic:
         assert tstar_analytic(get_loss("exponential"), 1.0) == -math.inf
 
     def test_hinge_conventions(self, hinge):
-        assert tstar_analytic(hinge, 0.5, "theorem") == 0.0
-        assert tstar_analytic(hinge, 0.5, "infimum") == -1.0
+        assert tstar_analytic(hinge, 0.5) == -1.0
 
 
 class TestMonotone:

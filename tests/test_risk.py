@@ -142,6 +142,22 @@ class TestVarianceExpectation:
                                        mc_pairs=1000)
 
 
+@pytest.mark.parametrize("mc_pairs", [1, 99])
+@pytest.mark.parametrize("estimate", ["bayes", "risk", "identity", "variance"])
+def test_every_estimate_needs_100_pairs(hinge, linear_task, estimate, mc_pairs):
+    # one pair has no standard error, and a check on too few pairs passes on noise
+    d0 = lambda X, Xp: np.zeros(X.shape[0])
+    run = {
+        "bayes": lambda: bayes_risk_hinge(linear_task, mc_pairs, seed=0),
+        "risk": lambda: generalization_risk(d0, linear_task, hinge, mc_pairs, seed=0),
+        "identity": lambda: excess_risk_identity(d0, linear_task, mc_pairs, seed=0),
+        "variance": lambda: variance_expectation_check([d0], linear_task, theta=1.0,
+                                                       c_theta=1.0, mc_pairs=mc_pairs),
+    }[estimate]
+    with pytest.raises(ParameterError):
+        run()
+
+
 class TestEstimatorConsistency:
     def test_stderr_scaling(self, hinge, linear_task):
         net = make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2,
@@ -215,7 +231,7 @@ class TestBlockedStreams:
         rep = variance_expectation_check(metrics, task, theta=0.6, c_theta=2.4,
                                          mc_pairs=mc_pairs, seed=seed)
         X, Xp, e = _unblocked_draw(task, mc_pairs, seed)
-        d_rho = hinge_metric_values(e, "theorem")
+        d_rho = hinge_metric_values(e)
         for metric, row in zip(metrics, rep.rows):
             d = np.asarray(risk.as_pair_fn(metric)(X, Xp), dtype=np.float64)
             dl_pos = hinge.eval(d) - hinge.eval(d_rho)

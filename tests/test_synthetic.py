@@ -85,8 +85,7 @@ class TestTrueMetric:
         assert true_metric_hinge(task, [0.2], [0.2]) == 1.0   # eta = 11/25
 
     def test_conventions_at_half(self):
-        assert hinge_metric_values(np.array([0.5]), "theorem")[0] == 0.0
-        assert hinge_metric_values(np.array([0.5]), "infimum")[0] == -1.0
+        assert hinge_metric_values(np.array([0.5]))[0] == 0.0
 
     def test_self_distance_violation_regression(self):
         # the three-label model makes self-similarity non-minimal by design
