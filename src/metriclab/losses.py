@@ -8,7 +8,10 @@ Q(eta, .) is convex, so that infimum is the smallest t whose right
 derivative is >= 0; the oracle bisects for it over the exact-float lattice
 t = k * 2**-40.  The kinks of the piecewise-linear losses (+-1, b +- 1 for
 dyadic b) are lattice points, so flat argmin sets resolve exactly; strictly
-convex minimizers are found to within half a lattice step.
+convex minimizers are found to within half a lattice step.  The oracle
+solves a whole array of problems at once, each of its 48 steps one numpy
+call over all of them, and each check asks it one such batched question
+per quantity it compares.
 """
 
 from __future__ import annotations
@@ -90,13 +93,7 @@ def _log_ratio(eta: float) -> float:
 
 
 def _expit(t):
-    """The logistic sigmoid 1 / (1 + exp(-t)), overflow-safe and warning-free:
-    math.exp on scalars (the oracle's case), numpy on arrays."""
-    if np.ndim(t) == 0:
-        try:
-            return 1.0 / (1.0 + math.exp(-float(t)))
-        except OverflowError:
-            return 0.0
+    """The logistic sigmoid 1 / (1 + exp(-t)), overflow-safe and warning-free."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=np.float64)))
 
@@ -133,54 +130,78 @@ def get_loss(name: str) -> LossFunction:
     return LOSSES[name]()
 
 
-def q_value(loss: LossFunction, eta: float, t):
-    """Q(eta, t) = eta*l(t) + (1-eta)*l(-t)."""
-    if not 0.0 <= eta <= 1.0:
+def _check_eta(eta) -> np.ndarray:
+    eta = np.asarray(eta, dtype=np.float64)
+    if not np.all((0.0 <= eta) & (eta <= 1.0)):
         raise ParameterError(f"eta must lie in [0, 1], got {eta}")
+    return eta
+
+
+def q_value(loss: LossFunction, eta, t):
+    """Q(eta, t) = eta*l(t) + (1-eta)*l(-t), for eta and t broadcast together."""
+    _check_eta(eta)
     t = np.asarray(t, dtype=np.float64)
     return eta * loss.eval(t) + (1.0 - eta) * loss.eval(-t)
 
 
-def _grid_infimum_minimize(slope) -> float:
-    """Smallest lattice point t in T_RANGE with slope(t + LATTICE_STEP/2) >= 0.
+def _grid_infimum_minimize(slope, size: int) -> np.ndarray:
+    """For each of `size` problems, the smallest lattice point t in T_RANGE
+    with slope(t + LATTICE_STEP/2) >= 0; slope maps an array of one point per
+    problem to the problems' slopes there.
 
     Half a step to the right of a lattice point, the derivative of a convex
     objective is its right derivative there, when its kinks are lattice
-    points.  Raises RangeTooSmallError when the result is not inside T_RANGE.
+    points.  Where the result is not inside T_RANGE it is -inf (at or below
+    the lower bound) or +inf (beyond the upper bound).
     """
-    t_lo, t_hi = T_RANGE
-    lo = math.ceil(t_lo / LATTICE_STEP)
-    hi = math.floor(t_hi / LATTICE_STEP)
+    k_lo, k_hi = math.ceil(T_RANGE[0] / LATTICE_STEP), math.floor(T_RANGE[1] / LATTICE_STEP)
+    lo, hi = np.full(size, k_lo, dtype=np.int64), np.full(size, k_hi, dtype=np.int64)
 
-    def rising(k: int) -> bool:
-        return bool(slope((k + 0.5) * LATTICE_STEP) >= 0.0)
+    def rising(k):
+        return slope((k + 0.5) * LATTICE_STEP) >= 0.0
 
-    if rising(lo):
-        raise RangeTooSmallError(f"minimizer at or below the lower bound {t_lo}", side="lower")
-    if not rising(hi):
-        raise RangeTooSmallError(f"minimizer beyond the upper bound {t_hi}", side="upper")
-    # invariant: slope < 0 at lo, >= 0 at hi
-    while hi - lo > 1:
+    below, above = rising(lo), ~rising(hi)
+    # invariant where neither: slope < 0 at lo, >= 0 at hi.  A halving takes
+    # a gap of at most 2**j to at most 2**(j-1), so as many halvings as the
+    # first gap has bits bring every gap to 1, where a halving changes nothing.
+    for _ in range((k_hi - k_lo).bit_length()):
         mid = (lo + hi) // 2
-        if rising(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi * LATTICE_STEP
+        up = rising(mid)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return np.where(below, -np.inf, np.where(above, np.inf, hi * LATTICE_STEP))
+
+
+def _tstar(loss: LossFunction, eta, b=0.0) -> np.ndarray:
+    """Infimum of argmin_t eta*l(t - b) + (1 - eta)*l(b - t) for every entry
+    of eta and b broadcast together, in one batched solve; -inf/+inf where it
+    lies outside T_RANGE.  At b = 0 the slope is Q(eta, .)'s bit for bit."""
+    eta, b = np.broadcast_arrays(np.asarray(eta, dtype=np.float64),
+                                 np.asarray(b, dtype=np.float64))
+    e, s = eta.ravel(), b.ravel()
+    return _grid_infimum_minimize(
+        lambda t: e * loss.subgradient(t - s) - (1.0 - e) * loss.subgradient(s - t),
+        e.size).reshape(eta.shape)
+
+
+def _inside(t: np.ndarray) -> np.ndarray:
+    """t, once every entry lies inside T_RANGE; RangeTooSmallError otherwise."""
+    if np.any(t == -np.inf):
+        raise RangeTooSmallError(f"minimizer at or below the lower bound {T_RANGE[0]}",
+                                 side="lower")
+    if np.any(t == np.inf):
+        raise RangeTooSmallError(f"minimizer beyond the upper bound {T_RANGE[1]}", side="upper")
+    return t
 
 
 def tstar_oracle(loss: LossFunction, eta: float) -> float:
-    """Infimum of argmin_t Q(eta, t), located by bisection on its slope."""
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
-    return _grid_infimum_minimize(
-        lambda t: eta * loss.subgradient(t) - (1.0 - eta) * loss.subgradient(-t))
+    """Infimum of argmin_t Q(eta, t), located by bisection on its slope;
+    RangeTooSmallError, with its side, when it is not inside T_RANGE."""
+    return float(_inside(_tstar(loss, _check_eta(eta))))
 
 
 def tstar_analytic(loss: LossFunction, eta: float):
     """Closed-form minimizer where one is registered; None otherwise."""
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
+    _check_eta(eta)
     if loss.analytic_tstar is None:
         return None
     return loss.analytic_tstar(eta)
@@ -201,99 +222,93 @@ def check_monotone(loss: LossFunction, eta_grid) -> MinimizerProfile:
     eta_grid = np.asarray(eta_grid, dtype=np.float64)
     if np.any(np.diff(eta_grid) < 0.0):
         raise ParameterError("eta_grid must be sorted ascending")
-    tstars, qmins, analytic = [], [], []
-    for eta in eta_grid:
-        t = tstar_oracle(loss, float(eta))
-        tstars.append(t)
-        qmins.append(float(q_value(loss, float(eta), t)))
-        a = tstar_analytic(loss, float(eta))
-        analytic.append(np.nan if a is None else a)
-    tstars = np.array(tstars)
+    tstars = _inside(_tstar(loss, _check_eta(eta_grid)))
+    analytic = [np.nan if loss.analytic_tstar is None else loss.analytic_tstar(eta)
+                for eta in eta_grid.tolist()]
     rises = np.nonzero(np.diff(tstars) > ORACLE_SLACK)[0]
     if rises.size:
         raise PropertyViolation(
             f"t* increases for loss {loss.name} at eta indices {rises.tolist()}"
         )
-    return MinimizerProfile(eta_grid, tstars, np.array(qmins), np.array(analytic), loss.name)
+    return MinimizerProfile(eta_grid, tstars, q_value(loss, eta_grid, tstars), np.array(analytic),
+                            loss.name)
 
 
 def _check_simplex(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 2:
-        raise ParameterError(f"{what} must be a probability vector")
-    if np.any(v < -1e-12) or abs(float(v.sum()) - 1.0) > 1e-9:
+    if v.ndim not in (1, 2) or v.shape[-1] < 2:
+        raise ParameterError(f"{what} must be a probability vector or a stack of them")
+    if np.any(v < -1e-12) or np.any(np.abs(v.sum(axis=-1) - 1.0) > 1e-9):
         raise ParameterError(f"{what} is not on the probability simplex")
     return v
 
 
 @dataclass
 class SelfDistanceReport:
-    eta_cross: float
-    eta_self_x: float
-    eta_self_xp: float
-    d_cross: float
-    d_self_x: float
-    d_self_xp: float
-    precondition_holds: bool
-    conclusion_holds: bool
+    """One entry per pair checked (scalars for a single pair)."""
+
+    eta_cross: np.ndarray
+    eta_self_x: np.ndarray
+    eta_self_xp: np.ndarray
+    d_cross: np.ndarray
+    d_self_x: np.ndarray
+    d_self_xp: np.ndarray
+    precondition_holds: np.ndarray
+    conclusion_holds: np.ndarray
 
     @property
-    def is_counterexample(self) -> bool:
-        return self.precondition_holds and not self.conclusion_holds
-
-
-def _tstar_or_sentinel(loss: LossFunction, eta: float) -> float:
-    """t*(eta), with argmin sets beyond T_RANGE mapped to signed infinity."""
-    try:
-        return tstar_oracle(loss, eta)
-    except RangeTooSmallError as err:
-        return -math.inf if err.side == "lower" else math.inf
+    def is_counterexample(self) -> np.ndarray:
+        return self.precondition_holds & ~self.conclusion_holds
 
 
 def check_self_distance(loss: LossFunction, p_x, p_xp) -> SelfDistanceReport:
-    """Test whether self-distances stay below the cross distance.
+    """Test whether self-distances stay below the cross distance, for one
+    pair of label vectors or for two stacks of them (row i with row i).
 
     The guarantee only applies when eta(x,x') <= min(eta(x,x), eta(x',x'));
     outside that precondition the report records whether the conclusion
     fails too (counterexample detection).  Deterministic label vectors give
     eta = 1, whose infimum minimizer is -inf; the sentinel keeps the
-    comparisons meaningful.
+    comparisons meaningful.  All three etas of every pair are one solve.
     """
     p_x = _check_simplex(p_x, "P_x")
     p_xp = _check_simplex(p_xp, "P_x'")
-    eta_cross = float(p_x @ p_xp)
-    eta_x = float(p_x @ p_x)
-    eta_xp = float(p_xp @ p_xp)
-    d_cross = _tstar_or_sentinel(loss, eta_cross)
-    d_x = _tstar_or_sentinel(loss, eta_x)
-    d_xp = _tstar_or_sentinel(loss, eta_xp)
-    pre = eta_cross <= min(eta_x, eta_xp) + 1e-12
-    concl = max(d_x, d_xp) <= d_cross + ORACLE_SLACK
+    if p_x.shape != p_xp.shape:
+        raise ParameterError(f"P_x and P_x' differ in shape: {p_x.shape} vs {p_xp.shape}")
+
+    def dot(u, v):  # row by row through `@`, rounded as a single pair's dot product
+        return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+    etas = np.stack([dot(p_x, p_xp), dot(p_x, p_x), dot(p_xp, p_xp)])
+    eta_cross, eta_x, eta_xp = etas
+    d_cross, d_x, d_xp = _tstar(loss, etas)
+    pre = eta_cross <= np.minimum(eta_x, eta_xp) + 1e-12
+    concl = np.maximum(d_x, d_xp) <= d_cross + ORACLE_SLACK
     return SelfDistanceReport(eta_cross, eta_x, eta_xp, d_cross, d_x, d_xp, pre, concl)
 
 
 @dataclass
 class BiasShiftReport:
-    eta: float
-    b: float
-    shifted_tstar: float
-    expected: float
-    deviation: float
-    passed: bool
+    """One entry per (eta, b) checked, in their broadcast shape."""
+
+    eta: np.ndarray
+    b: np.ndarray
+    shifted_tstar: np.ndarray
+    expected: np.ndarray
+    deviation: np.ndarray
+    passed: np.ndarray
 
 
-def check_bias_shift(loss: LossFunction, eta: float, b: float) -> BiasShiftReport:
+def check_bias_shift(loss: LossFunction, eta, b) -> BiasShiftReport:
     """Verify argmin_t eta*l(t-b) + (1-eta)*l(b-t) = b + t*(eta) to within
-    ORACLE_SLACK."""
-    if not 0.0 < eta < 1.0:
+    ORACLE_SLACK, for every entry of eta and b broadcast together."""
+    eta, b = np.broadcast_arrays(np.asarray(eta, dtype=np.float64),
+                                 np.asarray(b, dtype=np.float64))
+    if not np.all((0.0 < eta) & (eta < 1.0)):
         raise ParameterError(f"eta must lie in (0, 1), got {eta}")
-
-    def shifted_slope(t):
-        return eta * loss.subgradient(t - b) - (1.0 - eta) * loss.subgradient(b - t)
-
-    got = _grid_infimum_minimize(shifted_slope)
-    expected = b + tstar_oracle(loss, eta)
-    dev = abs(got - expected)
+    got = _inside(_tstar(loss, eta, b))
+    expected = b + _inside(_tstar(loss, eta))
+    dev = np.abs(got - expected)
     return BiasShiftReport(eta, b, got, expected, dev, dev <= ORACLE_SLACK)
 
 
@@ -303,4 +318,4 @@ def continuous_label_degeneracy(loss: LossFunction) -> float:
     Equals the infimum of argmin_t l(-t); +inf when that argmin is empty
     (strictly decreasing l(-t), e.g. the exponential loss).
     """
-    return _tstar_or_sentinel(loss, 0.0)
+    return float(_tstar(loss, 0.0))

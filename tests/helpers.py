@@ -1,14 +1,17 @@
 """Fixtures the tests build their exact cases from; the program never calls
 them: constant label laws and sub-networks, atom marginals, the true metric
-as a pair function, and reverse-mode gradients of a whole ReLU network."""
+as a pair function, reverse-mode gradients of a whole ReLU network, and a
+one-problem-at-a-time reference for the batched t* oracle."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from metriclab.errors import InputShapeError, ParameterError
+from metriclab.errors import InputShapeError, ParameterError, RangeTooSmallError
+from metriclab.losses import LATTICE_STEP, T_RANGE
 from metriclab.relu_net import DenseLayer, ReluNetwork, _as_batch, _backprop, _forward_trace
 from metriclab.synthetic import ConditionalModel, eta_pairs, hinge_metric_values
 
@@ -80,3 +83,29 @@ def backward(net: ReluNetwork, x, upstream) -> GradientRecord:
     acts = _forward_trace(net, xb.T)
     wgrads, bgrads, ginput = _backprop(net, acts, ub.T)
     return GradientRecord(wgrads, bgrads, ginput[:, 0] if squeeze else ginput.T)
+
+
+def scalar_grid_infimum_minimize(slope) -> float:
+    """Smallest lattice point t in T_RANGE with slope(t + LATTICE_STEP/2) >= 0,
+    for one problem, by a bisection that stops at gap 1; slope takes and
+    returns scalars.  Raises RangeTooSmallError when the result is not
+    inside T_RANGE."""
+    t_lo, t_hi = T_RANGE
+    lo = math.ceil(t_lo / LATTICE_STEP)
+    hi = math.floor(t_hi / LATTICE_STEP)
+
+    def rising(k: int) -> bool:
+        return bool(slope((k + 0.5) * LATTICE_STEP) >= 0.0)
+
+    if rising(lo):
+        raise RangeTooSmallError(f"minimizer at or below the lower bound {t_lo}", side="lower")
+    if not rising(hi):
+        raise RangeTooSmallError(f"minimizer beyond the upper bound {t_hi}", side="upper")
+    # invariant: slope < 0 at lo, >= 0 at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rising(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi * LATTICE_STEP

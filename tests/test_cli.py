@@ -120,6 +120,36 @@ class TestMetricLab:
         code = main(["metric-lab", "--losses", "perceptron", "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
 
+    def test_repeated_loss_rejected_before_any_output(self, tmp_path, capsys):
+        code = main(["metric-lab", "--losses", "hinge", "hinge", "--out", str(tmp_path / "lab")])
+        assert code == EXIT_VALIDATION
+        assert "--losses" in capsys.readouterr().err
+        assert not (tmp_path / "lab").exists()
+
+    @pytest.mark.parametrize("losses", [[], ["hinge"], ["logistic", "exponential"]])
+    def test_oracle_solves_do_not_grow_with_the_grid_or_the_pairs(self, tmp_path, capsys,
+                                                                   monkeypatch, losses):
+        # each check asks the t* oracle one batched question: a profile, two for
+        # the bias shift and one degeneracy per loss, the counterexample and the sweep
+        from metriclab import losses as losses_module
+
+        oracle = losses_module._grid_infimum_minimize
+        solves = []
+
+        def counted(slope, size):
+            solves.append(size)
+            return oracle(slope, size)
+
+        monkeypatch.setattr(losses_module, "_grid_infimum_minimize", counted)
+        counts = []
+        for eta_points, pairs in (("11", "20"), ("41", "200")):
+            solves.clear()
+            code = main(["metric-lab", "--losses", *losses, "--eta-points", eta_points,
+                         "--pairs", pairs, "--out", str(tmp_path / f"lab{eta_points}")])
+            assert code == EXIT_OK
+            counts.append(len(solves))
+        assert counts[0] == counts[1] <= 4 * len(losses or losses_module.LOSSES) + 2
+
     @pytest.mark.parametrize("flag,value", [("--eta-points", "0"), ("--pairs", "-1")])
     def test_out_of_range_counts_rejected(self, tmp_path, capsys, flag, value):
         code = main(["metric-lab", flag, value, "--out", str(tmp_path / "lab")])

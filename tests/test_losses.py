@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriclab import losses
 from metriclab.errors import ParameterError, PropertyViolation, RangeTooSmallError
 from metriclab.losses import (
     LOSSES,
@@ -19,6 +20,8 @@ from metriclab.losses import (
     tstar_analytic,
     tstar_oracle,
 )
+
+from helpers import scalar_grid_infimum_minimize
 
 ETA_SWEEP = np.round(np.arange(0.05, 0.951, 0.05), 10)
 # keeps every analytic t* well inside T_RANGE (logistic: |log(1/eta - 1)| < 14)
@@ -47,6 +50,16 @@ class TestQValue:
     def test_eta_domain(self, hinge):
         with pytest.raises(ParameterError):
             q_value(hinge, 1.2, 0.0)
+        with pytest.raises(ParameterError):
+            q_value(hinge, [0.3, 1.2], [0.0, 0.0])
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_arrays_match_one_eta_at_a_time(self, name):
+        loss = get_loss(name)
+        etas = np.linspace(0.0, 1.0, 13)
+        ts = np.linspace(-3.0, 3.0, 13)
+        want = [float(q_value(loss, float(e), float(t))) for e, t in zip(etas, ts)]
+        assert q_value(loss, etas, ts).tolist() == want
 
     def test_symmetric_eta_same_problem(self, hinge):
         # eta built from (x, x') equals eta from (x', x): identical objectives
@@ -129,6 +142,40 @@ class TestOracleProperties:
         assert check_bias_shift(get_loss(name), eta, b).deviation <= 1e-9
 
 
+class TestBatchedOracle:
+    """One batched bisection against the one-problem reference, entry by entry."""
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    @settings(max_examples=40, deadline=None)
+    @given(problems=st.lists(
+        st.tuples(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                  st.integers(-24, 24).map(lambda k: k / 8.0)),
+        min_size=1, max_size=40))
+    def test_matches_the_scalar_reference_bit_for_bit(self, name, problems):
+        loss = get_loss(name)
+        etas, shifts = (np.array(v) for v in zip(*problems))
+        got = losses._tstar(loss, etas, shifts)
+        assert got.shape == etas.shape
+        for t, (eta, b) in zip(got, problems):
+            try:
+                want = scalar_grid_infimum_minimize(
+                    lambda u: eta * loss.subgradient(u - b) - (1.0 - eta) * loss.subgradient(b - u))
+            except RangeTooSmallError as err:
+                want = -math.inf if err.side == "lower" else math.inf
+            assert t == want, (eta, b)
+
+    def test_an_empty_batch_solves_nothing(self, hinge):
+        assert losses._tstar(hinge, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_unshifted_slope_is_the_shifted_one_at_zero(self, name):
+        loss = get_loss(name)
+        etas = np.linspace(0.01, 0.99, 23)
+        want = [scalar_grid_infimum_minimize(
+            lambda t: e * loss.subgradient(t) - (1.0 - e) * loss.subgradient(-t)) for e in etas]
+        assert losses._tstar(loss, etas).tolist() == want
+
+
 class TestAnalytic:
     def test_symmetry_at_half(self):
         assert tstar_analytic(get_loss("modified_least_squares"), 0.5) == pytest.approx(0.0)
@@ -185,11 +232,23 @@ class TestSelfDistance:
         assert rep.d_self_x == rep.d_cross
 
     def test_random_sweep_no_violations(self, hinge):
-        rng = np.random.default_rng(5)
-        for _ in range(150):
-            rep = check_self_distance(hinge, rng.dirichlet(np.ones(3)),
-                                      rng.dirichlet(np.ones(3)))
-            assert not rep.is_counterexample
+        draws = np.random.default_rng(5).dirichlet(np.ones(3), size=(150, 2))
+        rep = check_self_distance(hinge, draws[:, 0], draws[:, 1])
+        assert rep.is_counterexample.shape == (150,)
+        assert not rep.is_counterexample.any()
+
+    def test_a_stack_matches_pair_by_pair(self, hinge):
+        draws = np.random.default_rng(3).dirichlet(np.ones(3), size=(60, 2))
+        draws[7] = [[0.6, 0.2, 0.2], [1.0, 0.0, 0.0]]  # the counterexample, with eta = 1
+        stacked = check_self_distance(hinge, draws[:, 0], draws[:, 1])
+        for i, (p_x, p_xp) in enumerate(draws):
+            one = check_self_distance(hinge, p_x, p_xp)
+            for field, value in vars(one).items():
+                assert getattr(stacked, field)[i] == value, (i, field)
+
+    def test_stacks_of_different_shapes_rejected(self, hinge):
+        with pytest.raises(ParameterError, match="shape"):
+            check_self_distance(hinge, [[0.5, 0.5], [1.0, 0.0]], [0.5, 0.5])
 
     def test_non_simplex_rejected(self, hinge):
         with pytest.raises(ParameterError):
@@ -210,6 +269,23 @@ class TestBiasShift:
         rep = check_bias_shift(get_loss("modified_least_squares"), 0.25, 1.0)
         assert rep.shifted_tstar == pytest.approx(1.5, abs=ORACLE_SLACK)
         assert rep.passed
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_broadcast_matches_one_at_a_time(self, name):
+        loss = get_loss(name)
+        etas = np.round(np.arange(0.1, 0.91, 0.1), 10)
+        shifts = np.array([[-1.25], [0.5], [1.0]])
+        rep = check_bias_shift(loss, etas, shifts)
+        assert rep.deviation.shape == (3, 9) and rep.passed.all()
+        for i, b in enumerate(shifts[:, 0]):
+            for j, e in enumerate(etas):
+                one = check_bias_shift(loss, e, b)
+                for field, value in vars(one).items():
+                    assert getattr(rep, field)[i, j] == value, (b, e, field)
+
+    def test_eta_outside_the_open_interval_rejected(self, hinge):
+        with pytest.raises(ParameterError):
+            check_bias_shift(hinge, [0.3, 1.0], 0.5)
 
 
 class TestDegeneracy:

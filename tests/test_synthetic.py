@@ -166,6 +166,20 @@ class TestNoiseExponent:
         assert abs(fit.theta_hat - 1.0) <= 0.15
         assert fit.r_squared > 0.99
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_linear_task_matches_its_closed_form(self, seed):
+        # x, x' uniform with p1(x) = x: |eta - 1/2| = |2x - 1| |2x' - 1| / 2, a
+        # product of two uniforms on [0, 1] over 2, so F(t) = 2t (1 - ln 2t)
+        t_grid = np.array([0.02, 0.035, 0.06, 0.1, 0.17, 0.3])
+        mc_pairs = 1_000_000
+        exact = 2.0 * t_grid * (1.0 - np.log(2.0 * t_grid))
+        exact_slope = loglog_fit(t_grid, exact).slope
+        assert exact_slope == pytest.approx(0.62682, abs=5e-6)
+        fit = estimate_noise_exponent(make_task("linear", seed=0), mc_pairs, t_grid, seed=seed)
+        binomial_se = np.sqrt(exact * (1.0 - exact) / mc_pairs)
+        assert np.all(np.abs(fit.f_values - exact) <= 4.0 * binomial_se)
+        assert abs(fit.theta_hat - exact_slope) <= 0.005
+
     def test_doubling_stability(self):
         task = make_task("three_label_ramp", seed=2)
         grid = np.geomspace(0.003, 0.02, 8)
