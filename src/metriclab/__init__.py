@@ -25,7 +25,9 @@ from .losses import (
     continuous_label_degeneracy,
     get_loss,
     q_value,
+    self_distance_etas,
     tstar_analytic,
+    tstar_batch,
     tstar_oracle,
 )
 from .synthetic import (

@@ -1,7 +1,7 @@
 """Experiment driver CLI.
 
-Subcommands: verify-gadgets, metric-lab, gen-data, train-eval, rate-sweep,
-report.  Every run is deterministic under a fixed config + seed; all CSV
+Subcommands: verify-gadgets, metric-lab, gen-data, train-eval, rate-sweep.
+Every run is deterministic under a fixed config + seed; all CSV
 outputs carry a provenance comment (version, config hash, effective seed)
 and a header row.  Wall-clock timings go to a separate timings.csv, which
 is the one file excluded from the byte-identity contract.
@@ -33,9 +33,10 @@ from .losses import (
     check_self_distance,
     continuous_label_degeneracy,
     get_loss,
+    self_distance_etas,
+    tstar_batch,
 )
-from .relu_net import complexity
-from .risk import MC_PAIRS, NOISE_MC_PAIRS, median_of_seeds, rate_sweep, risk_report
+from .risk import MC_PAIRS, NOISE_MC_PAIRS, rate_sweep, risk_report
 from .structured import aggregate_complexity, make_structured_net, pdim_bound, save_manifest
 from .synthetic import sample_dataset
 from .erm import train
@@ -44,6 +45,9 @@ EXIT_OK, EXIT_VALIDATION, EXIT_PROPERTY, EXIT_RUNTIME = 0, 2, 3, 4
 
 ETA_SWEEP = np.round(np.arange(0.05, 0.951, 0.05), 10)
 ORACLE_TOL = 2e-6
+# the bias-shift check: every eta in {0.1, ..., 0.9} under each shift b in {0.5, 1}
+BIAS_ETAS = np.round(np.arange(0.1, 0.91, 0.1), 10)
+BIAS_SHIFTS = np.array([[0.5], [1.0]])
 
 
 def _fmt(v) -> str:
@@ -151,6 +155,17 @@ def _lab_check(summary, name, ok, detail="") -> None:
     print(line)
 
 
+def _ask_once(loss, questions: dict) -> dict:
+    """Answer every (eta, b) question about one loss with one batched t*
+    solve; each answer keeps its question's broadcast shape."""
+    asked = [np.broadcast_arrays(np.asarray(eta, dtype=np.float64),
+                                 np.asarray(b, dtype=np.float64)) for eta, b in questions.values()]
+    flat = tstar_batch(loss, *(np.concatenate([q[i].ravel() for q in asked]) for i in (0, 1)))
+    ends = np.cumsum([eta.size for eta, _ in asked], dtype=int)
+    return {key: flat[end - eta.size:end].reshape(eta.shape)
+            for key, end, (eta, _) in zip(questions, ends, asked)}
+
+
 def cmd_metric_lab(args) -> int:
     loss_names = args.losses or sorted(LOSSES)
     for name in loss_names:
@@ -165,13 +180,27 @@ def cmd_metric_lab(args) -> int:
     comments = _provenance(args.seed, extra=f"args_digest={_args_digest(loss_names, args.eta_points)}")
     # rounded so the midpoint is exactly 1/2 (hinge's convention point)
     eta_grid = np.round(np.linspace(0.005, 0.995, args.eta_points), 12)
-    summary = []
+    cx_etas = self_distance_etas([0.6, 0.2, 0.2], [1.0, 0.0, 0.0])
+    # row i holds pair i's P_x then P_x', in the order one draw at a time gives
+    draws = np.random.default_rng(args.seed).dirichlet(np.ones(3), size=(args.pairs, 2))
+    sweep_etas = self_distance_etas(draws[:, 0], draws[:, 1])
 
+    # one batched solve per loss answers every check's questions; the
+    # self-distance checks ask the hinge whether or not --losses names it
+    tstar = {}
+    for name in dict.fromkeys([*loss_names, "hinge"]):
+        questions = {"profile": (eta_grid, 0), "shifted": (BIAS_ETAS, BIAS_SHIFTS),
+                     "base": (BIAS_ETAS, 0), "degenerate": (0, 0)} if name in loss_names else {}
+        if name == "hinge":
+            questions.update(counterexample=(cx_etas, 0), sweep=(sweep_etas, 0))
+        tstar[name] = _ask_once(get_loss(name), questions)
+
+    summary = []
     for name in loss_names:
         loss = get_loss(name)
         loss.validate()
         try:
-            profile = check_monotone(loss, eta_grid)
+            profile = check_monotone(loss, eta_grid, tstar[name]["profile"])
             _lab_check(summary, f"monotonicity {name}", True)
         except PropertyViolation as err:
             _lab_check(summary, f"monotonicity {name}", False, str(err))
@@ -196,14 +225,11 @@ def cmd_metric_lab(args) -> int:
             _lab_check(summary, "hinge_bayes_value", dev <= 1e-9, f"(max dev {dev:.2e})")
 
     for name in loss_names:
-        # every eta in {0.1, ..., 0.9} under each shift b in {0.5, 1}
-        rep = check_bias_shift(get_loss(name), np.round(np.arange(0.1, 0.91, 0.1), 10),
-                               [[0.5], [1.0]])
+        rep = check_bias_shift(BIAS_ETAS, BIAS_SHIFTS, tstar[name]["shifted"], tstar[name]["base"])
         dev = float(np.max(rep.deviation))
         _lab_check(summary, f"bias_shift {name}", dev <= ORACLE_TOL, f"(max dev {dev:.2e})")
 
-    hinge = get_loss("hinge")
-    cx = check_self_distance(hinge, [0.6, 0.2, 0.2], [1.0, 0.0, 0.0])
+    cx = check_self_distance(cx_etas, tstar["hinge"]["counterexample"])
     ok = (abs(cx.eta_self_x - 0.44) < 1e-12 and abs(cx.eta_cross - 0.6) < 1e-12
           and cx.d_self_x == 1.0 and cx.d_cross == -1.0
           and not cx.precondition_holds and not cx.conclusion_holds)
@@ -211,15 +237,13 @@ def cmd_metric_lab(args) -> int:
                f"(eta_self={cx.eta_self_x:.4g} eta_cross={cx.eta_cross:.4g} "
                f"d_self={cx.d_self_x:g} d_cross={cx.d_cross:g})")
 
-    # row i holds pair i's P_x then P_x', in the order one draw at a time gives
-    draws = np.random.default_rng(args.seed).dirichlet(np.ones(3), size=(args.pairs, 2))
-    rep = check_self_distance(hinge, draws[:, 0], draws[:, 1])
+    rep = check_self_distance(sweep_etas, tstar["hinge"]["sweep"])
     held = int(np.sum(rep.precondition_holds))
     violations = int(np.sum(rep.is_counterexample))
     _lab_check(summary, "self_distance_random_sweep", violations == 0,
                f"(precondition held {held}/{args.pairs}, violations {violations})")
 
-    degen = {name: continuous_label_degeneracy(get_loss(name)) for name in loss_names}
+    degen = {name: continuous_label_degeneracy(tstar[name]["degenerate"]) for name in loss_names}
     ok = all(degen[n] == 1.0 for n in ("hinge", "modified_least_squares") if n in degen) \
         and all(math.isinf(degen[n]) for n in ("exponential", "logistic") if n in degen)
     _lab_check(summary, "continuous_label_degeneracy", ok,
@@ -368,45 +392,6 @@ def cmd_rate_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    rows_path = os.path.join(args.dir, "sweep_rows.csv")
-    fit_path = os.path.join(args.dir, "sweep_fit.csv")
-    for path in (rows_path, fit_path):
-        if not os.path.exists(path):
-            raise ValidationFailure(f"missing {path}; run rate-sweep first")
-
-    def read_csv(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(line for line in fh if not line.startswith("#"))]
-        header, data = rows[0], rows[1:]
-        return [dict(zip(header, row)) for row in data]
-
-    by_n, path = {}, rows_path
-    try:
-        for r in read_csv(path):
-            n = int(r["n"])
-            if n < 1:
-                raise ValueError(f"sample size n = {n}")
-            if r["diverged"] == "False":
-                by_n.setdefault(n, []).append(float(r["excess"]))
-        if not by_n:
-            raise ValueError("no row that did not diverge")
-        path = fit_path
-        fit = read_csv(path)[0]
-        line = [float(fit[key]) for key in ("slope", "intercept", "ref_exponent")]
-    except (OSError, IndexError, KeyError, ValueError) as err:
-        raise ValidationFailure(f"cannot use {path}: {err!r}") from err
-    n_values = sorted(by_n)
-    medians = [max(median_of_seeds(by_n[n]), 1e-12) for n in n_values]
-    out_path = os.path.join(args.dir, "plot_data.csv")
-    write_csv(out_path,
-              ["log10_n", "log10_median_excess", "fit_line", "reference_line"],
-              _plot_rows(n_values, medians, *line),
-              _provenance(args.seed, extra="source=report"))
-    print(f"wrote {out_path} ({len(n_values)} sample sizes)")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 
 def _seed(text: str) -> int:
@@ -456,11 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_jobs:
             p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("report", help="emit plot data from a finished sweep")
-    p.add_argument("--dir", required=True, help="directory holding sweep_rows.csv + sweep_fit.csv")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=cmd_report)
     return parser
 
 

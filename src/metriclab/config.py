@@ -7,11 +7,8 @@ is range-checked before any work starts.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-
-import yaml
 
 from .errors import ConfigError, ParameterError
 from .erm import TrainConfig
@@ -119,6 +116,10 @@ def _cast_numbers(block: dict, where: str, name: str) -> None:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a YAML experiment config."""
+    # imported on first use: metric-lab and verify-gadgets read no config
+    import hashlib
+    import yaml
+
     where = str(path)
     try:
         with open(path, "rb") as fh:

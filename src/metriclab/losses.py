@@ -10,8 +10,9 @@ t = k * 2**-40.  The kinks of the piecewise-linear losses (+-1, b +- 1 for
 dyadic b) are lattice points, so flat argmin sets resolve exactly; strictly
 convex minimizers are found to within half a lattice step.  The oracle
 solves a whole array of problems at once, each of its 48 steps one numpy
-call over all of them, and each check asks it one such batched question
-per quantity it compares.
+call over all of them, and `metric-lab` asks each loss once: `tstar_batch`
+answers every (eta, b) question of every check in one solve, and the checks
+judge the answers they are handed.
 """
 
 from __future__ import annotations
@@ -171,16 +172,24 @@ def _grid_infimum_minimize(slope, size: int) -> np.ndarray:
     return np.where(below, -np.inf, np.where(above, np.inf, hi * LATTICE_STEP))
 
 
-def _tstar(loss: LossFunction, eta, b=0.0) -> np.ndarray:
+def tstar_batch(loss: LossFunction, eta, b=0.0) -> np.ndarray:
     """Infimum of argmin_t eta*l(t - b) + (1 - eta)*l(b - t) for every entry
     of eta and b broadcast together, in one batched solve; -inf/+inf where it
-    lies outside T_RANGE.  At b = 0 the slope is Q(eta, .)'s bit for bit."""
-    eta, b = np.broadcast_arrays(np.asarray(eta, dtype=np.float64),
-                                 np.asarray(b, dtype=np.float64))
+    lies outside T_RANGE.  At b = 0 the slope is Q(eta, .)'s bit for bit, and
+    each problem's answer is the same whatever else the batch holds."""
+    eta, b = np.broadcast_arrays(_check_eta(eta), np.asarray(b, dtype=np.float64))
     e, s = eta.ravel(), b.ravel()
     return _grid_infimum_minimize(
         lambda t: e * loss.subgradient(t - s) - (1.0 - e) * loss.subgradient(s - t),
         e.size).reshape(eta.shape)
+
+
+def _answers(t, shape) -> np.ndarray:
+    """t* values as float64, once they have the shape of their questions."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != shape:
+        raise ParameterError(f"expected t* values of shape {shape}, got {t.shape}")
+    return t
 
 
 def _inside(t: np.ndarray) -> np.ndarray:
@@ -196,7 +205,7 @@ def _inside(t: np.ndarray) -> np.ndarray:
 def tstar_oracle(loss: LossFunction, eta: float) -> float:
     """Infimum of argmin_t Q(eta, t), located by bisection on its slope;
     RangeTooSmallError, with its side, when it is not inside T_RANGE."""
-    return float(_inside(_tstar(loss, _check_eta(eta))))
+    return float(_inside(tstar_batch(loss, eta)))
 
 
 def tstar_analytic(loss: LossFunction, eta: float):
@@ -216,13 +225,13 @@ class MinimizerProfile:
     loss_name: str = ""
 
 
-def check_monotone(loss: LossFunction, eta_grid) -> MinimizerProfile:
-    """Profile t*(eta) over a sorted grid and assert it never increases by
-    more than ORACLE_SLACK."""
+def check_monotone(loss: LossFunction, eta_grid, tstar) -> MinimizerProfile:
+    """Profile t* over a sorted eta grid, given its t* values, and assert it
+    never increases by more than ORACLE_SLACK."""
     eta_grid = np.asarray(eta_grid, dtype=np.float64)
     if np.any(np.diff(eta_grid) < 0.0):
         raise ParameterError("eta_grid must be sorted ascending")
-    tstars = _inside(_tstar(loss, _check_eta(eta_grid)))
+    tstars = _inside(_answers(tstar, _check_eta(eta_grid).shape))
     analytic = [np.nan if loss.analytic_tstar is None else loss.analytic_tstar(eta)
                 for eta in eta_grid.tolist()]
     rises = np.nonzero(np.diff(tstars) > ORACLE_SLACK)[0]
@@ -261,16 +270,9 @@ class SelfDistanceReport:
         return self.precondition_holds & ~self.conclusion_holds
 
 
-def check_self_distance(loss: LossFunction, p_x, p_xp) -> SelfDistanceReport:
-    """Test whether self-distances stay below the cross distance, for one
-    pair of label vectors or for two stacks of them (row i with row i).
-
-    The guarantee only applies when eta(x,x') <= min(eta(x,x), eta(x',x'));
-    outside that precondition the report records whether the conclusion
-    fails too (counterexample detection).  Deterministic label vectors give
-    eta = 1, whose infimum minimizer is -inf; the sentinel keeps the
-    comparisons meaningful.  All three etas of every pair are one solve.
-    """
+def self_distance_etas(p_x, p_xp) -> np.ndarray:
+    """Rows eta(x,x'), eta(x,x), eta(x',x') for one pair of label vectors or
+    for two stacks of them (row i with row i)."""
     p_x = _check_simplex(p_x, "P_x")
     p_xp = _check_simplex(p_xp, "P_x'")
     if p_x.shape != p_xp.shape:
@@ -279,9 +281,24 @@ def check_self_distance(loss: LossFunction, p_x, p_xp) -> SelfDistanceReport:
     def dot(u, v):  # row by row through `@`, rounded as a single pair's dot product
         return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
-    etas = np.stack([dot(p_x, p_xp), dot(p_x, p_x), dot(p_xp, p_xp)])
+    return np.stack([dot(p_x, p_xp), dot(p_x, p_x), dot(p_xp, p_xp)])
+
+
+def check_self_distance(etas, tstar) -> SelfDistanceReport:
+    """Test whether self-distances stay below the cross distance, given
+    self_distance_etas' rows and their t* values.
+
+    The guarantee only applies when eta(x,x') <= min(eta(x,x), eta(x',x'));
+    outside that precondition the report records whether the conclusion
+    fails too (counterexample detection).  Deterministic label vectors give
+    eta = 1, whose infimum minimizer is -inf; the sentinel keeps the
+    comparisons meaningful.
+    """
+    etas = np.asarray(etas, dtype=np.float64)
+    if etas.ndim not in (1, 2) or etas.shape[0] != 3:
+        raise ParameterError(f"etas must stack 3 rows of self_distance_etas, got {etas.shape}")
     eta_cross, eta_x, eta_xp = etas
-    d_cross, d_x, d_xp = _tstar(loss, etas)
+    d_cross, d_x, d_xp = _answers(tstar, etas.shape)
     pre = eta_cross <= np.minimum(eta_x, eta_xp) + 1e-12
     concl = np.maximum(d_x, d_xp) <= d_cross + ORACLE_SLACK
     return SelfDistanceReport(eta_cross, eta_x, eta_xp, d_cross, d_x, d_xp, pre, concl)
@@ -299,23 +316,23 @@ class BiasShiftReport:
     passed: np.ndarray
 
 
-def check_bias_shift(loss: LossFunction, eta, b) -> BiasShiftReport:
+def check_bias_shift(eta, b, shifted, base) -> BiasShiftReport:
     """Verify argmin_t eta*l(t-b) + (1-eta)*l(b-t) = b + t*(eta) to within
-    ORACLE_SLACK, for every entry of eta and b broadcast together."""
+    ORACLE_SLACK for eta and b broadcast together, given t* at (eta, b) in
+    their broadcast shape (`shifted`) and at (eta, 0) in eta's (`base`)."""
+    base_shape = np.shape(eta)
     eta, b = np.broadcast_arrays(np.asarray(eta, dtype=np.float64),
                                  np.asarray(b, dtype=np.float64))
     if not np.all((0.0 < eta) & (eta < 1.0)):
         raise ParameterError(f"eta must lie in (0, 1), got {eta}")
-    got = _inside(_tstar(loss, eta, b))
-    expected = b + _inside(_tstar(loss, eta))
+    got = _inside(_answers(shifted, eta.shape))
+    expected = b + _inside(_answers(base, base_shape))
     dev = np.abs(got - expected)
     return BiasShiftReport(eta, b, got, expected, dev, dev <= ORACLE_SLACK)
 
 
-def continuous_label_degeneracy(loss: LossFunction) -> float:
-    """The constant the true metric collapses to under continuous labels.
-
-    Equals the infimum of argmin_t l(-t); +inf when that argmin is empty
-    (strictly decreasing l(-t), e.g. the exponential loss).
-    """
-    return float(_tstar(loss, 0.0))
+def continuous_label_degeneracy(tstar_at_zero) -> float:
+    """The constant the true metric collapses to under continuous labels:
+    t* at eta = 0, the infimum of argmin_t l(-t); +inf when that argmin is
+    empty (strictly decreasing l(-t), e.g. the exponential loss)."""
+    return float(_answers(tstar_at_zero, ()))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -438,6 +437,7 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig, mo
     # a pool starts all its workers at once: never more than there are jobs
     workers = min(jobs, len(jobs_list))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only the pool needs it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_job, jobs_list))
     else:

@@ -1,7 +1,8 @@
 """Fixtures the tests build their exact cases from; the program never calls
 them: constant label laws and sub-networks, atom marginals, the true metric
-as a pair function, reverse-mode gradients of a whole ReLU network, and a
-one-problem-at-a-time reference for the batched t* oracle."""
+as a pair function, reverse-mode gradients of a whole ReLU network, a
+one-problem-at-a-time reference for the batched t* oracle, and the
+metric-lab checks run on one loss with their own solves."""
 
 from __future__ import annotations
 
@@ -11,7 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from metriclab.errors import InputShapeError, ParameterError, RangeTooSmallError
-from metriclab.losses import LATTICE_STEP, T_RANGE
+from metriclab.losses import (
+    LATTICE_STEP,
+    T_RANGE,
+    check_bias_shift,
+    check_monotone,
+    check_self_distance,
+    self_distance_etas,
+    tstar_batch,
+)
 from metriclab.relu_net import DenseLayer, ReluNetwork, _as_batch, _backprop, _forward_trace
 from metriclab.synthetic import ConditionalModel, eta_pairs, hinge_metric_values
 
@@ -109,3 +118,19 @@ def scalar_grid_infimum_minimize(slope) -> float:
         else:
             lo = mid
     return hi * LATTICE_STEP
+
+
+def monotone(loss, eta_grid):
+    """check_monotone on the loss's t* over eta_grid."""
+    return check_monotone(loss, eta_grid, tstar_batch(loss, eta_grid))
+
+
+def bias_shift(loss, eta, b):
+    """check_bias_shift on the loss's t* at (eta, b) and at (eta, 0)."""
+    return check_bias_shift(eta, b, tstar_batch(loss, eta, b), tstar_batch(loss, eta))
+
+
+def self_distance(loss, p_x, p_xp):
+    """check_self_distance on the loss's t* at the pairs' three etas."""
+    etas = self_distance_etas(p_x, p_xp)
+    return check_self_distance(etas, tstar_batch(loss, etas))

@@ -15,14 +15,7 @@ import pytest
 from metriclab.cli import EXIT_OK, main
 from metriclab.erm import TrainConfig
 from metriclab.gadgets import build_product_gadget, build_sign_approx
-from metriclab.losses import (
-    LOSSES,
-    check_bias_shift,
-    check_monotone,
-    check_self_distance,
-    get_loss,
-    tstar_analytic,
-)
+from metriclab.losses import LOSSES, get_loss, tstar_analytic
 from metriclab.relu_net import DenseLayer, ReluNetwork, complexity, forward
 from metriclab.risk import rate_sweep, risk_report, variance_expectation_check
 from metriclab.structured import (
@@ -39,6 +32,8 @@ from metriclab.structured import (
     save_manifest,
 )
 from metriclab.synthetic import estimate_noise_exponent, eta, make_task, true_metric_hinge
+
+from helpers import bias_shift, monotone, self_distance
 
 ETA_GRID_101 = np.round(np.linspace(0.005, 0.995, 101), 12)
 ORACLE_TOL = 2e-6
@@ -106,7 +101,7 @@ def test_criterion_03_hinge_true_metric_identities():
     with criterion(3, "hinge t* = sgn(1-2eta) (infimum at 1/2) and "
                       "min Q = 2 min(eta, 1-eta) on the 101-point grid"):
         t0 = time.perf_counter()
-        profile = check_monotone(get_loss("hinge"), ETA_GRID_101)
+        profile = monotone(get_loss("hinge"), ETA_GRID_101)
         expected = np.where(ETA_GRID_101 < 0.5, 1.0, -1.0)
         assert np.max(np.abs(profile.tstar - expected)) <= ORACLE_TOL
         bayes = 2.0 * np.minimum(ETA_GRID_101, 1.0 - ETA_GRID_101)
@@ -120,7 +115,7 @@ def test_criterion_04_monotonicity_and_analytic_forms():
         analytic_named = {"logistic", "exponential", "modified_least_squares"}
         for name in sorted(LOSSES):
             loss = get_loss(name)
-            profile = check_monotone(loss, ETA_GRID_101)  # raises on violation
+            profile = monotone(loss, ETA_GRID_101)  # raises on violation
             assert np.all(np.diff(profile.tstar) <= ORACLE_TOL)
             if name in analytic_named:
                 want = np.array([tstar_analytic(loss, float(e)) for e in ETA_GRID_101])
@@ -138,14 +133,14 @@ def test_criterion_05_counterexample_and_self_distance_sweep():
         assert true_metric_hinge(task, x, xp) == -1.0
 
         hinge = get_loss("hinge")
-        rep = check_self_distance(hinge, [0.6, 0.2, 0.2], [1.0, 0.0, 0.0])
+        rep = self_distance(hinge, [0.6, 0.2, 0.2], [1.0, 0.0, 0.0])
         assert rep.d_self_x == pytest.approx(1.0, abs=ORACLE_TOL)
         assert rep.d_cross == pytest.approx(-1.0, abs=ORACLE_TOL)
         assert not rep.precondition_holds and not rep.conclusion_holds
 
         # pair i is rows (i, 0) and (i, 1): the draws of one pair at a time
         draws = np.random.default_rng(17).dirichlet(np.ones(3), size=(1000, 2))
-        r = check_self_distance(hinge, draws[:, 0], draws[:, 1])
+        r = self_distance(hinge, draws[:, 0], draws[:, 1])
         held = int(np.sum(r.precondition_holds))
         violations = int(np.sum(r.is_counterexample))
         assert held > 100  # the sweep genuinely exercises the bound
@@ -156,8 +151,8 @@ def test_criterion_06_bias_removal():
     with criterion(6, "shifted minimizer equals b + t*(eta) within 2e-6 "
                       "for b in {0.5, 1}, eta in {0.1..0.9}, all losses"):
         for name in sorted(LOSSES):
-            rep = check_bias_shift(get_loss(name), np.round(np.arange(0.1, 0.91, 0.1), 10),
-                                   [[0.5], [1.0]])
+            rep = bias_shift(get_loss(name), np.round(np.arange(0.1, 0.91, 0.1), 10),
+                             [[0.5], [1.0]])
             assert rep.deviation.shape == (2, 9)
             assert np.all(rep.deviation <= ORACLE_TOL), (name, rep.deviation)
 

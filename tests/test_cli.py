@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 import metriclab
 from metriclab.cli import EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main
 from metriclab.config import load_config
-from metriclab.errors import ConfigError
+from metriclab.errors import ConfigError, RangeTooSmallError
+from metriclab.losses import LOSSES, get_loss, self_distance_etas
 from metriclab.synthetic import sample_dataset
+
+from helpers import scalar_grid_infimum_minimize
 
 TINY_CONFIG = """\
 task:
@@ -129,8 +132,8 @@ class TestMetricLab:
     @pytest.mark.parametrize("losses", [[], ["hinge"], ["logistic", "exponential"]])
     def test_oracle_solves_do_not_grow_with_the_grid_or_the_pairs(self, tmp_path, capsys,
                                                                    monkeypatch, losses):
-        # each check asks the t* oracle one batched question: a profile, two for
-        # the bias shift and one degeneracy per loss, the counterexample and the sweep
+        # every check's questions about a loss are one batched solve, and the
+        # self-distance checks always ask the hinge
         from metriclab import losses as losses_module
 
         oracle = losses_module._grid_infimum_minimize
@@ -148,7 +151,40 @@ class TestMetricLab:
                          "--pairs", pairs, "--out", str(tmp_path / f"lab{eta_points}")])
             assert code == EXIT_OK
             counts.append(len(solves))
-        assert counts[0] == counts[1] <= 4 * len(losses or losses_module.LOSSES) + 2
+        assert counts == [len(set(losses or losses_module.LOSSES) | {"hinge"})] * 2
+
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    @settings(max_examples=25, deadline=None)
+    @given(grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+           shifted=st.lists(st.floats(0.0, 1.0), max_size=6),
+           shifts=st.lists(st.integers(-16, 16).map(lambda k: k / 8.0), min_size=1, max_size=3),
+           pairs=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    def test_one_solve_answers_a_mix_of_questions_bit_for_bit(self, name, grid, shifted, shifts,
+                                                              pairs, seed):
+        # profile, shifted, base, eta = 0 and self-distance questions in one
+        # solve, each answer against the one-problem reference
+        from metriclab.cli import _ask_once
+
+        loss = get_loss(name)
+        draws = np.random.default_rng(seed).dirichlet(np.ones(3), size=(pairs, 2))
+        questions = {"profile": (sorted(grid), 0.0),
+                     "shifted": (shifted, np.array(shifts)[:, None]), "base": (shifted, 0.0),
+                     "degenerate": (0.0, 0.0),
+                     "sweep": (self_distance_etas(draws[:, 0], draws[:, 1]), 0.0)}
+        answers = _ask_once(loss, questions)
+        assert list(answers) == list(questions)
+        for key, (eta, b) in questions.items():
+            eta, b = np.broadcast_arrays(np.asarray(eta, dtype=np.float64),
+                                         np.asarray(b, dtype=np.float64))
+            assert answers[key].shape == eta.shape, key
+            for t, e, s in zip(answers[key].ravel().tolist(), eta.ravel().tolist(),
+                               b.ravel().tolist()):
+                try:
+                    want = scalar_grid_infimum_minimize(
+                        lambda u: e * loss.subgradient(u - s) - (1.0 - e) * loss.subgradient(s - u))
+                except RangeTooSmallError as err:
+                    want = -math.inf if err.side == "lower" else math.inf
+                assert t == want, (key, e, s)
 
     @pytest.mark.parametrize("flag,value", [("--eta-points", "0"), ("--pairs", "-1")])
     def test_out_of_range_counts_rejected(self, tmp_path, capsys, flag, value):
@@ -243,34 +279,6 @@ class TestRateSweepCommand:
         assert rows[1].startswith("n,seed,excess")
         assert len(rows) == 2 + 12  # 4 sizes x 3 seeds
 
-    def test_report_regenerates_plot_data(self, tmp_path):
-        cfg = write(tmp_path, "c.yaml", SWEEP_CONFIG)
-        main(["rate-sweep", "--config", cfg, "--out", str(tmp_path / "sw")])
-        plot_before = (tmp_path / "sw" / "plot_data.csv").read_text().splitlines()
-        code = main(["report", "--dir", str(tmp_path / "sw")])
-        assert code == EXIT_OK
-        plot_after = (tmp_path / "sw" / "plot_data.csv").read_text().splitlines()
-        # same medians and lines, modulo the provenance comment
-        assert plot_before[1:] == plot_after[1:]
-
-    def test_report_uses_the_sweep_median_rule(self, tmp_path):
-        # two surviving seeds at n=32: the sweep's median is the upper one
-        rows = ["n,seed,excess,stderr,epochs,subnet_depth,subnet_width,agg_L,agg_W,agg_U,diverged"]
-        for n, excess in ((16, (0.4, 0.5, 0.6)), (32, (0.1, 0.3, None)),
-                          (64, (0.2, 0.1, 0.15)), (128, (0.05, 0.08, 0.06))):
-            for seed, e in enumerate(excess):
-                rows.append(f"{n},{seed},{'nan' if e is None else e},0.01,5,2,4,9,99,40,"
-                            f"{e is None}")
-        (tmp_path / "sweep_rows.csv").write_text("\n".join(rows) + "\n")
-        (tmp_path / "sweep_fit.csv").write_text(
-            "slope,intercept,slope_se,slope_upper95,ref_exponent,theta_hat,monotone_within_noise\n"
-            "-0.5,1.0,0.1,-0.3,-0.5,1.0,True\n")
-        assert main(["report", "--dir", str(tmp_path)]) == EXIT_OK
-        lines = [ln for ln in (tmp_path / "plot_data.csv").read_text().splitlines()
-                 if not ln.startswith("#")]
-        medians = [float(ln.split(",")[1]) for ln in lines[1:]]
-        assert medians == [math.log10(v) for v in (0.5, 0.3, 0.15, 0.06)]
-
     def test_single_n_rejected(self, tmp_path):
         bad = SWEEP_CONFIG.replace("n_list: [16, 32, 64, 128]", "n_list: [64]")
         cfg = write(tmp_path, "c.yaml", bad)
@@ -308,29 +316,6 @@ class TestRateSweepCommand:
         err = capsys.readouterr().err
         assert "[model] epsilon 1e-13 asks for sawtooth depth 24" in err and "Traceback" not in err
         assert not out.exists()
-
-    def test_report_needs_sweep_outputs(self, tmp_path):
-        assert main(["report", "--dir", str(tmp_path)]) == EXIT_VALIDATION
-
-    @pytest.mark.parametrize("header,cell,diverged,message", [
-        pytest.param("n,seed,excess", "0.1", "", "KeyError('diverged')", id="no-diverged-column"),
-        pytest.param("n,seed,excess,diverged", "0.1", ",True", "no row that did not diverge",
-                     id="all-diverged"),
-        pytest.param("n,seed,excess,diverged", "abc", ",False", "could not convert",
-                     id="excess-not-a-number"),
-    ])
-    def test_report_rejects_an_unusable_sweep_with_exit_two(self, tmp_path, capsys, header,
-                                                             cell, diverged, message):
-        rows = [header] + [f"{n},{seed},{cell}{diverged}" for n in (16, 32, 64, 128)
-                           for seed in range(3)]
-        (tmp_path / "sweep_rows.csv").write_text("\n".join(rows) + "\n")
-        (tmp_path / "sweep_fit.csv").write_text(
-            "slope,intercept,slope_se,slope_upper95,ref_exponent,theta_hat,monotone_within_noise\n"
-            "-0.5,1.0,0.1,-0.3,-0.5,1.0,True\n")
-        assert main(["report", "--dir", str(tmp_path)]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert str(tmp_path / "sweep_rows.csv") in err and message in err
-        assert not (tmp_path / "plot_data.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train-eval", "rate-sweep", "metric-lab",
@@ -390,6 +375,31 @@ def test_cli_import_skips_scipy_stats(tmp_path):
         assert (tmp_path / out / name).is_file(), (out, name)
     assert (tmp_path / "sweep1" / "sweep_fit.csv").read_bytes() == \
         (tmp_path / "sweep2" / "sweep_fit.csv").read_bytes()
+
+
+# Imports the CLI and runs the argv given; prints which of the modules that
+# only the config commands (yaml) and the sweep pool (concurrent.futures)
+# need are loaded after the import and after the run.
+_LAZY_IMPORTS = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in ("yaml", "concurrent.futures") if m in sys.modules)
+
+from metriclab.cli import main
+after_import = loaded()
+code = main(sys.argv[1:])
+print(json.dumps([after_import, code, loaded()]))
+"""
+
+
+def test_metric_lab_loads_neither_yaml_nor_the_pool(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(metriclab.__file__))}
+    argv = ["metric-lab", "--eta-points", "5", "--pairs", "3", "--out", str(tmp_path / "lab")]
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[], EXIT_OK, []]
 
 
 def test_traced_bindings_exist():

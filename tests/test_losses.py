@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab import losses
 from metriclab.errors import ParameterError, PropertyViolation, RangeTooSmallError
 from metriclab.losses import (
     LOSSES,
@@ -17,11 +16,13 @@ from metriclab.losses import (
     continuous_label_degeneracy,
     get_loss,
     q_value,
+    self_distance_etas,
     tstar_analytic,
+    tstar_batch,
     tstar_oracle,
 )
 
-from helpers import scalar_grid_infimum_minimize
+from helpers import bias_shift, monotone, scalar_grid_infimum_minimize, self_distance
 
 ETA_SWEEP = np.round(np.arange(0.05, 0.951, 0.05), 10)
 # keeps every analytic t* well inside T_RANGE (logistic: |log(1/eta - 1)| < 14)
@@ -139,7 +140,7 @@ class TestOracleProperties:
     @settings(max_examples=40, deadline=None)
     @given(eta=ETAS, b=st.floats(min_value=-3.0, max_value=3.0))
     def test_bias_shift_at_random_b(self, name, eta, b):
-        assert check_bias_shift(get_loss(name), eta, b).deviation <= 1e-9
+        assert bias_shift(get_loss(name), eta, b).deviation <= 1e-9
 
 
 class TestBatchedOracle:
@@ -154,7 +155,7 @@ class TestBatchedOracle:
     def test_matches_the_scalar_reference_bit_for_bit(self, name, problems):
         loss = get_loss(name)
         etas, shifts = (np.array(v) for v in zip(*problems))
-        got = losses._tstar(loss, etas, shifts)
+        got = tstar_batch(loss, etas, shifts)
         assert got.shape == etas.shape
         for t, (eta, b) in zip(got, problems):
             try:
@@ -165,7 +166,7 @@ class TestBatchedOracle:
             assert t == want, (eta, b)
 
     def test_an_empty_batch_solves_nothing(self, hinge):
-        assert losses._tstar(hinge, np.array([])).shape == (0,)
+        assert tstar_batch(hinge, np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("name", sorted(LOSSES))
     def test_unshifted_slope_is_the_shifted_one_at_zero(self, name):
@@ -173,7 +174,7 @@ class TestBatchedOracle:
         etas = np.linspace(0.01, 0.99, 23)
         want = [scalar_grid_infimum_minimize(
             lambda t: e * loss.subgradient(t) - (1.0 - e) * loss.subgradient(-t)) for e in etas]
-        assert losses._tstar(loss, etas).tolist() == want
+        assert tstar_batch(loss, etas).tolist() == want
 
 
 class TestAnalytic:
@@ -193,28 +194,44 @@ class TestAnalytic:
 class TestMonotone:
     def test_hinge_profile_endpoints(self, hinge):
         grid = np.round(np.linspace(0.005, 0.995, 21), 12)
-        prof = check_monotone(hinge, grid)
+        prof = monotone(hinge, grid)
         assert prof.tstar[0] == pytest.approx(1.0, abs=ORACLE_SLACK)
         assert prof.tstar[-1] == pytest.approx(-1.0, abs=ORACLE_SLACK)
 
     def test_modls_exact_line(self):
         grid = np.round(np.linspace(0.05, 0.95, 19), 12)
-        prof = check_monotone(get_loss("modified_least_squares"), grid)
+        prof = monotone(get_loss("modified_least_squares"), grid)
         assert np.allclose(prof.tstar, 1.0 - 2.0 * grid, atol=ORACLE_SLACK)
 
     def test_all_losses_monotone_101(self):
         grid = np.round(np.linspace(0.005, 0.995, 101), 12)
         for name in LOSSES:
-            check_monotone(get_loss(name), grid)  # raises on violation
+            monotone(get_loss(name), grid)  # raises on violation
 
     def test_singleton_grid(self, hinge):
-        prof = check_monotone(hinge, [0.3])
+        prof = monotone(hinge, [0.3])
         assert prof.tstar.size == 1
+
+    def test_a_rising_profile_is_a_violation_naming_its_indices(self, hinge):
+        # rises of 1e-3 after index 0 and of twice the slack after index 2;
+        # a rise of exactly the slack is allowed
+        tstar = [1.0, 1.001, 0.5, 0.5 + 2 * ORACLE_SLACK, 0.5 + 3 * ORACLE_SLACK]
+        with pytest.raises(PropertyViolation, match=r"hinge at eta indices \[0, 2\]"):
+            check_monotone(hinge, [0.1, 0.2, 0.3, 0.4, 0.5], tstar)
+
+    def test_answers_of_another_shape_rejected(self, hinge):
+        with pytest.raises(ParameterError, match="shape"):
+            check_monotone(hinge, [0.1, 0.2, 0.3], [1.0, 1.0])
+
+    def test_an_answer_outside_the_range_raises_with_its_side(self, hinge):
+        with pytest.raises(RangeTooSmallError) as excinfo:
+            check_monotone(hinge, [0.5, 1.0], tstar_batch(hinge, [0.5, 1.0]))
+        assert excinfo.value.side == "lower"
 
 
 class TestSelfDistance:
     def test_counterexample_from_three_labels(self, hinge):
-        rep = check_self_distance(hinge, [0.6, 0.2, 0.2], [1.0, 0.0, 0.0])
+        rep = self_distance(hinge, [0.6, 0.2, 0.2], [1.0, 0.0, 0.0])
         assert rep.eta_self_x == pytest.approx(11.0 / 25.0)
         assert rep.eta_cross == pytest.approx(3.0 / 5.0)
         assert rep.d_self_x == pytest.approx(1.0, abs=ORACLE_SLACK)
@@ -225,7 +242,7 @@ class TestSelfDistance:
 
     def test_identical_points_equality(self, hinge):
         p = [0.5, 0.25, 0.25]
-        rep = check_self_distance(hinge, p, p)
+        rep = self_distance(hinge, p, p)
         assert rep.precondition_holds
         assert rep.conclusion_holds
         assert rep.eta_cross == rep.eta_self_x  # same point: equality throughout
@@ -233,40 +250,47 @@ class TestSelfDistance:
 
     def test_random_sweep_no_violations(self, hinge):
         draws = np.random.default_rng(5).dirichlet(np.ones(3), size=(150, 2))
-        rep = check_self_distance(hinge, draws[:, 0], draws[:, 1])
+        rep = self_distance(hinge, draws[:, 0], draws[:, 1])
         assert rep.is_counterexample.shape == (150,)
         assert not rep.is_counterexample.any()
 
     def test_a_stack_matches_pair_by_pair(self, hinge):
         draws = np.random.default_rng(3).dirichlet(np.ones(3), size=(60, 2))
         draws[7] = [[0.6, 0.2, 0.2], [1.0, 0.0, 0.0]]  # the counterexample, with eta = 1
-        stacked = check_self_distance(hinge, draws[:, 0], draws[:, 1])
+        stacked = self_distance(hinge, draws[:, 0], draws[:, 1])
         for i, (p_x, p_xp) in enumerate(draws):
-            one = check_self_distance(hinge, p_x, p_xp)
+            one = self_distance(hinge, p_x, p_xp)
             for field, value in vars(one).items():
                 assert getattr(stacked, field)[i] == value, (i, field)
 
     def test_stacks_of_different_shapes_rejected(self, hinge):
         with pytest.raises(ParameterError, match="shape"):
-            check_self_distance(hinge, [[0.5, 0.5], [1.0, 0.0]], [0.5, 0.5])
+            self_distance_etas([[0.5, 0.5], [1.0, 0.0]], [0.5, 0.5])
 
     def test_non_simplex_rejected(self, hinge):
         with pytest.raises(ParameterError):
-            check_self_distance(hinge, [0.5, 0.6], [1.0, 0.0])
+            self_distance_etas([0.5, 0.6], [1.0, 0.0])
+
+    def test_answers_of_another_shape_rejected(self, hinge):
+        etas = self_distance_etas([[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ParameterError, match="shape"):
+            check_self_distance(etas, tstar_batch(hinge, etas[:, :1]))
+        with pytest.raises(ParameterError, match="3 rows"):
+            check_self_distance(etas[:2], tstar_batch(hinge, etas[:2]))
 
 
 class TestBiasShift:
     def test_hinge_example(self, hinge):
-        rep = check_bias_shift(hinge, 0.7, 0.5)
+        rep = bias_shift(hinge, 0.7, 0.5)
         assert rep.shifted_tstar == pytest.approx(-0.5, abs=ORACLE_SLACK)
         assert rep.passed
 
     def test_zero_bias_reduces_to_oracle(self, hinge):
-        rep = check_bias_shift(hinge, 0.3, 0.0)
+        rep = bias_shift(hinge, 0.3, 0.0)
         assert rep.shifted_tstar == pytest.approx(tstar_oracle(hinge, 0.3), abs=1e-12)
 
     def test_modls_example(self):
-        rep = check_bias_shift(get_loss("modified_least_squares"), 0.25, 1.0)
+        rep = bias_shift(get_loss("modified_least_squares"), 0.25, 1.0)
         assert rep.shifted_tstar == pytest.approx(1.5, abs=ORACLE_SLACK)
         assert rep.passed
 
@@ -275,25 +299,51 @@ class TestBiasShift:
         loss = get_loss(name)
         etas = np.round(np.arange(0.1, 0.91, 0.1), 10)
         shifts = np.array([[-1.25], [0.5], [1.0]])
-        rep = check_bias_shift(loss, etas, shifts)
+        rep = bias_shift(loss, etas, shifts)
         assert rep.deviation.shape == (3, 9) and rep.passed.all()
         for i, b in enumerate(shifts[:, 0]):
             for j, e in enumerate(etas):
-                one = check_bias_shift(loss, e, b)
+                one = bias_shift(loss, e, b)
                 for field, value in vars(one).items():
                     assert getattr(rep, field)[i, j] == value, (b, e, field)
 
     def test_eta_outside_the_open_interval_rejected(self, hinge):
         with pytest.raises(ParameterError):
-            check_bias_shift(hinge, [0.3, 1.0], 0.5)
+            bias_shift(hinge, [0.3, 1.0], 0.5)
+
+    def test_a_shifted_answer_off_by_more_than_the_slack_fails(self, hinge):
+        etas, shifts = [0.3, 0.7], [[0.5], [1.0]]
+        shifted = tstar_batch(hinge, etas, shifts)
+        shifted[1, 0] += 2 * ORACLE_SLACK
+        rep = check_bias_shift(etas, shifts, shifted, tstar_batch(hinge, etas))
+        assert rep.passed.tolist() == [[True, True], [False, True]]
+        assert rep.deviation[1, 0] == pytest.approx(2 * ORACLE_SLACK)
+
+    def test_the_base_answers_take_the_shape_of_eta(self, hinge):
+        etas, shifts = [0.3, 0.7], [[0.5], [1.0]]
+        shifted = tstar_batch(hinge, etas, shifts)
+        with pytest.raises(ParameterError, match="shape"):
+            check_bias_shift(etas, shifts, shifted, shifted)
+
+    def test_an_unbounded_base_raises_with_its_side(self):
+        with pytest.raises(RangeTooSmallError) as excinfo:
+            check_bias_shift(0.5, 0.5, 0.5, math.inf)
+        assert excinfo.value.side == "upper"
 
 
 class TestDegeneracy:
     def test_values(self):
-        assert continuous_label_degeneracy(get_loss("hinge")) == pytest.approx(1.0, abs=ORACLE_SLACK)
-        assert continuous_label_degeneracy(get_loss("modified_least_squares")) == pytest.approx(1.0, abs=ORACLE_SLACK)
-        assert continuous_label_degeneracy(get_loss("exponential")) == math.inf
-        assert continuous_label_degeneracy(get_loss("logistic")) == math.inf
+        def degeneracy(name):
+            return continuous_label_degeneracy(tstar_batch(get_loss(name), 0.0))
+
+        assert degeneracy("hinge") == pytest.approx(1.0, abs=ORACLE_SLACK)
+        assert degeneracy("modified_least_squares") == pytest.approx(1.0, abs=ORACLE_SLACK)
+        assert degeneracy("exponential") == math.inf
+        assert degeneracy("logistic") == math.inf
+
+    def test_only_a_scalar_answer_accepted(self, hinge):
+        with pytest.raises(ParameterError, match="shape"):
+            continuous_label_degeneracy(tstar_batch(hinge, [0.0]))
 
 
 class TestLossContracts:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -349,7 +350,8 @@ class TestRateSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(risk, "ProcessPoolExecutor", SerialPool)
+        # rate_sweep imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         result = mini_sweep(linear_task, jobs=5000)
         assert sizes == [12] and len(result.rows) == 12
 
