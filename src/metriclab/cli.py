@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -28,6 +29,7 @@ from .errors import ExecutionError, PropertyFailure, PropertyViolation, Validati
 from .gadgets import build_product_gadget, build_sign_approx, product_depth, sawtooth_depth_for
 from .losses import (
     LOSSES,
+    ORACLE_SLACK,
     check_bias_shift,
     check_monotone,
     check_self_distance,
@@ -44,7 +46,9 @@ from .erm import train
 EXIT_OK, EXIT_VALIDATION, EXIT_PROPERTY, EXIT_RUNTIME = 0, 2, 3, 4
 
 ETA_SWEEP = np.round(np.arange(0.05, 0.951, 0.05), 10)
-ORACLE_TOL = 2e-6
+# metric-lab's peak memory grows by about 300 bytes per grid point or random
+# pair; larger counts exit 2 instead of running the machine out of memory
+LAB_MAX_COUNT = 100_000
 # the bias-shift check: every eta in {0.1, ..., 0.9} under each shift b in {0.5, 1}
 BIAS_ETAS = np.round(np.arange(0.1, 0.91, 0.1), 10)
 BIAS_SHIFTS = np.array([[0.5], [1.0]])
@@ -173,9 +177,9 @@ def cmd_metric_lab(args) -> int:
             raise ValidationFailure(f"unknown loss {name!r}; registered: {sorted(LOSSES)}")
     if len(set(loss_names)) < len(loss_names):
         raise ValidationFailure(f"--losses names a loss more than once: {loss_names}")
-    if args.eta_points < 1 or args.pairs < 0:
-        raise ValidationFailure(f"--eta-points must be >= 1 and --pairs >= 0, got "
-                                f"{args.eta_points} and {args.pairs}")
+    if not (1 <= args.eta_points <= LAB_MAX_COUNT and 0 <= args.pairs <= LAB_MAX_COUNT):
+        raise ValidationFailure(f"--eta-points must lie in [1, {LAB_MAX_COUNT}] and --pairs in "
+                                f"[0, {LAB_MAX_COUNT}], got {args.eta_points} and {args.pairs}")
     _make_out_dir(args.out)
     comments = _provenance(args.seed, extra=f"args_digest={_args_digest(loss_names, args.eta_points)}")
     # rounded so the midpoint is exactly 1/2 (hinge's convention point)
@@ -217,7 +221,7 @@ def cmd_metric_lab(args) -> int:
             for e in ETA_SWEEP:
                 idx = int(np.argmin(np.abs(profile.eta_grid - e)))
                 devs.append(abs(profile.tstar[idx] - profile.analytic[idx]))
-            _lab_check(summary, f"oracle_vs_analytic {name}", max(devs) <= ORACLE_TOL,
+            _lab_check(summary, f"oracle_vs_analytic {name}", max(devs) <= ORACLE_SLACK,
                        f"(max dev {max(devs):.2e})")
         if name == "hinge":
             target = 2.0 * np.minimum(profile.eta_grid, 1.0 - profile.eta_grid)
@@ -226,8 +230,8 @@ def cmd_metric_lab(args) -> int:
 
     for name in loss_names:
         rep = check_bias_shift(BIAS_ETAS, BIAS_SHIFTS, tstar[name]["shifted"], tstar[name]["base"])
-        dev = float(np.max(rep.deviation))
-        _lab_check(summary, f"bias_shift {name}", dev <= ORACLE_TOL, f"(max dev {dev:.2e})")
+        _lab_check(summary, f"bias_shift {name}", bool(np.all(rep.passed)),
+                   f"(max dev {float(np.max(rep.deviation)):.2e})")
 
     cx = check_self_distance(cx_etas, tstar["hinge"]["counterexample"])
     ok = (abs(cx.eta_self_x - 0.44) < 1e-12 and abs(cx.eta_cross - 0.6) < 1e-12
@@ -445,6 +449,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    The process ends when main returns, so the first call moves every object
+    alive at that point, the import graph, into the collector's permanent
+    generation. Collections during the run, and in a forked sweep pool, skip
+    it, and so do the collections at interpreter exit: its reference cycles
+    go back to the OS with the process instead of being freed object by
+    object, which took longer than metric-lab's own work. Later calls in
+    the same process leave the collector as it is.
+    """
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

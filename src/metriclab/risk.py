@@ -231,28 +231,32 @@ def variance_expectation_check(metrics, task: SyntheticTask, theta: float, c_the
     """Check E[q^2] <= M * E[q]^beta for the shifted hinge-loss class,
     with beta = theta/(theta+1) and M = 2^(3/(theta+1)) * c_theta^(1/(theta+1)).
 
-    Every metric is one integrand over the same seeded stream of mc_pairs
-    input pairs, evaluated one block of MC_BLOCK pairs at a time. Memory
-    per pair: 16 p bytes for the drawn inputs and 16 for q and q^2, plus
-    one block, and 8 more while a standard error is taken.
+    One integrand returns q and q^2 for every metric, so the seeded stream
+    of mc_pairs input pairs and its eta are drawn once per check, one block
+    of MC_BLOCK pairs at a time. Memory per pair: 16 p bytes for the drawn
+    inputs and 16 per metric for q and q^2, plus one block, and 8 more
+    while a standard error is taken.
     """
     if theta <= 0.0 or c_theta <= 0.0:
         raise ParameterError("noise parameters must be positive")
     loss = loss if loss is not None else hinge_loss()
     beta = theta / (theta + 1.0)
     M = 2.0 ** (3.0 / (theta + 1.0)) * c_theta ** (1.0 / (theta + 1.0))
+    fns = [as_pair_fn(metric) for metric in metrics]
 
+    def integrand(x, xp, e):
+        d_rho = hinge_metric_values(e)
+        l_pos, l_neg = loss.eval(d_rho), loss.eval(-d_rho)
+        parts = []
+        for fn in fns:
+            d = fn(x, xp)
+            dl_pos, dl_neg = loss.eval(d) - l_pos, loss.eval(-d) - l_neg
+            parts += [e * dl_pos + (1.0 - e) * dl_neg, e * dl_pos**2 + (1.0 - e) * dl_neg**2]
+        return parts
+
+    stats = _integrate(task, mc_pairs, seed, integrand)
     rows = []
-    for metric in metrics:
-        fn = as_pair_fn(metric)
-
-        def integrand(x, xp, e):
-            d, d_rho = fn(x, xp), hinge_metric_values(e)
-            dl_pos = loss.eval(d) - loss.eval(d_rho)
-            dl_neg = loss.eval(-d) - loss.eval(-d_rho)
-            return e * dl_pos + (1.0 - e) * dl_neg, e * dl_pos**2 + (1.0 - e) * dl_neg**2
-
-        (q_mean, q_se), (q_sq, q2_se) = _integrate(task, mc_pairs, seed, integrand)
+    for (q_mean, q_se), (q_sq, q2_se) in zip(stats[0::2], stats[1::2]):
         if q_mean < -3.0 * q_se:
             raise ContractError(
                 f"E[q] = {q_mean:.4g} negative beyond noise; d_rho must be optimal"

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metriclab
-from metriclab.cli import EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main
+from metriclab.cli import EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, LAB_MAX_COUNT, main
 from metriclab.config import load_config
 from metriclab.errors import ConfigError, RangeTooSmallError
 from metriclab.losses import LOSSES, get_loss, self_distance_etas
@@ -186,11 +187,22 @@ class TestMetricLab:
                     want = -math.inf if err.side == "lower" else math.inf
                 assert t == want, (key, e, s)
 
-    @pytest.mark.parametrize("flag,value", [("--eta-points", "0"), ("--pairs", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--eta-points", "0"), ("--pairs", "-1"),
+                                            ("--eta-points", str(LAB_MAX_COUNT + 1)),
+                                            ("--pairs", str(LAB_MAX_COUNT + 1))])
     def test_out_of_range_counts_rejected(self, tmp_path, capsys, flag, value):
-        code = main(["metric-lab", flag, value, "--out", str(tmp_path / "lab")])
+        # refused before --out is made or anything sized by the count is
+        # allocated (the run holds about 300 bytes per grid point or pair)
+        tracemalloc.start()
+        try:
+            code = main(["metric-lab", flag, value, "--out", str(tmp_path / "lab")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == EXIT_VALIDATION
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "lab").exists()
+        assert peak < 2**20
 
 
 class TestGenData:
@@ -400,6 +412,34 @@ def test_metric_lab_loads_neither_yaml_nor_the_pool(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[], EXIT_OK, []]
+
+
+# Imports the CLI and runs the argv given twice; prints the collector's
+# freeze count after the import and after each run.
+_FREEZE_COUNTS = """
+import gc, json, sys
+
+from metriclab.cli import main
+counts = [gc.get_freeze_count()]
+for out in ("first", "second"):
+    assert main([*sys.argv[1:], "--out", out]) == 0
+    counts.append(gc.get_freeze_count())
+print(json.dumps(counts))
+"""
+
+
+def test_the_first_command_freezes_the_import_graph_once(tmp_path):
+    # importing the CLI leaves the collector alone; main freezes what is
+    # alive when it is first called, and only then
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(metriclab.__file__))}
+    argv = ["metric-lab", "--eta-points", "5", "--pairs", "3"]
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_COUNTS, *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_first, after_second = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert after_import == 0
+    assert after_first > 0
+    assert after_second == after_first
 
 
 def test_traced_bindings_exist():

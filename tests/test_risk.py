@@ -142,6 +142,25 @@ class TestVarianceExpectation:
             variance_expectation_check([], linear_task, theta=-0.2, c_theta=1.0,
                                        mc_pairs=1000)
 
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_one_draw_serves_every_metric(self, linear_task, monkeypatch, count):
+        # the stream is drawn once per check (X, then Xp), whatever the number
+        # of metrics, and each row equals that metric's check on its own
+        metrics = [make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2, a=0.3,
+                                       seed=k, init_scale=2.0) for k in range(count - 1)]
+        metrics.append(lambda X, Xp: np.cos(3.0 * X[:, 0] + Xp[:, -1]))
+        draws = []
+
+        def counted(task, n, rng):
+            draws.append(n)
+            return sample_inputs(task, n, rng)
+
+        monkeypatch.setattr(risk, "sample_inputs", counted)
+        check = dict(task=linear_task, theta=0.6, c_theta=2.4, mc_pairs=2 * MC_BLOCK + 5, seed=8)
+        rows = variance_expectation_check(metrics, **check).rows
+        assert draws == [2 * MC_BLOCK + 5] * 2
+        assert rows == [variance_expectation_check([m], **check).rows[0] for m in metrics]
+
 
 @pytest.mark.parametrize("mc_pairs", [1, 99])
 @pytest.mark.parametrize("estimate", ["bayes", "risk", "identity", "variance"])
