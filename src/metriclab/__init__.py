@@ -28,7 +28,6 @@ from .losses import (
     self_distance_etas,
     tstar_analytic,
     tstar_batch,
-    tstar_oracle,
 )
 from .synthetic import (
     ConditionalModel,

@@ -181,7 +181,8 @@ def cmd_metric_lab(args) -> int:
         raise ValidationFailure(f"--eta-points must lie in [1, {LAB_MAX_COUNT}] and --pairs in "
                                 f"[0, {LAB_MAX_COUNT}], got {args.eta_points} and {args.pairs}")
     _make_out_dir(args.out)
-    comments = _provenance(args.seed, extra=f"args_digest={_args_digest(loss_names, args.eta_points)}")
+    digest = _args_digest(loss_names, args.eta_points, args.pairs)
+    comments = _provenance(args.seed, extra=f"args_digest={digest}")
     # rounded so the midpoint is exactly 1/2 (hinge's convention point)
     eta_grid = np.round(np.linspace(0.005, 0.995, args.eta_points), 12)
     cx_etas = self_distance_etas([0.6, 0.2, 0.2], [1.0, 0.0, 0.0])
@@ -274,12 +275,19 @@ def _effective_seeds(config: ExperimentConfig, override: int | None):
     return override, override + 1, override + 2
 
 
+def _train_n(config: ExperimentConfig, command: str) -> int:
+    """[train] n, which both commands that sample the training set need."""
+    if "n" not in config.train:
+        raise ValidationFailure(f"{config.source_path}: [train] needs 'n' for {command}")
+    return config.train["n"]
+
+
 def cmd_gen_data(args) -> int:
     config = load_config(args.config)
     task_seed, _, _ = _effective_seeds(config, args.seed)
     task = config.build_task(seed_override=task_seed)
+    n = _train_n(config, args.command)
     _make_out_dir(args.out)
-    n = config.train.get("n", 1000)
     X, y = sample_dataset(task, n)
     path = os.path.join(args.out, "dataset.csv")
     write_csv(path, [f"x_{j + 1}" for j in range(X.shape[1])] + ["y"],
@@ -292,9 +300,7 @@ def cmd_train_eval(args) -> int:
     config = load_config(args.config)
     task_seed, train_seed, eval_seed = _effective_seeds(config, args.seed)
     task = config.build_task(seed_override=task_seed)
-    if "n" not in config.train:
-        raise ValidationFailure(f"{config.source_path}: [train] needs 'n' for train-eval")
-    n = config.train["n"]
+    n = _train_n(config, args.command)
     train_cfg = config.build_train_config()
     init_ss, shuffle_ss = np.random.SeedSequence(train_seed).spawn(2)
     train_cfg.seed = int(shuffle_ss.generate_state(1)[0])

@@ -202,12 +202,6 @@ def _inside(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def tstar_oracle(loss: LossFunction, eta: float) -> float:
-    """Infimum of argmin_t Q(eta, t), located by bisection on its slope;
-    RangeTooSmallError, with its side, when it is not inside T_RANGE."""
-    return float(_inside(tstar_batch(loss, eta)))
-
-
 def tstar_analytic(loss: LossFunction, eta: float):
     """Closed-form minimizer where one is registered; None otherwise."""
     _check_eta(eta)
@@ -222,7 +216,6 @@ class MinimizerProfile:
     tstar: np.ndarray
     q_min: np.ndarray
     analytic: np.ndarray  # NaN where no closed form
-    loss_name: str = ""
 
 
 def check_monotone(loss: LossFunction, eta_grid, tstar) -> MinimizerProfile:
@@ -239,8 +232,7 @@ def check_monotone(loss: LossFunction, eta_grid, tstar) -> MinimizerProfile:
         raise PropertyViolation(
             f"t* increases for loss {loss.name} at eta indices {rises.tolist()}"
         )
-    return MinimizerProfile(eta_grid, tstars, q_value(loss, eta_grid, tstars), np.array(analytic),
-                            loss.name)
+    return MinimizerProfile(eta_grid, tstars, q_value(loss, eta_grid, tstars), np.array(analytic))
 
 
 def _check_simplex(v, what: str) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import structured
 from .errors import ContractError, ExecutionError, ParameterError
 from .erm import TrainConfig, _sample_ordered_pairs, train, triu_pairs
 from .losses import LossFunction, hinge_loss
@@ -27,6 +26,7 @@ from .structured import (
     pair_values,
 )
 from .synthetic import (
+    MAX_STREAM_PAIRS,
     SyntheticTask,
     estimate_noise_exponent,
     eta_pairs,
@@ -59,9 +59,12 @@ def _mean_se(vals: np.ndarray) -> tuple[float, float]:
 
 
 def check_mc_pairs(mc_pairs: int) -> None:
-    """Raise ParameterError unless a risk estimate gets at least 100 pairs."""
+    """Raise ParameterError unless a risk estimate gets 100 to MAX_STREAM_PAIRS pairs."""
     if mc_pairs < 100:
         raise ParameterError(f"mc_pairs must be >= 100, got {mc_pairs}")
+    if mc_pairs > MAX_STREAM_PAIRS:
+        raise ParameterError(f"mc_pairs must be <= {MAX_STREAM_PAIRS:,} "
+                             f"(16 p + 8 bytes per pair), got {mc_pairs}")
 
 
 def _integrate(task: SyntheticTask, mc_pairs: int, seed, integrand) -> list[tuple[float, float]]:
@@ -226,8 +229,7 @@ class VarianceExpectationReport:
 
 
 def variance_expectation_check(metrics, task: SyntheticTask, theta: float, c_theta: float,
-                               mc_pairs: int, seed: int = 0,
-                               loss: LossFunction | None = None) -> VarianceExpectationReport:
+                               mc_pairs: int, seed: int = 0) -> VarianceExpectationReport:
     """Check E[q^2] <= M * E[q]^beta for the shifted hinge-loss class,
     with beta = theta/(theta+1) and M = 2^(3/(theta+1)) * c_theta^(1/(theta+1)).
 
@@ -239,7 +241,7 @@ def variance_expectation_check(metrics, task: SyntheticTask, theta: float, c_the
     """
     if theta <= 0.0 or c_theta <= 0.0:
         raise ParameterError("noise parameters must be positive")
-    loss = loss if loss is not None else hinge_loss()
+    loss = hinge_loss()
     beta = theta / (theta + 1.0)
     M = 2.0 ** (3.0 / (theta + 1.0)) * c_theta ** (1.0 / (theta + 1.0))
     fns = [as_pair_fn(metric) for metric in metrics]
@@ -429,13 +431,10 @@ def rate_sweep(task: SyntheticTask, n_list, seeds, train_config: TrainConfig, mo
     if not math.isfinite(theta) or theta <= 0.0:
         raise ExecutionError(f"unusable noise exponent {theta} for the budget recipe")
 
-    # phi depends on epsilon alone, so every job shares one certified gadget
-    # (called through the structured module, the binding bench/spans.py traces)
-    product = structured.build_product_gadget(model["epsilon"])
     jobs_list = []
     for n in n_list:
         depth, width = subnet_shape_for_budget(theorem_budget(n, task.p, task.model.r, theta))
-        spec = {**model, "depth": depth, "width": width, "product": product}
+        spec = {**model, "depth": depth, "width": width}
         jobs_list += [_SweepJob(task.spec, n, si, train_config, spec, mc_pairs) for si in seeds]
 
     # a pool starts all its workers at once: never more than there are jobs

@@ -297,16 +297,12 @@ def random_subnet(p: int, depth: int, width: int, rng: np.random.Generator,
 
 def make_structured_net(p: int, m: int, depth: int, width: int, epsilon: float,
                         a: float, clamp: bool = True, seed: int = 0,
-                        init_scale: float = 1.0,
-                        product: ProductGadget | None = None) -> StructuredMetricNet:
+                        init_scale: float = 1.0) -> StructuredMetricNet:
+    """Random sub-networks with the gadgets epsilon and a fix: phi and F_a."""
     rng = np.random.default_rng(seed)
     subnets = [random_subnet(p, depth, width, rng, init_scale) for _ in range(m)]
-    return StructuredMetricNet(
-        subnets,
-        product if product is not None else build_product_gadget(epsilon),
-        build_sign_approx(a),
-        clamp_subnet_output=clamp,
-    )
+    return StructuredMetricNet(subnets, build_product_gadget(epsilon), build_sign_approx(a),
+                               clamp_subnet_output=clamp)
 
 
 # ---------------------------------------------------------------------------

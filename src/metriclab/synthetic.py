@@ -23,6 +23,9 @@ _SIMPLEX_TOL = 1e-12
 # pairs per Monte Carlo block: past a few thousand pairs numpy's per-call
 # overhead is amortized, and each block's temporaries stay near 1 MB
 MC_BLOCK = 8192
+# the most pairs one Monte Carlo stream may draw: it holds 16 p + 8 bytes per
+# pair for the whole estimate, 160 MB at p = 1
+MAX_STREAM_PAIRS = 10_000_000
 
 
 @dataclass
@@ -53,9 +56,6 @@ class SyntheticTask:
     seed: int = 0
     marginal: callable | None = None  # (rng, n) -> (n, p); uniform when None
     spec: dict | None = None  # make_task() kwargs, kept for picklable rebuilds
-
-    def rng(self, salt: int = 0) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(salt,)))
 
 
 def conditional_probs(task: SyntheticTask, X) -> np.ndarray:
@@ -115,7 +115,8 @@ def sample_dataset(task: SyntheticTask, n: int, seed: int | None = None):
     """n i.i.d. draws (x, y); y sampled from the categorical law P_x."""
     if n < 2:
         raise ParameterError(f"need n >= 2 samples, got {n}")
-    rng = np.random.default_rng(seed) if seed is not None else task.rng()
+    rng = np.random.default_rng(
+        seed if seed is not None else np.random.SeedSequence(task.seed, spawn_key=(0,)))
     X = sample_inputs(task, n, rng)
     P = conditional_probs(task, X)
     u = rng.random(n)
@@ -242,13 +243,16 @@ def noise_t_grid(t_grid) -> np.ndarray:
 
 
 def check_noise_pairs(mc_pairs: int) -> None:
-    """Raise ParameterError unless the noise fit gets at least 1e4 pairs."""
+    """Raise ParameterError unless the noise fit gets 1e4 to MAX_STREAM_PAIRS pairs."""
     if mc_pairs < 10_000:
         raise ParameterError(f"noise_mc_pairs must be >= 1e4, got {mc_pairs}")
+    if mc_pairs > MAX_STREAM_PAIRS:
+        raise ParameterError(f"noise_mc_pairs must be <= {MAX_STREAM_PAIRS:,} "
+                             f"(16 p + 8 bytes per pair), got {mc_pairs}")
 
 
 def estimate_noise_exponent(task: SyntheticTask, mc_pairs: int, t_grid,
-                            seed: int | None = None) -> NoiseExponentFit:
+                            seed) -> NoiseExponentFit:
     """Fit Prob{|eta - 1/2| <= t} ~ C * t^theta by log-log least squares.
 
     The fit uses each distinct grid value once. A task whose margin mass
@@ -260,7 +264,7 @@ def estimate_noise_exponent(task: SyntheticTask, mc_pairs: int, t_grid,
     t_grid = noise_t_grid(t_grid)
     check_noise_pairs(mc_pairs)
 
-    rng = np.random.default_rng(seed) if seed is not None else task.rng(salt=1)
+    rng = np.random.default_rng(seed)
     X, Xp = sample_inputs(task, mc_pairs, rng), sample_inputs(task, mc_pairs, rng)
     # counts[k] = #{t_grid[k-1] < |eta - 1/2| <= t_grid[k]}, exact integers
     counts = np.zeros(t_grid.size + 1, dtype=np.int64)

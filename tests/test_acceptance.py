@@ -55,19 +55,14 @@ def linear_task():
     return make_task("linear", seed=3)
 
 
-@pytest.fixture(scope="module")
-def shared_gadgets():
-    return build_product_gadget(1e-2), build_sign_approx(0.1)
-
-
-def random_net_batch(count, shared_product, p=1, m=2, depth=2, width=4):
+def random_net_batch(count, p=1, m=2, depth=2, width=4):
     """Random structured nets with varied sign widths and init scales."""
     nets = []
     for k in range(count):
         a = (0.2, 0.35, 0.5, 0.75, 1.0)[k % 5]
         nets.append(make_structured_net(
             p=p, m=m, depth=depth, width=width, epsilon=1e-2, a=a, seed=k,
-            init_scale=1.0 + 0.5 * (k % 4), product=shared_product,
+            init_scale=1.0 + 0.5 * (k % 4),
         ))
     return nets
 
@@ -157,12 +152,11 @@ def test_criterion_06_bias_removal():
             assert np.all(rep.deviation <= ORACLE_TOL), (name, rep.deviation)
 
 
-def test_criterion_07_excess_risk_identity_agreement(linear_task, shared_gadgets):
+def test_criterion_07_excess_risk_identity_agreement(linear_task):
     with criterion(7, "excess_direct vs excess_identity within 3 combined "
                       "stderr on 50 random admissible nets at 1e5 pairs"):
         t0 = time.perf_counter()
-        product, _ = shared_gadgets
-        nets = random_net_batch(50, product)
+        nets = random_net_batch(50)
         budget = HypothesisBudget(L_max=20, W_max=2000, U_max=500)
         hinge = get_loss("hinge")
         for k, net in enumerate(nets):
@@ -173,13 +167,12 @@ def test_criterion_07_excess_risk_identity_agreement(linear_task, shared_gadgets
         assert time.perf_counter() - t0 < 120.0
 
 
-def test_criterion_08_variance_expectation_bound(linear_task, shared_gadgets):
+def test_criterion_08_variance_expectation_bound(linear_task):
     with criterion(8, "variance-expectation bound with fitted upper-confidence "
                       "(theta, C) holds for >= 95% of 20 random nets"):
-        product, _ = shared_gadgets
         fit = estimate_noise_exponent(linear_task, 200_000,
                                       np.geomspace(0.02, 0.3, 8), seed=29)
-        nets = random_net_batch(20, product)
+        nets = random_net_batch(20)
         rep = variance_expectation_check(nets, linear_task, theta=fit.theta_hat,
                                          c_theta=fit.c_theta_upper,
                                          mc_pairs=100_000, seed=31)

@@ -49,10 +49,10 @@ def test_the_oracle_hook_sees_the_slope(monkeypatch):
 
     logistic = losses.get_loss("logistic")
     etas = np.linspace(0.1, 0.9, 5)
-    want = losses.tstar_oracle(logistic, 0.3)
+    want = losses.tstar_batch(logistic, 0.3)
     want_batch = losses.tstar_batch(logistic, etas)
     monkeypatch.setattr(losses, "_grid_infimum_minimize", hooked)
-    assert losses.tstar_oracle(logistic, 0.3) == want
+    assert losses.tstar_batch(logistic, 0.3) == want
     assert len(seen) == 1 and seen[0]["points"] > 40
     # a batched solve: one point per problem at each of the 48 slope evaluations
     got_batch = losses.tstar_batch(logistic, etas)

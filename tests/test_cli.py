@@ -204,6 +204,18 @@ class TestMetricLab:
         assert not (tmp_path / "lab").exists()
         assert peak < 2**20
 
+    def test_provenance_records_the_pair_count(self, tmp_path):
+        # the random-sweep line depends on --pairs, so its provenance must too
+        def provenance(out, pairs):
+            code = main(["metric-lab", "--losses", "hinge", "--eta-points", "5",
+                         "--pairs", pairs, "--out", str(tmp_path / out)])
+            assert code == EXIT_OK
+            return (tmp_path / out / "checks_summary.txt").read_text().splitlines()[0]
+
+        first, again, other = provenance("a", "20"), provenance("b", "20"), provenance("c", "21")
+        assert first.startswith("# version=") and "args_digest=" in first
+        assert first == again and first != other
+
 
 class TestGenData:
     def test_writes_csv_with_header(self, tmp_path):
@@ -233,6 +245,16 @@ class TestGenData:
         rows = [line.split(",") for line in lines[2:]]
         assert np.array_equal(np.array([float(x) for x, _ in rows]), X[:, 0])
         assert np.array_equal(np.array([int(label) for _, label in rows]), y)
+
+    @pytest.mark.parametrize("command", ["gen-data", "train-eval"])
+    def test_missing_n_exits_two_before_out(self, tmp_path, capsys, command):
+        # both commands sample the training set, so both need its size
+        cfg = write(tmp_path, "c.yaml", TINY_CONFIG.replace("  n: 64\n", ""))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"[train] needs 'n' for {command}" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTrainEval:
@@ -319,6 +341,30 @@ class TestRateSweepCommand:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("train-eval", "mc_pairs"),
+                                              ("rate-sweep", "noise_mc_pairs")])
+    def test_a_stream_past_the_cap_exits_two_before_out(self, tmp_path, capsys, command, key):
+        # a stream holds 16 p + 8 bytes per pair: refused before it is drawn
+        import yaml  # noqa: F401  (load_config's first-use import is not what is measured)
+
+        from metriclab.synthetic import MAX_STREAM_PAIRS
+
+        kept = [line for line in SWEEP_CONFIG.splitlines() if not line.startswith(f"  {key}:")]
+        cfg = write(tmp_path, "c.yaml",
+                    "\n".join(kept) + f"\n  {key}: {MAX_STREAM_PAIRS + 1}\n")
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", cfg, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"[eval] {key} must be <= 10,000,000" in err and "Traceback" not in err
+        assert not out.exists()
+        assert peak < 2**20
 
     def test_an_epsilon_too_deep_to_certify_exits_two_before_out(self, tmp_path, capsys):
         # load_config asks gadgets.product_depth, as build_product_gadget will

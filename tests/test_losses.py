@@ -19,7 +19,6 @@ from metriclab.losses import (
     self_distance_etas,
     tstar_analytic,
     tstar_batch,
-    tstar_oracle,
 )
 
 from helpers import bias_shift, monotone, scalar_grid_infimum_minimize, self_distance
@@ -74,17 +73,17 @@ class TestQValue:
 
 class TestOracle:
     def test_hinge_high_eta(self, hinge):
-        assert tstar_oracle(hinge, 0.7) == pytest.approx(-1.0, abs=ORACLE_SLACK)
+        assert tstar_batch(hinge, 0.7) == pytest.approx(-1.0, abs=ORACLE_SLACK)
 
     def test_hinge_low_eta(self, hinge):
-        assert tstar_oracle(hinge, 0.3) == pytest.approx(1.0, abs=ORACLE_SLACK)
+        assert tstar_batch(hinge, 0.3) == pytest.approx(1.0, abs=ORACLE_SLACK)
 
     def test_hinge_half_infimum_convention(self, hinge):
         # argmin set is [-1, 1]; the infimum convention picks -1
-        assert tstar_oracle(hinge, 0.5) == pytest.approx(-1.0, abs=ORACLE_SLACK)
+        assert tstar_batch(hinge, 0.5) == pytest.approx(-1.0, abs=ORACLE_SLACK)
 
     def test_logistic_example(self):
-        got = tstar_oracle(get_loss("logistic"), 0.9)
+        got = tstar_batch(get_loss("logistic"), 0.9)
         assert got == pytest.approx(math.log(1.0 / 9.0), abs=ORACLE_SLACK)
 
     @pytest.mark.parametrize("name", ["logistic", "exponential", "modified_least_squares"])
@@ -92,24 +91,27 @@ class TestOracle:
         loss = get_loss(name)
         for eta in ETA_SWEEP:
             want = tstar_analytic(loss, float(eta))
-            assert tstar_oracle(loss, float(eta)) == pytest.approx(want, abs=ORACLE_SLACK)
+            assert tstar_batch(loss, float(eta)) == pytest.approx(want, abs=ORACLE_SLACK)
 
     def test_exponential_boundary_error(self):
+        exponential = get_loss("exponential")
+        assert tstar_batch(exponential, 0.0) == math.inf
         with pytest.raises(RangeTooSmallError) as excinfo:
-            tstar_oracle(get_loss("exponential"), 0.0)
+            check_monotone(exponential, [0.0], tstar_batch(exponential, [0.0]))
         assert excinfo.value.side == "upper"
 
     def test_unbounded_below_reports_lower_side(self, hinge):
         # eta = 1: Q = l(t) is flat on (-inf, -1]
+        assert tstar_batch(hinge, 1.0) == -math.inf
         with pytest.raises(RangeTooSmallError) as excinfo:
-            tstar_oracle(hinge, 1.0)
+            check_monotone(hinge, [1.0], tstar_batch(hinge, [1.0]))
         assert excinfo.value.side == "lower"
 
     def test_hinge_bayes_minimum(self, hinge):
         for eta in (0.0, 0.13, 0.5, 0.88, 1.0):
             if eta == 1.0:
                 continue  # argmin unbounded below; handled by the sentinel path
-            q_min = q_value(hinge, eta, tstar_oracle(hinge, eta))
+            q_min = q_value(hinge, eta, tstar_batch(hinge, eta))
             assert q_min == pytest.approx(2 * min(eta, 1 - eta), abs=1e-9)
 
 
@@ -119,14 +121,14 @@ class TestOracleProperties:
     @given(eta=ETAS)
     def test_matches_analytic_at_random_eta(self, name, eta):
         loss = get_loss(name)
-        assert abs(tstar_oracle(loss, eta) - tstar_analytic(loss, eta)) <= 1e-9
+        assert abs(tstar_batch(loss, eta) - tstar_analytic(loss, eta)) <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(eta=ETAS)
     def test_hinge_is_exactly_plus_or_minus_one(self, eta):
         hinge = get_loss("hinge")
-        assert tstar_oracle(hinge, eta) == tstar_analytic(hinge, eta)
-        assert tstar_oracle(hinge, eta) in (1.0, -1.0)
+        assert tstar_batch(hinge, eta) == tstar_analytic(hinge, eta)
+        assert tstar_batch(hinge, eta) in (1.0, -1.0)
 
     @pytest.mark.parametrize("name", sorted(LOSSES))
     @settings(max_examples=40, deadline=None)
@@ -134,7 +136,7 @@ class TestOracleProperties:
     def test_non_increasing_between_random_pairs(self, name, e1, e2):
         loss = get_loss(name)
         lo, hi = min(e1, e2), max(e1, e2)
-        assert tstar_oracle(loss, hi) <= tstar_oracle(loss, lo)
+        assert tstar_batch(loss, hi) <= tstar_batch(loss, lo)
 
     @pytest.mark.parametrize("name", sorted(LOSSES))
     @settings(max_examples=40, deadline=None)
@@ -287,7 +289,7 @@ class TestBiasShift:
 
     def test_zero_bias_reduces_to_oracle(self, hinge):
         rep = bias_shift(hinge, 0.3, 0.0)
-        assert rep.shifted_tstar == pytest.approx(tstar_oracle(hinge, 0.3), abs=1e-12)
+        assert rep.shifted_tstar == pytest.approx(tstar_batch(hinge, 0.3), abs=1e-12)
 
     def test_modls_example(self):
         rep = bias_shift(get_loss("modified_least_squares"), 0.25, 1.0)

@@ -340,7 +340,9 @@ class TestRateSweep:
         for a, b in zip(seq.rows, par.rows):
             assert (a.n, a.seed, a.excess) == (b.n, b.seed, b.excess)
 
-    def test_certifies_the_product_gadget_once_per_sweep(self, linear_task, monkeypatch):
+    def test_each_job_certifies_one_gadget_at_the_configs_epsilon(self, linear_task,
+                                                                  monkeypatch):
+        # phi depends on epsilon alone, so each job builds its own from the model spec
         calls = []
         certify = gadgets.certify_product
 
@@ -350,7 +352,7 @@ class TestRateSweep:
 
         monkeypatch.setattr(gadgets, "certify_product", counted)
         result = mini_sweep(linear_task)
-        assert calls == [1e-2] and len(result.rows) == 12
+        assert calls == [MODEL["epsilon"]] * 12 and len(result.rows) == 12
 
     def test_pool_has_no_more_workers_than_jobs(self, linear_task, monkeypatch):
         # a serial stand-in records the pool size; no real pool is started

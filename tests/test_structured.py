@@ -59,11 +59,6 @@ def phi():
 
 
 @pytest.fixture(scope="module")
-def gadgets():
-    return {eps: build_product_gadget(eps) for eps in (1e-1, 1e-2)}
-
-
-@pytest.fixture(scope="module")
 def sign():
     return build_sign_approx(0.1)
 
@@ -123,7 +118,7 @@ class TestEvaluate:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), batch=st.integers(1, 6),
            fault=st.sampled_from(["nan", "below", "above", "width"]), first=st.booleans())
-    def test_one_domain_check_for_tasks_and_metrics(self, phi, seed, p, batch, fault, first):
+    def test_one_domain_check_for_tasks_and_metrics(self, seed, p, batch, fault, first):
         rng = np.random.default_rng(seed)
         good = rng.random((batch, p))
         bad = rng.random((batch, p + 1 if fault == "width" else p))
@@ -134,8 +129,7 @@ class TestEvaluate:
         assert issubclass(expected, ValidationFailure)
         pair = (bad, good) if first else (good, bad)
         task = make_task("cosine", p=p, A=0.05, k=1, r=1)
-        net = make_structured_net(p=p, m=1, depth=1, width=2, epsilon=1e-3, a=0.1,
-                                  seed=seed, product=phi)
+        net = make_structured_net(p=p, m=1, depth=1, width=2, epsilon=1e-3, a=0.1, seed=seed)
         with pytest.raises(expected):
             eta_pairs(task, *pair)
         with pytest.raises(expected):
@@ -663,11 +657,9 @@ class TestPersistence:
     @given(m=st.integers(1, 3), p=st.integers(1, 2), depth=st.integers(1, 3),
            width=st.integers(1, 5), epsilon=st.sampled_from([1e-1, 1e-2]),
            a=st.floats(0.01, 2.0), clamp=st.booleans(), seed=st.integers(0, 2**16))
-    def test_manifest_round_trip_property(self, gadgets, m, p, depth, width, epsilon, a, clamp,
-                                          seed):
+    def test_manifest_round_trip_property(self, m, p, depth, width, epsilon, a, clamp, seed):
         net = make_structured_net(p=p, m=m, depth=depth, width=width, epsilon=epsilon, a=a,
-                                  clamp=clamp, seed=seed, init_scale=2.0,
-                                  product=gadgets[epsilon])
+                                  clamp=clamp, seed=seed, init_scale=2.0)
         X, Xp = np.random.default_rng(seed).random((2, 500, p))
         with tempfile.TemporaryDirectory() as tmp:
             first, second = os.path.join(tmp, "first"), os.path.join(tmp, "second")
