@@ -308,8 +308,7 @@ def cmd_train_eval(args) -> int:
 
     data = sample_dataset(task, n)
     net = make_structured_net(p=task.p, seed=init_ss, **config.model_spec(task))
-    loss = get_loss("hinge")
-    trained, report = train(net, data, train_cfg, loss)
+    trained, report = train(net, data, train_cfg, get_loss("hinge"))
 
     comments = _provenance(f"{task_seed}/{train_seed}/{eval_seed}", config)
     manifest_path = save_manifest(trained, os.path.join(args.out, "model"))
@@ -317,7 +316,7 @@ def cmd_train_eval(args) -> int:
               ["epoch", "risk", "grad_norm", "active_fraction", "a"],
               list(report.rows()), comments)
 
-    rep = risk_report(trained, task, loss, config.eval.get("mc_pairs", MC_PAIRS), eval_seed)
+    rep = risk_report(trained, task, config.eval.get("mc_pairs", MC_PAIRS), eval_seed)
     write_csv(os.path.join(args.out, "risk_report.csv"),
               ["risk", "risk_se", "bayes", "bayes_se", "excess_direct", "excess_direct_se",
                "excess_identity", "excess_identity_se", "mc_pairs", "seed"],

@@ -14,23 +14,23 @@ from .errors import ConfigError, ParameterError
 from .erm import TrainConfig
 from .gadgets import build_sign_approx, product_depth
 from .risk import check_mc_pairs, sweep_seeds, sweep_sizes
-from .synthetic import MODEL_FAMILIES, SyntheticTask, check_noise_pairs, make_task, noise_t_grid
+from .synthetic import (SyntheticTask, check_noise_pairs, family_parameters, make_task,
+                        noise_t_grid)
 
-_TASK_KEYS = {"family", "p", "m", "seed", "r", "A", "k", "beta", "rho",
-              "p1_left", "p1_right"}
-_MODEL_KEYS = {"m", "depth", "width", "epsilon", "a", "clamp", "init_scale", "a_anneal"}
-_TRAIN_KEYS = {"n", "epochs", "pair_batch", "lr_init", "lr_decay", "pair_strategy",
-               "pairs_per_epoch", "seed"}
-_EVAL_KEYS = {"mc_pairs", "seed", "t_grid", "n_list", "seeds", "noise_mc_pairs"}
-_BLOCKS = {"task": _TASK_KEYS, "model": _MODEL_KEYS, "train": _TRAIN_KEYS, "eval": _EVAL_KEYS}
-
-# numeric keys, whichever block holds them; each value is type-checked and
-# cast here, once
-_INT_KEYS = {"p", "m", "seed", "r", "k", "depth", "width", "n", "epochs", "pair_batch",
-             "pairs_per_epoch", "mc_pairs", "noise_mc_pairs", "n_list", "seeds"}
-_FLOAT_KEYS = {"A", "beta", "rho", "p1_left", "p1_right", "epsilon", "a", "init_scale",
-               "lr_init", "lr_decay", "t_grid", "start", "decay"}
-_LIST_KEYS = {"n_list", "seeds", "t_grid"}
+# every key of every block, with its type: a one-element list types a list's
+# entries and a mapping a nested block; [task] also takes its family's own
+# parameters, which synthetic.family_parameters reads from the builder
+_KEYS = {
+    "task": {"family": str, "p": int, "m": int, "seed": int},
+    "model": {"m": int, "depth": int, "width": int, "epsilon": float, "a": float, "clamp": bool,
+              "init_scale": float, "a_anneal": {"start": float, "decay": float}},
+    "train": {"n": int, "epochs": int, "pair_batch": int, "lr_init": float, "lr_decay": float,
+              "pair_strategy": str, "pairs_per_epoch": int, "seed": int},
+    "eval": {"mc_pairs": int, "seed": int, "t_grid": [float], "n_list": [int], "seeds": [int],
+             "noise_mc_pairs": int},
+}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string"}
 
 # make_structured_net keywords besides p, seed and m (whose default is the
 # task's label count)
@@ -55,10 +55,13 @@ class ExperimentConfig:
     sha256: str = ""
 
     def build_task(self, seed_override: int | None = None) -> SyntheticTask:
-        params = {k: v for k, v in self.task.items()
-                  if k not in ("family", "p", "m", "seed")}
+        """The [task] block's task; make_task owns the family's rules."""
+        params = {k: v for k, v in self.task.items() if k not in _KEYS["task"]}
         seed = self.task.get("seed", 0) if seed_override is None else seed_override
-        task = make_task(self.task["family"], p=self.task.get("p", 1), seed=seed, **params)
+        try:
+            task = make_task(self.task["family"], p=self.task.get("p", 1), seed=seed, **params)
+        except ParameterError as err:
+            raise ConfigError(f"{self.source_path}: [task] {err}") from err
         declared_m = self.task.get("m")
         if declared_m is not None and declared_m != task.model.m:
             raise ConfigError(
@@ -89,29 +92,25 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise ConfigError(f"{where}: {message}")
 
 
-def _as_number(value, integer: bool, where: str, name: str):
-    if integer:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
+def _typed(value, kind, where: str, label: str):
+    """value checked against its type in _KEYS, with numbers cast to it."""
+    if isinstance(kind, dict):
+        _require(isinstance(value, dict), where, f"{label} must be a mapping, got {value!r}")
+        for key in value:
+            _require(key in kind, where, f"{label} unknown key {key!r} (allowed: {sorted(kind)})")
+        return {key: _typed(v, kind[key], where, f"{label} {key}") for key, v in value.items()}
+    if isinstance(kind, list):
+        _require(isinstance(value, list), where, f"{label} must be a list, got {value!r}")
+        return [_typed(v, kind[0], where, label) for v in value]
+    if kind is float:
         try:  # PyYAML reads exponent forms without a dot (1e-3) as strings
             ok = not isinstance(value, bool) and math.isfinite(value := float(value))
         except (TypeError, ValueError):
             ok = False
-    _require(ok, where, f"{name} must be {'an integer' if integer else 'a finite number'}, "
-             f"got {value!r}")
+    else:
+        ok = type(value) is kind  # so a bool is no integer
+    _require(ok, where, f"{label} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value
-
-
-def _cast_numbers(block: dict, where: str, name: str) -> None:
-    for key, value in block.items():
-        label = f"{name} {key}"
-        if key == "a_anneal" and isinstance(value, dict):
-            _cast_numbers(value, where, label)
-        elif key in _LIST_KEYS:
-            _require(isinstance(value, list), where, f"{label} must be a list, got {value!r}")
-            block[key] = [_as_number(v, key in _INT_KEYS, where, label) for v in value]
-        elif key in _INT_KEYS | _FLOAT_KEYS and not (key == "pairs_per_epoch" and value is None):
-            block[key] = _as_number(value, key in _INT_KEYS, where, label)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -132,35 +131,24 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{where}: {err}") from err
     _require(isinstance(doc, dict), where, "top level must be a mapping")
     for name in doc:
-        _require(name in _BLOCKS, where, f"unknown block [{name}] "
-                 f"(allowed: {sorted(_BLOCKS)})")
-    blocks = {}
-    for name, allowed in _BLOCKS.items():
-        block = doc.get(name, {}) or {}
-        _require(isinstance(block, dict), where, f"[{name}] must be a mapping")
-        for key in block:
-            _require(key in allowed, where,
-                     f"[{name}] unknown key {key!r} (allowed: {sorted(allowed)})")
-        _cast_numbers(block, where, f"[{name}]")
-        # numpy seeds and SeedSequence spawn keys must be non-negative
-        _require(block.get("seed", 0) >= 0, where, f"[{name}] seed must be >= 0")
-        blocks[name] = block
-
+        _require(name in _KEYS, where, f"unknown block [{name}] (allowed: {sorted(_KEYS)})")
+    # a block with nothing under it reads as null
+    blocks = {name: {} if doc.get(name) is None else doc[name] for name in _KEYS}
     task = blocks["task"]
-    _require("family" in task, where, "[task] needs a 'family' key")
-    _require(isinstance(task["family"], str) and task["family"] in MODEL_FAMILIES, where,
-             f"[task] unknown family {task['family']!r} (known: {sorted(MODEL_FAMILIES)})")
-    _require(task.get("p", 1) >= 1, where, "[task] p must be >= 1")
+    _require(isinstance(task, dict) and "family" in task, where,
+             "[task] must be a mapping with a 'family' key")
+    try:
+        task_keys = family_parameters(_typed(task["family"], str, where, "[task] family"))
+    except ParameterError as err:
+        raise ConfigError(f"{where}: [task] {err}") from err
+    for name, keys in _KEYS.items():
+        keys = {**keys, **task_keys} if name == "task" else keys
+        blocks[name] = _typed(blocks[name], keys, where, f"[{name}]")
+        # numpy seeds and SeedSequence spawn keys must be non-negative
+        _require(blocks[name].get("seed", 0) >= 0, where, f"[{name}] seed must be >= 0")
 
-    model = blocks["model"]
     for key in ("m", "depth", "width"):
-        _require(model.get(key, 1) >= 1, where, f"[model] {key} must be >= 1")
-    if "clamp" in model:
-        _require(isinstance(model["clamp"], bool), where, "[model] clamp must be true or false")
-    # an absent anneal is None to TrainConfig; a null one is a config error
-    _require(isinstance(model.get("a_anneal", {}), dict), where,
-             f"[model] a_anneal must be a mapping, got {model.get('a_anneal')!r}")
-
+        _require(blocks["model"].get(key, 1) >= 1, where, f"[model] {key} must be >= 1")
     _require(blocks["train"].get("n", 2) >= 2, where,
              "[train] n must be >= 2 (pair risk needs pairs)")
 
@@ -173,5 +161,6 @@ def load_config(path) -> ExperimentConfig:
 
     config = ExperimentConfig(**blocks, source_path=where,
                               sha256=hashlib.sha256(raw).hexdigest())
+    config.build_task()  # make_task validates [task]
     config.build_train_config()  # TrainConfig validates [train] and [model] a_anneal
     return config

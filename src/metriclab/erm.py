@@ -49,6 +49,9 @@ class TrainConfig:
             raise ParameterError("epochs and pair_batch must be >= 1")
         if self.pairs_per_epoch is not None and self.pairs_per_epoch < 1:
             raise ParameterError("pairs_per_epoch must be >= 1")
+        if self.pairs_per_epoch is not None and self.pair_strategy == "all-pairs":
+            raise ParameterError("pairs_per_epoch applies only to pair_strategy "
+                                 "uniform-subsample; all-pairs trains on every pair")
         if self.lr_init < 0.0 or self.lr_decay <= 0.0:
             raise ParameterError("learning-rate schedule must be positive")
         if self.pair_strategy not in PAIR_STRATEGIES:

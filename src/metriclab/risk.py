@@ -192,11 +192,11 @@ class RiskReport:
                 and self.excess_direct >= -3.0 * self.excess_direct_se)
 
 
-def risk_report(metric, task: SyntheticTask, loss: LossFunction,
-                mc_pairs: int, seed: int) -> RiskReport:
-    """Direct and identity-based excess risk on independent MC streams."""
+def risk_report(metric, task: SyntheticTask, mc_pairs: int, seed: int) -> RiskReport:
+    """Hinge-loss excess risk, direct and by the identity, on independent
+    MC streams: the Bayes term and the identity are the hinge's."""
     streams = [np.random.SeedSequence(seed, spawn_key=(k,)) for k in range(3)]
-    risk, risk_se = generalization_risk(metric, task, loss, mc_pairs, streams[0])
+    risk, risk_se = generalization_risk(metric, task, hinge_loss(), mc_pairs, streams[0])
     bayes, bayes_se = bayes_risk_hinge(task, mc_pairs, streams[1])
     ident, ident_se = excess_risk_identity(metric, task, mc_pairs, streams[2])
     return RiskReport(

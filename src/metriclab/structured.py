@@ -241,14 +241,11 @@ def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarr
 
 def glue_constants(net: StructuredMetricNet) -> dict:
     """The exact wiring cost added by the assembly (see module docstring)."""
-    m = net.m
-    if net.clamp_subnet_output:
-        return {"c_W": 16 * m - 2, "c_U": 4 * m, "extra_depth": 2,
-                "clamp_weights": 8 * m, "clamp_units": 4 * m,
-                "product_bias_fill": 6 * m, "aggregation_fan_in": 2 * m - 2}
-    return {"c_W": 2 * m - 2, "c_U": 0, "extra_depth": 0,
-            "clamp_weights": 0, "clamp_units": 0,
-            "product_bias_fill": 0, "aggregation_fan_in": 2 * m - 2}
+    m, clamp = net.m, int(net.clamp_subnet_output)  # the clamp stage as a 0/1 factor
+    clamp_w, clamp_u, fill, fan_in = 8 * m * clamp, 4 * m * clamp, 6 * m * clamp, 2 * m - 2
+    return {"c_W": clamp_w + fill + fan_in, "c_U": clamp_u, "extra_depth": 2 * clamp,
+            "clamp_weights": clamp_w, "clamp_units": clamp_u,
+            "product_bias_fill": fill, "aggregation_fan_in": fan_in}
 
 
 def aggregate_complexity(net: StructuredMetricNet) -> NetworkComplexity:

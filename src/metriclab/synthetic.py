@@ -9,6 +9,7 @@ task supplies its own sampler.
 
 from __future__ import annotations
 
+import inspect
 import math
 import operator
 from dataclasses import dataclass
@@ -403,18 +404,27 @@ MODEL_FAMILIES = {
 }
 
 
-def make_task(family: str, p: int = 1, seed: int = 0, **params) -> SyntheticTask:
-    """Instantiate a built-in family by name."""
+def family_parameters(family: str) -> dict:
+    """The keywords a built-in family's builder takes, each with its type,
+    read from the builder's signature; p, the input dimension, is among them
+    only for a family defined on every p."""
     if family not in MODEL_FAMILIES:
         raise ParameterError(f"unknown task family {family!r}; known: {sorted(MODEL_FAMILIES)}")
+    return {name: param.annotation for name, param in
+            inspect.signature(MODEL_FAMILIES[family], eval_str=True).parameters.items()}
+
+
+def make_task(family: str, p: int = 1, seed: int = 0, **params) -> SyntheticTask:
+    """Instantiate a built-in family by name. A parameter its builder does
+    not take, or a missing one, is a ParameterError."""
+    takes_p = "p" in family_parameters(family)
     if p < 1:
         raise ParameterError(f"input dimension p must be >= 1, got {p}")
-    if family == "cosine":
-        model = cosine_model(p=p, **params)
-    elif p != 1:
+    if not takes_p and p != 1:
         raise ParameterError(f"{family} family is defined on p = 1")
-    else:
-        model = MODEL_FAMILIES[family](**params)
+    try:
+        model = MODEL_FAMILIES[family](**({"p": p} if takes_p else {}), **params)
+    except TypeError as err:
+        raise ParameterError(f"{family} family: {err}") from None
     spec = {"family": family, "p": p, "seed": seed, **params}
     return SyntheticTask(p=p, model=model, seed=seed, spec=spec)
-

@@ -1,13 +1,17 @@
 """Fixtures the tests build their exact cases from; the program never calls
 them: constant label laws and sub-networks, atom marginals, the true metric
 as a pair function, reverse-mode gradients of a whole ReLU network, a
-one-problem-at-a-time reference for the batched t* oracle, and the
-metric-lab checks run on one loss with their own solves."""
+one-problem-at-a-time reference for the batched t* oracle, the
+metric-lab checks run on one loss with their own solves, and the
+benchmark's modules loaded in memory."""
 
 from __future__ import annotations
 
 import math
+import sys
+import types
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from metriclab.relu_net import DenseLayer, ReluNetwork, _as_batch, _backprop, _f
 from metriclab.synthetic import ConditionalModel, eta_pairs, hinge_metric_values
 
 _SIMPLEX_TOL = 1e-12
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def constant_model(p_vec) -> ConditionalModel:
@@ -134,3 +139,14 @@ def self_distance(loss, p_x, p_xp):
     """check_self_distance on the loss's t* at the pairs' three etas."""
     etas = self_distance_etas(p_x, p_xp)
     return check_self_distance(etas, tstar_batch(loss, etas))
+
+
+def bench_module(name: str) -> types.ModuleType:
+    """bench/<name>.py, read and executed in memory, so nothing is written
+    under bench/ (no bytecode cache). It is registered in sys.modules, where
+    dataclasses look its globals up."""
+    path = BENCH / f"{name}.py"
+    module = sys.modules[f"bench_{name}"] = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module

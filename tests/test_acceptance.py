@@ -158,10 +158,9 @@ def test_criterion_07_excess_risk_identity_agreement(linear_task):
         t0 = time.perf_counter()
         nets = random_net_batch(50)
         budget = HypothesisBudget(L_max=20, W_max=2000, U_max=500)
-        hinge = get_loss("hinge")
         for k, net in enumerate(nets):
             assert budget.admits(aggregate_complexity(net))
-            rep = risk_report(net, linear_task, hinge, 100_000, seed=1000 + k)
+            rep = risk_report(net, linear_task, 100_000, seed=1000 + k)
             assert rep.identity_gap <= rep.identity_gap_limit, (k, rep)
             assert rep.excess_direct >= -3.0 * rep.excess_direct_se, (k, rep)
         assert time.perf_counter() - t0 < 120.0

@@ -8,25 +8,15 @@ bench/.
 """
 
 import importlib
-import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metriclab import losses
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+from helpers import bench_module
 
-
-def _spans():
-    module = types.ModuleType("bench_spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
-    return module
-
-
-spans = _spans()
+spans = bench_module("spans")
 
 
 @pytest.mark.parametrize("module_name, attr", sorted({(h[0], h[1]) for h in spans.HOOKS}),

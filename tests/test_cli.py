@@ -14,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metriclab
-from metriclab.cli import EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, LAB_MAX_COUNT, main
-from metriclab.config import load_config
+from metriclab.cli import (EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, LAB_MAX_COUNT, build_parser,
+                           main)
+from metriclab.config import _KEYS, load_config
 from metriclab.errors import ConfigError, RangeTooSmallError
 from metriclab.losses import LOSSES, get_loss, self_distance_etas
-from metriclab.synthetic import sample_dataset
+from metriclab.synthetic import MODEL_FAMILIES, family_parameters, sample_dataset
 
-from helpers import scalar_grid_infimum_minimize
+from helpers import BENCH, bench_module, scalar_grid_infimum_minimize
 
 TINY_CONFIG = """\
 task:
@@ -58,6 +59,15 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def gen_data_exit(lines):
+    """gen-data's exit code on a config of these lines, in a throwaway directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "c.yaml")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return main(["gen-data", "--config", cfg, "--out", os.path.join(tmp, "o")])
 
 
 def exit_code(argv):
@@ -539,6 +549,8 @@ class TestConfigValidation:
         ("  depth: 2\n", "  depth: 2.7\n", r"\[model\] depth must be an integer, got 2.7"),
         ("  lr_init: 0.5\n", "  lr_init: .nan\n", r"\[train\] lr_init must be a finite"),
         ("  n_list: [16, 32", "  n_list: [16.5, 32", r"\[eval\] n_list must be an integer"),
+        ("  pairs_per_epoch: 2048\n", "  pairs_per_epoch: null\n",
+         r"\[train\] pairs_per_epoch must be an integer, got None"),
     ])
     def test_scalar_types_checked_with_location(self, tmp_path, capsys, old, new, message):
         cfg = write(tmp_path, "bad.yaml", SWEEP_CONFIG.replace(old, new))
@@ -634,9 +646,71 @@ class TestConfigValidation:
     def test_one_bad_value_exits_zero_or_two(self, line, value):
         lines = TINY_CONFIG.splitlines()
         lines[line] = f"{lines[line].split(':')[0]}: {value}"
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = os.path.join(tmp, "c.yaml")
-            with open(cfg, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-            assert main(["gen-data", "--config", cfg, "--out", os.path.join(tmp, "o")]) \
-                in (EXIT_OK, EXIT_VALIDATION)
+        assert gen_data_exit(lines) in (EXIT_OK, EXIT_VALIDATION)
+
+    # every block's keys and every family's parameters, any of which may be
+    # put in any block
+    FUZZ_KEYS = sorted({key for keys in _KEYS.values() for key in keys}
+                       | {key for family in MODEL_FAMILIES for key in family_parameters(family)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(sorted(MODEL_FAMILIES)), edit=st.one_of(
+        st.tuples(st.sampled_from(sorted(_KEYS)), st.sampled_from(FUZZ_KEYS),
+                  st.sampled_from(["1", "2", "0.05", "0.3"])),
+        st.sampled_from(FUZZ_LINES)))
+    def test_one_added_or_dropped_key_exits_zero_or_two(self, family, edit):
+        lines = TINY_CONFIG.replace("family: linear", f"family: {family}").splitlines()
+        if isinstance(edit, tuple):
+            block, key, value = edit
+            lines.insert(lines.index(f"{block}:") + 1, f"  {key}: {value}")
+        else:
+            del lines[edit]
+        assert gen_data_exit(lines) in (EXIT_OK, EXIT_VALIDATION)
+
+    @pytest.mark.parametrize("command", ["gen-data", "train-eval", "rate-sweep"])
+    @pytest.mark.parametrize("old, new, message", [
+        pytest.param("  family: linear\n", "  family: linear\n  A: 0.3\n",
+                     "[task] unknown key 'A' (allowed: ['family', 'm', 'p', 'seed'])",
+                     id="linear-with-A"),
+        pytest.param("  family: linear\n  p: 1\n", "  family: cosine\n  p: 2\n",
+                     "[task] cosine family: cosine_model() missing 3 required positional "
+                     "arguments: 'A', 'k', and 'r'", id="cosine-without-A-k-r"),
+    ])
+    def test_a_misfit_task_block_exits_two_before_out(self, tmp_path, capsys, command, old,
+                                                      new, message):
+        cfg = write(tmp_path, "bad.yaml", SWEEP_CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"bad.yaml: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_pairs_per_epoch_under_all_pairs_exits_two_before_out(self, tmp_path, capsys):
+        # all-pairs training ignores a pair count, so a config giving one is refused
+        cfg = write(tmp_path, "c.yaml", TINY_CONFIG.replace("pair_strategy: uniform-subsample",
+                                                            "pair_strategy: all-pairs"))
+        out = tmp_path / "o"
+        assert main(["train-eval", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        assert "pairs_per_epoch applies only to pair_strategy uniform-subsample" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEveryConfigLoads:
+    """The configs the lab ships and the ones the benchmark writes all load,
+    so a loader change cannot break the benchmark with Tier-1 green."""
+
+    @pytest.mark.parametrize("name", ["quickstart.yaml", "sweep.yaml"])
+    def test_shipped_config(self, name):
+        load_config(BENCH.parent / "configs" / name)
+
+    WORKLOADS = bench_module("workloads").WORKLOADS
+
+    @pytest.mark.parametrize("size", ["full", "tiny"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_benchmark_inputs(self, tmp_path, name, size):
+        # the workload's command line parses, and the config it names loads
+        argv = self.WORKLOADS[name].write_inputs(1, size, str(tmp_path))
+        args = build_parser().parse_args([*argv, "--out", str(tmp_path / "o")])
+        if args.command != "metric-lab":
+            load_config(args.config)

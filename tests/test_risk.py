@@ -94,11 +94,11 @@ class TestExcessIdentity:
         assert est == pytest.approx(0.8, abs=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
-    def test_agreement_with_direct_on_random_nets(self, hinge, linear_task):
+    def test_agreement_with_direct_on_random_nets(self, linear_task):
         for seed in range(5):
             net = make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2,
                                       a=0.4, seed=seed, init_scale=2.0)
-            rep = risk_report(net, linear_task, hinge, 30_000, seed=100 + seed)
+            rep = risk_report(net, linear_task, 30_000, seed=100 + seed)
             assert rep.consistent(), (rep.excess_direct, rep.excess_identity)
 
     def test_sup_norm_contract(self, linear_task):

@@ -13,6 +13,7 @@ from metriclab.synthetic import (
     estimate_noise_exponent,
     eta,
     eta_pairs,
+    family_parameters,
     hinge_metric_values,
     loglog_fit,
     make_task,
@@ -284,6 +285,21 @@ class TestFamilies:
     def test_linear_requires_p1(self):
         with pytest.raises(ParameterError):
             make_task("linear", p=2, seed=0)
+
+    @pytest.mark.parametrize("family, p, params, message", [
+        pytest.param("linear", 1, {"A": 0.3}, "unexpected keyword argument 'A'", id="extra"),
+        pytest.param("cosine", 2, {}, "'A', 'k', and 'r'", id="missing"),
+    ])
+    def test_a_parameter_the_builder_does_not_take_or_lacks(self, family, p, params, message):
+        with pytest.raises(ParameterError, match=f"{family} family: .*{message}"):
+            make_task(family, p=p, seed=0, **params)
+
+    def test_family_parameters_are_the_builders_keywords(self):
+        assert family_parameters("cosine") == {"p": int, "A": float, "k": int, "r": int}
+        assert family_parameters("three_label_ramp") == {"beta": float, "rho": float}
+        assert family_parameters("linear") == {}
+        with pytest.raises(ParameterError, match="unknown task family 'gaussian'"):
+            family_parameters("gaussian")
 
     @pytest.mark.parametrize("p", [0, -1])
     def test_input_dimension_below_one_rejected(self, p):
