@@ -32,11 +32,6 @@ _KEYS = {
 _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string"}
 
-# make_structured_net keywords besides p, seed and m (whose default is the
-# task's label count)
-_MODEL_DEFAULTS = {"depth": 2, "width": 4, "epsilon": 1e-2, "a": 0.1, "clamp": True,
-                   "init_scale": 1.0}
-
 # the keys whose rule the library owns, each with the function that checks
 # it: load_config calls the same function as the code that uses the value
 _LIBRARY_RULES = {("model", "epsilon"): product_depth, ("model", "a"): build_sign_approx,
@@ -55,27 +50,29 @@ class ExperimentConfig:
     sha256: str = ""
 
     def build_task(self, seed_override: int | None = None) -> SyntheticTask:
-        """The [task] block's task; make_task owns the family's rules."""
-        params = {k: v for k, v in self.task.items() if k not in _KEYS["task"]}
-        seed = self.task.get("seed", 0) if seed_override is None else seed_override
+        """The [task] block's task; make_task owns the family's rules and
+        defaults. A declared m, in [task] or [model], must be the task's
+        label count: the net has one sub-network per label."""
+        params = {k: v for k, v in self.task.items() if k != "m"}
+        if seed_override is not None:
+            params["seed"] = seed_override
         try:
-            task = make_task(self.task["family"], p=self.task.get("p", 1), seed=seed, **params)
+            task = make_task(**params)
         except ParameterError as err:
             raise ConfigError(f"{self.source_path}: [task] {err}") from err
-        declared_m = self.task.get("m")
-        if declared_m is not None and declared_m != task.model.m:
-            raise ConfigError(
-                f"{self.source_path}: [task] m={declared_m} but family "
-                f"{self.task['family']!r} has {task.model.m} labels"
-            )
+        for name, block in (("task", self.task), ("model", self.model)):
+            if block.get("m", task.model.m) != task.model.m:
+                raise ConfigError(
+                    f"{self.source_path}: [{name}] m={block['m']} but family "
+                    f"{self.task['family']!r} has {task.model.m} labels"
+                )
         return task
 
     def model_spec(self, task: SyntheticTask) -> dict:
         """make_structured_net's keywords besides p and seed: the [model]
-        block over its defaults."""
-        spec = {"m": task.model.m, **_MODEL_DEFAULTS}
-        spec.update((k, v) for k, v in self.model.items() if k in spec)
-        return spec
+        values the file sets (a_anneal belongs to training) and the task's
+        m; make_structured_net owns the defaults."""
+        return {"m": task.model.m, **{k: v for k, v in self.model.items() if k != "a_anneal"}}
 
     def build_train_config(self) -> TrainConfig:
         """The [train] block (without n) and [model] a_anneal; TrainConfig
@@ -147,8 +144,12 @@ def load_config(path) -> ExperimentConfig:
         # numpy seeds and SeedSequence spawn keys must be non-negative
         _require(blocks[name].get("seed", 0) >= 0, where, f"[{name}] seed must be >= 0")
 
-    for key in ("m", "depth", "width"):
-        _require(blocks["model"].get(key, 1) >= 1, where, f"[model] {key} must be >= 1")
+    model = blocks["model"]
+    for key in ("depth", "width"):
+        _require(model.get(key, 1) >= 1, where, f"[model] {key} must be >= 1")
+    # a depth-1 sub-network is affine in x: it has no hidden layer to size
+    _require(model.get("depth") != 1 or "width" not in model, where,
+             "[model] width has no effect at depth 1; remove it")
     _require(blocks["train"].get("n", 2) >= 2, where,
              "[train] n must be >= 2 (pair risk needs pairs)")
 

@@ -279,7 +279,7 @@ def pdim_bound(c: NetworkComplexity) -> float:
 # ---------------------------------------------------------------------------
 
 def random_subnet(p: int, depth: int, width: int, rng: np.random.Generator,
-                  init_scale: float = 1.0) -> ReluNetwork:
+                  init_scale: float) -> ReluNetwork:
     """Sub-network with symmetric uniform init scaled by 1/sqrt(fan_in)."""
     if depth < 1 or width < 1:
         raise ParameterError("subnet depth and width must be >= 1")
@@ -292,10 +292,11 @@ def random_subnet(p: int, depth: int, width: int, rng: np.random.Generator,
     return ReluNetwork(layers, input_dim=p)
 
 
-def make_structured_net(p: int, m: int, depth: int, width: int, epsilon: float,
-                        a: float, clamp: bool = True, seed: int = 0,
+def make_structured_net(p: int, m: int, depth: int = 2, width: int = 4, epsilon: float = 1e-2,
+                        a: float = 0.1, clamp: bool = True, seed: int = 0,
                         init_scale: float = 1.0) -> StructuredMetricNet:
-    """Random sub-networks with the gadgets epsilon and a fix: phi and F_a."""
+    """Random sub-networks with the gadgets epsilon and a fix: phi and F_a.
+    Its defaults are the [model] block's: a config passes only what it sets."""
     rng = np.random.default_rng(seed)
     subnets = [random_subnet(p, depth, width, rng, init_scale) for _ in range(m)]
     return StructuredMetricNet(subnets, build_product_gadget(epsilon), build_sign_approx(a),

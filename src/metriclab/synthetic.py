@@ -130,7 +130,6 @@ class LogLogFit(NamedTuple):
     intercept: float
     slope_se: float
     intercept_se: float
-    residuals: np.ndarray
     r_squared: float
     dof: int
 
@@ -154,7 +153,6 @@ def loglog_fit(u, v) -> LogLogFit:
         intercept=intercept,
         slope_se=math.sqrt(sigma2 / sxx),
         intercept_se=math.sqrt(sigma2 * (1.0 / x.size + xbar**2 / sxx)),
-        residuals=resid,
         r_squared=1.0 - float(resid @ resid) / sst if sst > 0 else 1.0,
         dof=dof,
     )
@@ -222,13 +220,8 @@ class NoiseExponentFit:
     theta_hat: float
     c_theta_hat: float
     theta_se: float
-    log_c_se: float
-    theta_lower: float
-    theta_upper: float
     c_theta_upper: float
-    t_used: np.ndarray
     f_values: np.ndarray
-    residuals: np.ndarray
     r_squared: float
     mc_pairs: int
     hard_margin: bool = False
@@ -277,10 +270,8 @@ def estimate_noise_exponent(task: SyntheticTask, mc_pairs: int, t_grid,
 
     usable = F > 0.0
     if not usable.any():
-        return NoiseExponentFit(
-            math.inf, math.nan, math.nan, math.nan, math.inf, math.inf, math.nan,
-            t_grid, F, np.array([]), math.nan, mc_pairs, hard_margin=True,
-        )
+        return NoiseExponentFit(math.inf, math.nan, math.nan, math.nan, F, math.nan, mc_pairs,
+                                hard_margin=True)
     if usable.sum() < 2:
         raise ExecutionError("too few grid points with positive margin mass to fit")
 
@@ -289,13 +280,8 @@ def estimate_noise_exponent(task: SyntheticTask, mc_pairs: int, t_grid,
         theta_hat=fit.slope,
         c_theta_hat=math.exp(fit.intercept),
         theta_se=fit.slope_se,
-        log_c_se=fit.intercept_se,
-        theta_lower=fit.slope - 1.96 * fit.slope_se,
-        theta_upper=fit.slope + 1.96 * fit.slope_se,
         c_theta_upper=math.exp(fit.intercept + 1.96 * fit.intercept_se),
-        t_used=t_grid[usable],
         f_values=F,
-        residuals=fit.residuals,
         r_squared=fit.r_squared,
         mc_pairs=mc_pairs,
     )

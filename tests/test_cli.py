@@ -19,6 +19,7 @@ from metriclab.cli import (EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, LAB_MAX_COUN
 from metriclab.config import _KEYS, load_config
 from metriclab.errors import ConfigError, RangeTooSmallError
 from metriclab.losses import LOSSES, get_loss, self_distance_etas
+from metriclab.structured import load_manifest
 from metriclab.synthetic import MODEL_FAMILIES, family_parameters, sample_dataset
 
 from helpers import BENCH, bench_module, scalar_grid_infimum_minimize
@@ -315,8 +316,7 @@ class TestRateSweepCommand:
         code = main(["rate-sweep", "--config", cfg, "--out", str(tmp_path / "sw")])
         assert code == EXIT_OK
         assert len(calls) == 1 and calls[0]["jobs"] == 1
-        assert calls[0]["model"] == {"m": 2, "depth": 2, "width": 4, "epsilon": 1e-2,
-                                     "a": 0.1, "clamp": True, "init_scale": 1.0}
+        assert calls[0]["model"] == {"m": 2, "depth": 2, "width": 4, "epsilon": 1e-2, "a": 0.1}
         for name in ("sweep_rows.csv", "sweep_fit.csv", "plot_data.csv", "timings.csv"):
             assert (tmp_path / "sw" / name).exists()
         rows = (tmp_path / "sw" / "sweep_rows.csv").read_text().splitlines()
@@ -685,6 +685,32 @@ class TestConfigValidation:
         assert f"bad.yaml: {message}" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train-eval", "rate-sweep"])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_a_model_m_other_than_the_label_count_exits_two_before_out(self, tmp_path, capsys,
+                                                                       command, m):
+        # the net has one sub-network per label: linear has 2
+        cfg = write(tmp_path, "bad.yaml", SWEEP_CONFIG.replace("  m: 2\n", f"  m: {m}\n"))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"bad.yaml: [model] m={m} but family 'linear' has 2 labels" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_width_is_refused_at_depth_one(self, tmp_path, capsys):
+        # a depth-1 sub-network has no hidden layer, so a width would be ignored
+        text = TINY_CONFIG.replace("  depth: 2\n", "  depth: 1\n").replace("epochs: 25",
+                                                                           "epochs: 2")
+        cfg = write(tmp_path, "bad.yaml", text)
+        assert main(["train-eval", "--config", cfg, "--out", str(tmp_path / "o")]) \
+            == EXIT_VALIDATION
+        assert "bad.yaml: [model] width has no effect at depth 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        cfg = write(tmp_path, "c.yaml", text.replace("  width: 4\n", ""))
+        assert main(["train-eval", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        net = load_manifest(tmp_path / "o" / "model")
+        assert [len(h.layers) for h in net.subnets] == [1, 1]
+
     def test_pairs_per_epoch_under_all_pairs_exits_two_before_out(self, tmp_path, capsys):
         # all-pairs training ignores a pair count, so a config giving one is refused
         cfg = write(tmp_path, "c.yaml", TINY_CONFIG.replace("pair_strategy: uniform-subsample",
@@ -714,3 +740,21 @@ class TestEveryConfigLoads:
         args = build_parser().parse_args([*argv, "--out", str(tmp_path / "o")])
         if args.command != "metric-lab":
             load_config(args.config)
+
+    @pytest.mark.parametrize("size", ["full", "tiny"])
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_the_setup_probe_runs(self, tmp_path, name, size):
+        # the benchmark's setup_s comes from this probe, which calls
+        # load_config, build_task and make_structured_net (or validates every
+        # loss): a change to those calls must fail here, not only in a bench run
+        argv = self.WORKLOADS[name].write_inputs(1, size, str(tmp_path))
+        args = build_parser().parse_args([*argv, "--out", str(tmp_path / "o")])
+        target = "--losses" if args.command == "metric-lab" else args.config
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(metriclab.__file__)),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        before = sorted(BENCH.rglob("*"))
+        proc = subprocess.run([sys.executable, str(BENCH / "setup_probe.py"), target],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) > 0.0
+        assert sorted(BENCH.rglob("*")) == before

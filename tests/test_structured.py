@@ -493,6 +493,23 @@ class TestAggregateComplexity:
         full = aggregate_complexity(StructuredMetricNet([weight_and_bias], phi, sign))
         assert full.nonzero_weights == before.nonzero_weights + 4
 
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_the_builder_defaults_are_the_model_blocks(self, seed):
+        # a config passes make_structured_net only the [model] keys it sets
+        net = make_structured_net(p=1, m=2, seed=seed)
+        spelled = make_structured_net(p=1, m=2, depth=2, width=4, epsilon=1e-2, a=0.1,
+                                      clamp=True, seed=seed, init_scale=1.0)
+        layers = [(layer, twin) for h, g in zip(net.subnets, spelled.subnets, strict=True)
+                  for layer, twin in zip(h.layers, g.layers, strict=True)]
+        assert len(layers) == 4
+        for layer, twin in layers:
+            assert layer.weights.tobytes() == twin.weights.tobytes()
+            assert layer.bias.tobytes() == twin.bias.tobytes()
+        assert structured._manifest(net, []) == structured._manifest(spelled, [])
+        agg = aggregate_complexity(net)
+        assert (agg.depth, agg.nonzero_weights, agg.units) == (14, 639, 189)
+
 
 class TestPdimBound:
     def test_arithmetic_example(self):
