@@ -217,13 +217,12 @@ def cmd_metric_lab(args) -> int:
                 profile.eta_grid, profile.tstar, profile.analytic, profile.q_min)],
             comments,
         )
-        if loss.analytic_tstar is not None:
-            devs = []
-            for e in ETA_SWEEP:
-                idx = int(np.argmin(np.abs(profile.eta_grid - e)))
-                devs.append(abs(profile.tstar[idx] - profile.analytic[idx]))
-            _lab_check(summary, f"oracle_vs_analytic {name}", max(devs) <= ORACLE_SLACK,
-                       f"(max dev {max(devs):.2e})")
+        devs = []
+        for e in ETA_SWEEP:
+            idx = int(np.argmin(np.abs(profile.eta_grid - e)))
+            devs.append(abs(profile.tstar[idx] - profile.analytic[idx]))
+        _lab_check(summary, f"oracle_vs_analytic {name}", max(devs) <= ORACLE_SLACK,
+                   f"(max dev {max(devs):.2e})")
         if name == "hinge":
             target = 2.0 * np.minimum(profile.eta_grid, 1.0 - profile.eta_grid)
             dev = float(np.max(np.abs(profile.q_min - target)))

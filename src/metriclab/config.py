@@ -11,11 +11,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParameterError
-from .erm import TrainConfig
+from .erm import TrainConfig, epoch_pairs
 from .gadgets import build_sign_approx, product_depth
 from .risk import check_mc_pairs, sweep_seeds, sweep_sizes
-from .synthetic import (SyntheticTask, check_noise_pairs, family_parameters, make_task,
-                        noise_t_grid)
+from .synthetic import (SyntheticTask, check_noise_pairs, check_sample_size, family_parameters,
+                        make_task, noise_t_grid)
 
 # every key of every block, with its type: a one-element list types a list's
 # entries and a mapping a nested block; [task] also takes its family's own
@@ -35,7 +35,7 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
 # the keys whose rule the library owns, each with the function that checks
 # it: load_config calls the same function as the code that uses the value
 _LIBRARY_RULES = {("model", "epsilon"): product_depth, ("model", "a"): build_sign_approx,
-                  ("eval", "mc_pairs"): check_mc_pairs,
+                  ("train", "n"): check_sample_size, ("eval", "mc_pairs"): check_mc_pairs,
                   ("eval", "n_list"): sweep_sizes, ("eval", "seeds"): sweep_seeds,
                   ("eval", "t_grid"): noise_t_grid, ("eval", "noise_mc_pairs"): check_noise_pairs}
 
@@ -75,9 +75,9 @@ class ExperimentConfig:
         return {"m": task.model.m, **{k: v for k, v in self.model.items() if k != "a_anneal"}}
 
     def build_train_config(self) -> TrainConfig:
-        """The [train] block (without n) and [model] a_anneal; TrainConfig
-        supplies the defaults and validates the values."""
-        params = {k: v for k, v in self.train.items() if k != "n"}
+        """The [train] block without n and seed (each command derives its
+        training seed) and [model] a_anneal; TrainConfig owns the defaults."""
+        params = {k: v for k, v in self.train.items() if k not in ("n", "seed")}
         try:
             return TrainConfig(**params, a_anneal=self.model.get("a_anneal"))
         except ParameterError as err:
@@ -150,8 +150,6 @@ def load_config(path) -> ExperimentConfig:
     # a depth-1 sub-network is affine in x: it has no hidden layer to size
     _require(model.get("depth") != 1 or "width" not in model, where,
              "[model] width has no effect at depth 1; remove it")
-    _require(blocks["train"].get("n", 2) >= 2, where,
-             "[train] n must be >= 2 (pair risk needs pairs)")
 
     for (name, key), rule in _LIBRARY_RULES.items():
         if key in blocks[name]:
@@ -163,5 +161,13 @@ def load_config(path) -> ExperimentConfig:
     config = ExperimentConfig(**blocks, source_path=where,
                               sha256=hashlib.sha256(raw).hexdigest())
     config.build_task()  # make_task validates [task]
-    config.build_train_config()  # TrainConfig validates [train] and [model] a_anneal
+    train = config.build_train_config()  # TrainConfig validates [train] and [model] a_anneal
+    # epoch_pairs caps an epoch's pairs at [train] n (2 when unset, where
+    # only pairs_per_epoch can exceed the cap) and at the sweep's largest n
+    for label, n in (("[train]", config.train.get("n", 2)),
+                     ("[eval] n_list:", max(config.eval.get("n_list", [2])))):
+        try:
+            epoch_pairs(train, n)
+        except ParameterError as err:
+            raise ConfigError(f"{where}: {label} {err}") from err
     return config

@@ -29,6 +29,7 @@ from .structured import (
     pair_forward,
     pair_values,  # unused here; kept importable as bench/spans.py traces erm.pair_values
 )
+from .synthetic import MAX_STREAM_PAIRS, check_sample_size
 
 PAIR_STRATEGIES = ("all-pairs", "uniform-subsample")
 
@@ -97,11 +98,24 @@ def triu_pairs(n: int, k: np.ndarray):
     return i, k - row_start[i] + i + 1
 
 
+def epoch_pairs(config: TrainConfig, n: int) -> int:
+    """The pairs an epoch on n points draws before its first batch, at most
+    MAX_STREAM_PAIRS: pairs_per_epoch (default 16,384) under uniform-subsample,
+    16 bytes each, and all n(n-1)/2 under all-pairs, 8 bytes each."""
+    if config.pair_strategy == "uniform-subsample":
+        k, what = config.pairs_per_epoch or 16384, "pairs_per_epoch asks for"
+    else:
+        k, what = n * (n - 1) // 2, f"n={n} gives an all-pairs epoch of"
+    if k > MAX_STREAM_PAIRS:
+        raise ParameterError(f"{what} {k:,} pairs, more than the cap of {MAX_STREAM_PAIRS:,}")
+    return k
+
+
 def _epoch_batches(config: TrainConfig, rng, n: int):
     """One epoch's pair batches (i, j); the epoch's pairs are drawn from rng
     before its first batch."""
+    k = epoch_pairs(config, n)
     if config.pair_strategy == "uniform-subsample":
-        k = config.pairs_per_epoch if config.pairs_per_epoch is not None else 16384
         i_stream, j_stream = _sample_ordered_pairs(rng, n, k)
         for lo in range(0, k, config.pair_batch):
             yield i_stream[lo:lo + config.pair_batch], j_stream[lo:lo + config.pair_batch]
@@ -109,7 +123,7 @@ def _epoch_batches(config: TrainConfig, rng, n: int):
     # a shuffle of the positions of the unordered pairs, each batch mapped
     # back to its pairs, so only the permutation is n(n-1)/2 long; unordered
     # pairs carry both ordered terms of the U-statistic
-    order = rng.permutation(n * (n - 1) // 2)
+    order = rng.permutation(k)
     for lo in range(0, order.size, config.pair_batch):
         yield triu_pairs(n, order[lo:lo + config.pair_batch])
 
@@ -130,8 +144,7 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
     X = _unit_cube_batch(X, net.input_dim)
     y = np.asarray(y)
     n = X.shape[0]
-    if n < 2:
-        raise ParameterError(f"training needs n >= 2 samples, got {n}")
+    check_sample_size(n)
     if y.shape != (n,):
         raise InputShapeError(f"labels must have shape ({n},), got {y.shape}")
     data = np.ascontiguousarray(X.T)

@@ -32,13 +32,13 @@ ORACLE_SLACK = 2e-6
 @dataclass
 class LossFunction:
     """A nonnegative, non-decreasing convex loss: evaluation, subgradient
-    and, where one exists, the closed-form minimizer of Q(eta, .).
-    validate() checks the three properties."""
+    and the closed-form minimizer of Q(eta, .). validate() checks the three
+    properties."""
 
     name: str
     eval: callable
     subgradient: callable
-    analytic_tstar: callable | None = None
+    analytic_tstar: callable
 
     def validate(self) -> None:
         """Spot-check nonnegativity, monotonicity, convexity and the
@@ -202,11 +202,9 @@ def _inside(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def tstar_analytic(loss: LossFunction, eta: float):
-    """Closed-form minimizer where one is registered; None otherwise."""
+def tstar_analytic(loss: LossFunction, eta: float) -> float:
+    """The loss's closed-form minimizer at eta."""
     _check_eta(eta)
-    if loss.analytic_tstar is None:
-        return None
     return loss.analytic_tstar(eta)
 
 
@@ -215,7 +213,7 @@ class MinimizerProfile:
     eta_grid: np.ndarray
     tstar: np.ndarray
     q_min: np.ndarray
-    analytic: np.ndarray  # NaN where no closed form
+    analytic: np.ndarray
 
 
 def check_monotone(loss: LossFunction, eta_grid, tstar) -> MinimizerProfile:
@@ -225,8 +223,7 @@ def check_monotone(loss: LossFunction, eta_grid, tstar) -> MinimizerProfile:
     if np.any(np.diff(eta_grid) < 0.0):
         raise ParameterError("eta_grid must be sorted ascending")
     tstars = _inside(_answers(tstar, _check_eta(eta_grid).shape))
-    analytic = [np.nan if loss.analytic_tstar is None else loss.analytic_tstar(eta)
-                for eta in eta_grid.tolist()]
+    analytic = [loss.analytic_tstar(eta) for eta in eta_grid.tolist()]
     rises = np.nonzero(np.diff(tstars) > ORACLE_SLACK)[0]
     if rises.size:
         raise PropertyViolation(

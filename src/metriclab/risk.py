@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, ExecutionError, ParameterError
-from .erm import TrainConfig, _sample_ordered_pairs, train, triu_pairs
+from .erm import TrainConfig, train, triu_pairs
 from .losses import LossFunction, hinge_loss
 from .structured import (
     HypothesisBudget,
@@ -28,6 +28,7 @@ from .structured import (
 from .synthetic import (
     MAX_STREAM_PAIRS,
     SyntheticTask,
+    check_sample_size,
     estimate_noise_exponent,
     eta_pairs,
     hinge_metric_values,
@@ -131,39 +132,28 @@ def excess_risk_identity(metric, task: SyntheticTask, mc_pairs: int, seed) -> tu
     return _integrate(task, mc_pairs, seed, integrand)[0]
 
 
-def empirical_risk(metric, data, loss: LossFunction, strategy: str = "all-pairs",
-                   seed: int = 0, num_pairs: int | None = None) -> float:
+def empirical_risk(metric, data, loss: LossFunction) -> float:
     """The empirical U-statistic pair risk
         E_S(d) = 1/(n(n-1)) * sum_{i != j} loss(tau(y_i, y_j) * d(x_i, x_j)).
 
     The metric may be a StructuredMetricNet or any batched pair function.
     Both orderings of a pair contribute the same term (tau and the metric
-    are symmetric), so the exact average runs over the n(n-1)/2 unordered
-    pairs, one block of MC_BLOCK of them at a time; the subsample strategy
-    draws ordered pairs uniformly and is unbiased.
+    are symmetric), so the average runs over the n(n-1)/2 unordered pairs,
+    one block of MC_BLOCK of them at a time.
     """
     fn = as_pair_fn(metric)
     X, y = data
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     n = X.shape[0]
-    if n < 2:
-        raise ParameterError(f"pair risk needs n >= 2 samples, got {n}")
-    if strategy == "all-pairs":
-        total_pairs = n * (n - 1) // 2
-        total = 0.0
-        for block in pair_blocks(total_pairs):
-            i, j = triu_pairs(n, np.arange(block.start, block.stop))
-            tau = np.where(y[i] == y[j], 1.0, -1.0)
-            total += float(loss.eval(tau * fn(X[i], X[j])).sum())
-        return total / total_pairs
-    if strategy == "uniform-subsample":
-        rng = np.random.default_rng(seed)
-        k = num_pairs if num_pairs is not None else min(n * (n - 1), 16384)
-        i, j = _sample_ordered_pairs(rng, n, k)
+    check_sample_size(n)
+    total_pairs = n * (n - 1) // 2
+    total = 0.0
+    for block in pair_blocks(total_pairs):
+        i, j = triu_pairs(n, np.arange(block.start, block.stop))
         tau = np.where(y[i] == y[j], 1.0, -1.0)
-        return float(loss.eval(tau * fn(X[i], X[j])).mean())
-    raise ParameterError(f"unknown strategy {strategy!r}")
+        total += float(loss.eval(tau * fn(X[i], X[j])).sum())
+    return total / total_pairs
 
 
 @dataclass
@@ -370,9 +360,11 @@ def _run_sweep_job(job: _SweepJob) -> SweepRow:
         excess, se, diverged = math.nan, math.nan, True
     if agg is None:
         agg = aggregate_complexity(net)
+    # the shape of the net built: a depth-1 sub-network has no hidden layer
+    layers = net.subnets[0].layers
     return SweepRow(
         n=job.n, seed=job.seed_index, excess=excess, stderr=se, epochs=job.train.epochs,
-        subnet_depth=job.model["depth"], subnet_width=job.model["width"],
+        subnet_depth=len(layers), subnet_width=layers[0].out_width if len(layers) > 1 else 0,
         agg_L=agg.depth, agg_W=agg.nonzero_weights, agg_U=agg.units,
         diverged=diverged, wall_time=time.perf_counter() - t0,
     )
@@ -386,12 +378,13 @@ def median_of_seeds(items, key=None):
 
 
 def sweep_sizes(n_list) -> list:
-    """The sweep's distinct sample sizes, ascending: at least 4, each >= 8,
-    spanning a factor of 8 or more (an octave ladder such as 256..2048)."""
+    """The sweep's distinct sample sizes, ascending: at least 4, each >= 8 and
+    within check_sample_size, spanning a factor of 8 or more (256..2048, say)."""
     sizes = sorted(set(int(n) for n in n_list))
     if len(sizes) < 4 or sizes[0] < 8 or sizes[-1] < 8 * sizes[0]:
         raise ParameterError(f"n_list needs >= 4 distinct sizes >= 8 spanning at least "
                              f"a factor of 8, got {sizes}")
+    check_sample_size(sizes[-1], "n_list entry")
     return sizes
 
 

@@ -112,10 +112,16 @@ def true_metric_hinge(task: SyntheticTask, x, xp) -> float:
     return float(hinge_metric_values(np.array([eta(task, x, xp)]))[0])
 
 
+def check_sample_size(n: int, name: str = "n") -> None:
+    """Raise ParameterError unless 2 <= n <= MAX_STREAM_PAIRS: a pair needs
+    two points, and a dataset keeps 8 p + 8 bytes per point."""
+    if not 2 <= n <= MAX_STREAM_PAIRS:
+        raise ParameterError(f"{name} must lie in [2, {MAX_STREAM_PAIRS:,}], got {n}")
+
+
 def sample_dataset(task: SyntheticTask, n: int, seed: int | None = None):
     """n i.i.d. draws (x, y); y sampled from the categorical law P_x."""
-    if n < 2:
-        raise ParameterError(f"need n >= 2 samples, got {n}")
+    check_sample_size(n)
     rng = np.random.default_rng(
         seed if seed is not None else np.random.SeedSequence(task.seed, spawn_key=(0,)))
     X = sample_inputs(task, n, rng)
@@ -218,13 +224,10 @@ def t_quantile(p: float, dof: int) -> float:
 @dataclass
 class NoiseExponentFit:
     theta_hat: float
-    c_theta_hat: float
     theta_se: float
     c_theta_upper: float
     f_values: np.ndarray
     r_squared: float
-    mc_pairs: int
-    hard_margin: bool = False
 
 
 def noise_t_grid(t_grid) -> np.ndarray:
@@ -249,11 +252,10 @@ def estimate_noise_exponent(task: SyntheticTask, mc_pairs: int, t_grid,
                             seed) -> NoiseExponentFit:
     """Fit Prob{|eta - 1/2| <= t} ~ C * t^theta by log-log least squares.
 
-    The fit uses each distinct grid value once. A task whose margin mass
-    never reaches the grid (all F(t) = 0) is reported with the hard-margin
-    sentinel theta = inf. The pairs are drawn whole (16 p bytes each) and
-    counted one block of MC_BLOCK pairs at a time, so the stream holds no
-    other per-pair array.
+    The fit uses each distinct grid value once and needs two with positive
+    margin mass F(t); with fewer it raises ExecutionError. The pairs are
+    drawn whole (16 p bytes each) and counted one block of MC_BLOCK pairs at
+    a time, so the stream holds no other per-pair array.
     """
     t_grid = noise_t_grid(t_grid)
     check_noise_pairs(mc_pairs)
@@ -269,21 +271,17 @@ def estimate_noise_exponent(task: SyntheticTask, mc_pairs: int, t_grid,
     F = np.cumsum(counts[:-1]) / mc_pairs
 
     usable = F > 0.0
-    if not usable.any():
-        return NoiseExponentFit(math.inf, math.nan, math.nan, math.nan, F, math.nan, mc_pairs,
-                                hard_margin=True)
     if usable.sum() < 2:
-        raise ExecutionError("too few grid points with positive margin mass to fit")
+        raise ExecutionError(f"{usable.sum()} of {t_grid.size} grid points have positive "
+                             "margin mass; the fit needs 2")
 
     fit = loglog_fit(t_grid[usable], F[usable])
     return NoiseExponentFit(
         theta_hat=fit.slope,
-        c_theta_hat=math.exp(fit.intercept),
         theta_se=fit.slope_se,
         c_theta_upper=math.exp(fit.intercept + 1.96 * fit.intercept_se),
         f_values=F,
         r_squared=fit.r_squared,
-        mc_pairs=mc_pairs,
     )
 
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metriclab
-from metriclab.cli import (EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, LAB_MAX_COUNT, build_parser,
-                           main)
+from metriclab.cli import (EXIT_OK, EXIT_PROPERTY, EXIT_RUNTIME, EXIT_VALIDATION, LAB_MAX_COUNT,
+                           build_parser, main)
 from metriclab.config import _KEYS, load_config
+from metriclab.erm import TrainConfig
 from metriclab.errors import ConfigError, RangeTooSmallError
 from metriclab.losses import LOSSES, get_loss, self_distance_etas
 from metriclab.structured import load_manifest
@@ -376,6 +377,17 @@ class TestRateSweepCommand:
         assert not out.exists()
         assert peak < 2**20
 
+    def test_a_task_without_margin_mass_on_the_grid_exits_four_before_training(self, tmp_path,
+                                                                                capsys):
+        # two_value's eta is 0.82 or 0.18, so every |eta - 1/2| = 0.32 lies
+        # past the default grid's largest t, 0.3
+        cfg = write(tmp_path, "c.yaml", SWEEP_CONFIG.replace("family: linear", "family: two_value"))
+        out = tmp_path / "o"
+        assert main(["rate-sweep", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "0 of 8 grid points have positive margin mass; the fit needs 2" in err
+        assert "Traceback" not in err and list(out.iterdir()) == []
+
     def test_an_epsilon_too_deep_to_certify_exits_two_before_out(self, tmp_path, capsys):
         # load_config asks gadgets.product_depth, as build_product_gadget will
         cfg = write(tmp_path, "c.yaml", TINY_CONFIG.replace("epsilon: 1.0e-2", "epsilon: 1.0e-13"))
@@ -720,6 +732,56 @@ class TestConfigValidation:
         assert "pairs_per_epoch applies only to pair_strategy uniform-subsample" \
             in capsys.readouterr().err
         assert not out.exists()
+
+    ALL_PAIRS = [("pair_strategy: uniform-subsample\n  pairs_per_epoch: 2048",
+                  "pair_strategy: all-pairs")]
+
+    @pytest.mark.parametrize("command, edits, message", [
+        pytest.param("gen-data", [("n: 64", "n: 10000001")],
+                     "[train] n must lie in [2, 10,000,000], got 10000001", id="n"),
+        pytest.param("rate-sweep", [("[16, 32, 64, 128]", "[16, 32, 64, 20000000]")],
+                     "[eval] n_list entry must lie in [2, 10,000,000], got 20000000",
+                     id="n-list-entry"),
+        pytest.param("train-eval", [("pairs_per_epoch: 2048", "pairs_per_epoch: 10000001")],
+                     "[train] pairs_per_epoch asks for 10,000,001 pairs, more than the cap of "
+                     "10,000,000", id="pairs-per-epoch"),
+        pytest.param("train-eval", ALL_PAIRS + [("n: 64", "n: 100000")],
+                     "[train] n=100000 gives an all-pairs epoch of 4,999,950,000 pairs, more than "
+                     "the cap of 10,000,000", id="all-pairs-n"),
+        pytest.param("rate-sweep",
+                     ALL_PAIRS + [("[16, 32, 64, 128]", "[1000, 2000, 4000, 8000]")],
+                     "[eval] n_list: n=8000 gives an all-pairs epoch of 31,996,000 pairs, more "
+                     "than the cap of 10,000,000", id="all-pairs-n-list"),
+    ])
+    def test_a_count_past_the_cap_exits_two_before_out(self, tmp_path, capsys, command, edits,
+                                                       message):
+        # each count sizes an array drawn whole: refused before it is allocated
+        import yaml  # noqa: F401  (load_config's first-use import is not what is measured)
+
+        text = SWEEP_CONFIG
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write(tmp_path, "c.yaml", text)
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", cfg, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"c.yaml: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+        assert peak < 2**20
+
+    def test_the_train_seed_reaches_train_config_only_through_the_commands(self, tmp_path):
+        # both commands derive the training seed from [train] seed
+        # (cli._effective_seeds); the config's TrainConfig keeps the default
+        config = load_config(write(tmp_path, "c.yaml", TINY_CONFIG))
+        assert config.train["seed"] == 100
+        assert config.build_train_config().seed == TrainConfig().seed
 
 
 class TestEveryConfigLoads:

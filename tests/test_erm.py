@@ -91,19 +91,20 @@ class TestEmpiricalRisk:
         b = hinge.eval(tau * pair_values(net, Xp, X))
         assert np.array_equal(a, b)
 
-    def test_subsample_is_unbiased(self, hinge):
+    def test_training_sampler_is_unbiased(self, hinge):
+        # uniform-subsample training draws its ordered pairs with this sampler
         rng = np.random.default_rng(3)
         X = rng.random((12, 1))
         y = rng.integers(0, 2, size=12)
         net = small_net()
         exact = empirical_risk(net, (X, y), hinge)
-        draws = np.array([
-            empirical_risk(net, (X, y), hinge, strategy="uniform-subsample",
-                           seed=k, num_pairs=400)
-            for k in range(200)
-        ])
-        se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - exact) <= 3 * se
+        draws = []
+        for k in range(200):
+            i, j = erm._sample_ordered_pairs(np.random.default_rng(k), 12, 400)
+            tau = np.where(y[i] == y[j], 1.0, -1.0)
+            draws.append(float(hinge.eval(tau * pair_values(net, X[i], X[j])).mean()))
+        se = np.std(draws, ddof=1) / np.sqrt(len(draws))
+        assert abs(np.mean(draws) - exact) <= 3 * se
 
     def test_needs_two_samples(self, hinge):
         with pytest.raises(ParameterError):
@@ -296,6 +297,25 @@ class TestTrain:
         np.testing.assert_array_equal(np.concatenate([i for i, _ in batches]), iu[order])
         np.testing.assert_array_equal(np.concatenate([j for _, j in batches]), ju[order])
 
+    @pytest.mark.parametrize("config, n", [
+        pytest.param(TrainConfig(), 4473, id="all-pairs"),
+        pytest.param(TrainConfig(pair_strategy="uniform-subsample",
+                                 pairs_per_epoch=synthetic.MAX_STREAM_PAIRS + 1), 64,
+                     id="uniform-subsample"),
+    ])
+    def test_an_epoch_past_the_cap_is_refused_before_it_is_drawn(self, hinge, config, n):
+        # 4473 points give 10,001,628 unordered pairs, past MAX_STREAM_PAIRS
+        rng = np.random.default_rng(0)
+        X, y = rng.random((n, 1)), np.arange(n) % 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="more than the cap of 10,000,000"):
+                train(small_net(), (X, y), config, hinge)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
     def test_rejects_a_row_outside_the_cube_that_no_batch_samples(self, hinge):
         X, y = toy_separable_data(n=40)
         X = X.copy()
@@ -351,6 +371,14 @@ def test_anneal_gives_each_epoch_its_rule_value_bit_for_bit(a, start, decay, epo
 
 
 class TestTrainConfigValidation:
+    def test_epoch_pairs_counts_up_to_the_cap(self):
+        # 4472 points give 9,997,156 unordered pairs; subsampling draws its own count
+        assert erm.epoch_pairs(TrainConfig(), 4472) == 4472 * 4471 // 2
+        assert erm.epoch_pairs(TrainConfig(pair_strategy="uniform-subsample"), 4473) == 16384
+        assert erm.epoch_pairs(TrainConfig(pair_strategy="uniform-subsample",
+                                           pairs_per_epoch=synthetic.MAX_STREAM_PAIRS),
+                               2) == synthetic.MAX_STREAM_PAIRS
+
     def test_rejects_zero_pairs_per_epoch(self):
         with pytest.raises(ParameterError, match="pairs_per_epoch"):
             TrainConfig(pair_strategy="uniform-subsample", pairs_per_epoch=0)

@@ -360,7 +360,8 @@ class TestLossContracts:
     ])
     def test_wrong_subgradient_rejected(self, subgradient):
         bad = LossFunction("bad_hinge", eval=lambda t: np.maximum(1.0 + t, 0.0),
-                           subgradient=subgradient)
+                           subgradient=subgradient,
+                           analytic_tstar=lambda eta: 1.0 if eta < 0.5 else -1.0)
         with pytest.raises(PropertyViolation, match="subgradient"):
             bad.validate()
 

@@ -376,6 +376,16 @@ class TestRateSweep:
         result = mini_sweep(linear_task, jobs=5000)
         assert sizes == [12] and len(result.rows) == 12
 
+    def test_rows_record_the_shape_of_the_net_they_trained(self, linear_task):
+        # at theta = 0.01 the recipe gives depth 1 up to n = 64 and depth 2 at
+        # 128; a depth-1 sub-network has no hidden layer, so its width is 0
+        cfg = TrainConfig(epochs=1, pair_batch=128, seed=0, pair_strategy="uniform-subsample",
+                          pairs_per_epoch=128)
+        result = rate_sweep(linear_task, [16, 32, 64, 128], [0, 1, 2], cfg, MODEL,
+                            mc_pairs=1000, theta=0.01)
+        assert {(r.n, r.subnet_depth, r.subnet_width) for r in result.rows} == {
+            (16, 1, 0), (32, 1, 0), (64, 1, 0), (128, 2, 4)}
+
     def test_validation(self, linear_task):
         cfg = TrainConfig(epochs=1, pair_batch=64, lr_init=0.1, seed=0)
         with pytest.raises(ParameterError):

@@ -153,12 +153,13 @@ class TestSampling:
 
 
 class TestNoiseExponent:
-    def test_hard_margin_sentinel(self):
-        # eta constant at 0.82: every |eta - 1/2| = 0.32 > max(t_grid)
-        fit = estimate_noise_exponent(constant_task([0.9, 0.1]), 20_000,
-                                      [0.05, 0.1, 0.2, 0.3], seed=0)
-        assert fit.hard_margin
-        assert fit.theta_hat == math.inf
+    @pytest.mark.parametrize("t_grid, usable", [([0.05, 0.1, 0.2, 0.3], 0),
+                                                ([0.05, 0.1, 0.2, 0.35], 1)])
+    def test_fewer_than_two_grid_points_with_margin_mass_raise(self, t_grid, usable):
+        # eta constant at 0.82: every |eta - 1/2| = 0.32
+        with pytest.raises(ExecutionError, match=rf"^{usable} of 4 grid points have positive "
+                                                 "margin mass; the fit needs 2$"):
+            estimate_noise_exponent(constant_task([0.9, 0.1]), 20_000, t_grid, seed=0)
 
     def test_ramp_family_theta_near_one(self):
         # margin density is triangular, approximately uniform near zero
