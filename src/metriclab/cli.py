@@ -2,9 +2,10 @@
 
 Subcommands: verify-gadgets, metric-lab, gen-data, train-eval, rate-sweep.
 Every run is deterministic under a fixed config + seed; all CSV
-outputs carry a provenance comment (version, config hash, effective seed)
-and a header row.  Wall-clock timings go to a separate timings.csv, which
-is the one file excluded from the byte-identity contract.
+outputs carry a provenance comment (version, then the effective seed and
+config hash where the command has them) and a header row.  Wall-clock
+timings go to a separate timings.csv, which is the one file excluded from
+the byte-identity contract.
 
 Exit codes: 0 success, 2 validation error, 3 property/certificate failure,
 4 runtime error.
@@ -74,8 +75,10 @@ def write_csv(path, header, rows, comments=()) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _provenance(seed, config: ExperimentConfig | None = None, extra: str = "") -> list:
-    line = f"version={__version__} seed={seed}"
+def _provenance(seed=None, config: ExperimentConfig | None = None, extra: str = "") -> list:
+    line = f"version={__version__}"
+    if seed is not None:
+        line += f" seed={seed}"
     if config is not None:
         line += f" config_sha256={config.sha256}"
     if extra:
@@ -142,7 +145,7 @@ def cmd_verify_gadgets(args) -> int:
             os.path.join(args.out, "gadget_certificates.csv"),
             ["component", "parameter", "certified_error", "sawtooth_depth", "L", "W", "U", "C_depth"],
             rows,
-            _provenance(args.seed, extra=f"args_digest={_args_digest(eps_list, a_list)}"),
+            _provenance(extra=f"args_digest={_args_digest(eps_list, a_list)}"),
         )
     if failures:
         raise PropertyViolation(f"gadget certification failed: {failures}")
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Similarity-metric learning laboratory: gadget certification, "
                     "true-metric studies, pair training, risk evaluation and sweeps.",
         epilog="CSV formats are documented in FORMATS.md; every output carries a "
-               "provenance comment line (version, config hash, seed).",
+               "provenance comment line (version, and the seed and config hash it used).",
     )
     parser.add_argument("--version", action="version", version=f"metriclab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -427,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-values", nargs="+", type=float, default=[0.05, 0.2, 1.0],
                    help="sign-approximator widths to certify")
     p.add_argument("--out", default="", help="optional output directory for the certificate CSV")
-    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify_gadgets)
 
     p = sub.add_parser("metric-lab", help="general-loss true-metric property study")

@@ -21,7 +21,7 @@ from .synthetic import (SyntheticTask, check_noise_pairs, check_sample_size, fam
 # entries and a mapping a nested block; [task] also takes its family's own
 # parameters, which synthetic.family_parameters reads from the builder
 _KEYS = {
-    "task": {"family": str, "p": int, "m": int, "seed": int},
+    "task": {"family": str, "p": int, "seed": int},
     "model": {"m": int, "depth": int, "width": int, "epsilon": float, "a": float, "clamp": bool,
               "init_scale": float, "a_anneal": {"start": float, "decay": float}},
     "train": {"n": int, "epochs": int, "pair_batch": int, "lr_init": float, "lr_decay": float,
@@ -51,21 +51,18 @@ class ExperimentConfig:
 
     def build_task(self, seed_override: int | None = None) -> SyntheticTask:
         """The [task] block's task; make_task owns the family's rules and
-        defaults. A declared m, in [task] or [model], must be the task's
-        label count: the net has one sub-network per label."""
-        params = {k: v for k, v in self.task.items() if k != "m"}
+        defaults. A declared [model] m must be the task's label count: the
+        net has one sub-network per label."""
+        params = dict(self.task)
         if seed_override is not None:
             params["seed"] = seed_override
         try:
             task = make_task(**params)
         except ParameterError as err:
             raise ConfigError(f"{self.source_path}: [task] {err}") from err
-        for name, block in (("task", self.task), ("model", self.model)):
-            if block.get("m", task.model.m) != task.model.m:
-                raise ConfigError(
-                    f"{self.source_path}: [{name}] m={block['m']} but family "
-                    f"{self.task['family']!r} has {task.model.m} labels"
-                )
+        if self.model.get("m", task.model.m) != task.model.m:
+            raise ConfigError(f"{self.source_path}: [model] m={self.model['m']} but family "
+                              f"{self.task['family']!r} has {task.model.m} labels")
         return task
 
     def model_spec(self, task: SyntheticTask) -> dict:

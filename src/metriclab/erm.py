@@ -190,8 +190,7 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
             batch_risks.append(obj)
             batch_sizes.append(iu.size)
             batch_gnorms.append(math.sqrt(gsq))
-            batch_active.append(
-                np.count_nonzero(np.abs(trace.t_pre) <= a_now) / trace.t_pre.size)
+            batch_active.append(np.count_nonzero(trace.sign_slope) / iu.size)
 
         # pair-weighted epoch risk: invariant to the shuffle when lr = 0
         risks.append(float(np.average(batch_risks, weights=batch_sizes)))

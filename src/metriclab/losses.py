@@ -247,10 +247,8 @@ class SelfDistanceReport:
 
     eta_cross: np.ndarray
     eta_self_x: np.ndarray
-    eta_self_xp: np.ndarray
     d_cross: np.ndarray
     d_self_x: np.ndarray
-    d_self_xp: np.ndarray
     precondition_holds: np.ndarray
     conclusion_holds: np.ndarray
 
@@ -290,17 +288,14 @@ def check_self_distance(etas, tstar) -> SelfDistanceReport:
     d_cross, d_x, d_xp = _answers(tstar, etas.shape)
     pre = eta_cross <= np.minimum(eta_x, eta_xp) + 1e-12
     concl = np.maximum(d_x, d_xp) <= d_cross + ORACLE_SLACK
-    return SelfDistanceReport(eta_cross, eta_x, eta_xp, d_cross, d_x, d_xp, pre, concl)
+    return SelfDistanceReport(eta_cross, eta_x, d_cross, d_x, pre, concl)
 
 
 @dataclass
 class BiasShiftReport:
     """One entry per (eta, b) checked, in their broadcast shape."""
 
-    eta: np.ndarray
-    b: np.ndarray
     shifted_tstar: np.ndarray
-    expected: np.ndarray
     deviation: np.ndarray
     passed: np.ndarray
 
@@ -317,7 +312,7 @@ def check_bias_shift(eta, b, shifted, base) -> BiasShiftReport:
     got = _inside(_answers(shifted, eta.shape))
     expected = b + _inside(_answers(base, base_shape))
     dev = np.abs(got - expected)
-    return BiasShiftReport(eta, b, got, expected, dev, dev <= ORACLE_SLACK)
+    return BiasShiftReport(got, dev, dev <= ORACLE_SLACK)
 
 
 def continuous_label_degeneracy(tstar_at_zero) -> float:

@@ -127,7 +127,7 @@ def excess_risk_identity(metric, task: SyntheticTask, mc_pairs: int, seed) -> tu
         d = fn(x, xp)
         if np.max(np.abs(d)) > 1.0 + D_SUP_TOL:
             raise ContractError("excess-risk identity requires sup|d| <= 1")
-        return (np.abs(2.0 * e - 1.0) * np.abs(d - np.sign(1.0 - 2.0 * e)),)
+        return (np.abs(2.0 * e - 1.0) * np.abs(d - hinge_metric_values(e)),)
 
     return _integrate(task, mc_pairs, seed, integrand)[0]
 

@@ -83,9 +83,7 @@ def sample_inputs(task: SyntheticTask, n: int, rng: np.random.Generator) -> np.n
 
 def eta(task: SyntheticTask, x, xp) -> float:
     """Pair-agreement probability <P_x, P_x'>; symmetric in its arguments."""
-    px = conditional_probs(task, x)[0]
-    pxp = conditional_probs(task, xp)[0]
-    return float(px @ pxp)
+    return float(eta_pairs(task, x, xp)[0])
 
 
 def eta_pairs(task: SyntheticTask, X, Xp) -> np.ndarray:
@@ -96,9 +94,9 @@ def eta_pairs(task: SyntheticTask, X, Xp) -> np.ndarray:
 
 
 def pair_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most MC_BLOCK pairs covering range(n): the
+    """Consecutive slices of at most MC_BLOCK items covering range(n): the
     blocks every Monte Carlo stream and the all-pairs empirical risk
-    evaluate their pairs in."""
+    evaluate their pairs in, and sample_dataset draws its labels in."""
     return [slice(lo, min(lo + MC_BLOCK, n)) for lo in range(0, n, MC_BLOCK)]
 
 
@@ -120,15 +118,18 @@ def check_sample_size(n: int, name: str = "n") -> None:
 
 
 def sample_dataset(task: SyntheticTask, n: int, seed: int | None = None):
-    """n i.i.d. draws (x, y); y sampled from the categorical law P_x."""
+    """n i.i.d. draws (x, y); y sampled from the categorical law P_x.
+    Memory: 8 p + 16 bytes per point, plus one block's P_x."""
     check_sample_size(n)
     rng = np.random.default_rng(
         seed if seed is not None else np.random.SeedSequence(task.seed, spawn_key=(0,)))
     X = sample_inputs(task, n, rng)
-    P = conditional_probs(task, X)
     u = rng.random(n)
-    y = (u[:, None] > np.cumsum(P, axis=1)).sum(axis=1)
-    return X, y.astype(np.int64)
+    y = np.empty(n, dtype=np.int64)
+    for block in pair_blocks(n):
+        cdf = np.cumsum(conditional_probs(task, X[block]), axis=1)
+        y[block] = (u[block, None] > cdf).sum(axis=1)
+    return X, y
 
 
 class LogLogFit(NamedTuple):

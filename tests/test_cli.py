@@ -92,6 +92,14 @@ class TestVerifyGadgets:
     def test_rejects_epsilon_outside_range(self):
         assert main(["verify-gadgets", "--epsilons", "0.6"]) == EXIT_VALIDATION
 
+    def test_draws_nothing_so_takes_no_seed(self, tmp_path, capsys):
+        assert exit_code(["verify-gadgets", "--seed", "0"]) == EXIT_VALIDATION
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+        assert main(["verify-gadgets", "--epsilons", "1e-2", "--a-values", "0.2",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        provenance = (tmp_path / "gadget_certificates.csv").read_text().splitlines()[0]
+        assert provenance.startswith("# version=") and "seed=" not in provenance
+
     def test_verdict_does_not_depend_on_epsilon_order(self, capsys):
         # each gadget is held to its own depth law, not to the first one's
         assert main(["verify-gadgets", "--epsilons", "1e-3", "1e-2"]) == EXIT_OK
@@ -682,8 +690,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command", ["gen-data", "train-eval", "rate-sweep"])
     @pytest.mark.parametrize("old, new, message", [
         pytest.param("  family: linear\n", "  family: linear\n  A: 0.3\n",
-                     "[task] unknown key 'A' (allowed: ['family', 'm', 'p', 'seed'])",
+                     "[task] unknown key 'A' (allowed: ['family', 'p', 'seed'])",
                      id="linear-with-A"),
+        # the label count has one declaration, [model] m
+        pytest.param("  family: linear\n", "  family: linear\n  m: 2\n",
+                     "[task] unknown key 'm' (allowed: ['family', 'p', 'seed'])",
+                     id="linear-with-m"),
         pytest.param("  family: linear\n  p: 1\n", "  family: cosine\n  p: 2\n",
                      "[task] cosine family: cosine_model() missing 3 required positional "
                      "arguments: 'A', 'k', and 'r'", id="cosine-without-A-k-r"),

@@ -23,7 +23,7 @@ from metriclab.structured import (
 )
 from metriclab.synthetic import SyntheticTask, sample_dataset, two_value_model
 
-from helpers import atom_marginal
+from helpers import atom_marginal, constant_subnet
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +176,16 @@ class TestTrain:
                 assert np.array_equal(l0.weights, l1.weights)
                 assert np.array_equal(l0.bias, l1.bias)
         assert np.ptp(report.risk) == pytest.approx(0.0, abs=1e-12)
+
+    def test_active_fraction_counts_the_pairs_a_gradient_flows_through(self, hinge):
+        # phi(1, 1) = 1 exactly, so every pair has t_pre = 1 - 2 = -a, where
+        # F_a's slope is 0: the band is (-a, a]
+        net = StructuredMetricNet([constant_subnet(1, 1.0)], build_product_gadget(1e-2),
+                                  build_sign_approx(1.0))
+        data = (np.array([[0.2], [0.5], [0.9]]), np.array([0, 1, 0]))
+        _, report = train(net, data, TrainConfig(epochs=1, lr_init=0.0), hinge)
+        assert report.grad_norm.tolist() == [0.0]
+        assert report.active_fraction.tolist() == [0.0]
 
     def test_seed_determinism(self, hinge):
         data = toy_separable_data()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from metriclab.errors import DomainError, ExecutionError, ParameterError
 from metriclab.risk import bayes_risk_hinge
 from metriclab.synthetic import (
+    MC_BLOCK,
     SyntheticTask,
     conditional_probs,
     cosine_model,
@@ -143,6 +145,34 @@ class TestSampling:
     def test_minimum_size(self):
         with pytest.raises(ParameterError):
             sample_dataset(make_task("linear", seed=0), 1)
+
+    @pytest.mark.parametrize("family, params", [("linear", {}), ("three_label_ramp", {}),
+                                                ("cosine", {"p": 3, "A": 0.05, "k": 1, "r": 1})])
+    def test_labels_drawn_in_blocks_match_one_whole_draw(self, family, params):
+        task = make_task(family, **params)
+        n = 2 * MC_BLOCK + 5
+        X, y = sample_dataset(task, n, seed=5)
+        rng = np.random.default_rng(5)
+        X_ref, u = rng.random((n, task.p)), rng.random(n)
+        y_ref = (u[:, None] > np.cumsum(conditional_probs(task, X_ref), axis=1)).sum(axis=1)
+        assert y.dtype == np.int64
+        np.testing.assert_array_equal(X, X_ref)
+        np.testing.assert_array_equal(y, y_ref)
+
+    @pytest.mark.parametrize("family, params, limit", [
+        ("linear", {}, 32), ("cosine", {"p": 3, "A": 0.05, "k": 1, "r": 1}, 48)])
+    def test_label_draw_peaks_near_the_dataset_it_keeps(self, family, params, limit):
+        # X, u and y hold 8 p + 16 bytes per point; P_x and its cumsum are
+        # one block long
+        task = make_task(family, **params)
+        n = 400_000
+        tracemalloc.start()
+        try:
+            sample_dataset(task, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < limit, peak / n
 
     def test_atom_marginal_stays_on_atoms(self):
         task = SyntheticTask(p=1, model=two_value_model(), seed=0,
