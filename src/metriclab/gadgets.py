@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CertificationError, ParameterError
 from .relu_net import DenseLayer, NetworkComplexity, ReluNetwork, complexity, forward
-from .relu_net import _backprop, _forward_trace
+from .relu_net import _as_stack, _stack_backprop, _stack_trace
 
 PRODUCT_DOMAIN = (-1.0, 2.0)
 # certification evaluates S and its subgradient at the 2^s + 1 knots of
@@ -102,9 +102,9 @@ class KnotTable:
         a = np.abs(v)
         k = np.fmin(a * (1.0 / self.h), self.values.size - 1).astype(np.intp)  # floor, a >= 0
         r = a - k * self.h  # exact for a <= 4 (Sterbenz, or k = 0)
-        slope = self.slopes[k]
-        sq = self.values[k] + r * slope
-        return sq, np.copysign(np.where(r == 0.0, self.knot_slopes[k], slope), v)
+        slope = self.slopes.take(k)
+        sq = self.values.take(k) + r * slope
+        return sq, np.copysign(np.where(r == 0.0, self.knot_slopes.take(k), slope), v)
 
 
 @dataclass
@@ -224,13 +224,15 @@ def _knot_table(branch: ReluNetwork, s: int) -> KnotTable:
     h = 4.0 / 2.0 ** s
     size = 2 ** s + 1
     values, knot_slopes = np.empty(size), np.empty(size)
+    weights, biases = _as_stack(branch)
     dev = 0.0
     for lo in range(0, size, _KNOT_BLOCK):
         v = np.arange(lo, min(lo + _KNOT_BLOCK, size)) * h
-        trace = _forward_trace(branch, v[None, :])
-        values[lo:lo + v.size] = trace[-1][0]
-        knot_slopes[lo:lo + v.size] = _backprop(branch, trace, np.ones((1, v.size)))[2][0]
-        dev = max(dev, float(np.max(np.abs(trace[-1][0] - v * v / 2.0))))
+        trace = _stack_trace(weights, biases, v[None, :])
+        values[lo:lo + v.size] = trace[-1][0, 0]
+        knot_slopes[lo:lo + v.size] = _stack_backprop(weights, trace, np.ones((1, 1, v.size)),
+                                                      input_grad=True)[0, 0]
+        dev = max(dev, float(np.max(np.abs(trace[-1][0, 0] - v * v / 2.0))))
     slopes = np.empty(size)
     np.subtract(values[1:], values[:-1], out=slopes[:-1])
     slopes[:-1] /= h

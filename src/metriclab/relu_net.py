@@ -10,6 +10,11 @@ Complexity conventions, used everywhere downstream:
   W = number of nonzero stored weight and bias entries,
   U = total number of computation units (sum of layer output widths).
 Exact zeros stored in a matrix do not count toward W.
+
+The forward and reverse passes (_stack_trace, _stack_backprop) run a stack
+of m networks of one shape side by side, layer k's weights as one
+(m, out, in) array, and round each network's values as if it ran alone; a
+single ReluNetwork is the stack of one (_as_stack).
 """
 
 from __future__ import annotations
@@ -53,9 +58,6 @@ class DenseLayer:
     def in_width(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.bias.copy())
-
 
 @dataclass(frozen=True)
 class NetworkComplexity:
@@ -74,8 +76,9 @@ class NetworkComplexity:
 
 @dataclass
 class ReluNetwork:
-    """Feedforward ReLU network with an affine read-out; immutable by
-    convention after construction."""
+    """Feedforward ReLU network with an affine read-out.  Its layers may be
+    views of a larger array: a StructuredMetricNet's sub-networks slice its
+    one parameter vector, which training updates in place."""
 
     layers: list[DenseLayer]
     input_dim: int
@@ -94,9 +97,6 @@ class ReluNetwork:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].out_width
-
-    def copy(self) -> "ReluNetwork":
-        return ReluNetwork([layer.copy() for layer in self.layers], self.input_dim)
 
     def __call__(self, x):
         return forward(self, x)
@@ -126,51 +126,66 @@ def _unit_cube_batch(x, dim: int) -> np.ndarray:
 def forward(net: ReluNetwork, x):
     """Evaluate the network; accepts a vector or a (batch, input_dim) array."""
     xb, squeeze = _as_batch(x, net.input_dim)
-    out = _forward_trace(net, xb.T)[-1].T
+    out = _stack_trace(*_as_stack(net), xb.T)[-1][0].T
     return out[0] if squeeze else out
 
 
-def _forward_trace(net: ReluNetwork, h: np.ndarray) -> list[np.ndarray]:
-    """Post-activation values per layer, index 0 being the input.
+def _as_stack(net: ReluNetwork):
+    """The network as a stack of one: per layer, its weights as a (1, out,
+    in) view and its bias as a (1, out) view."""
+    return [layer.weights[None] for layer in net.layers], [layer.bias[None] for layer in net.layers]
 
-    Activations are feature-major, shape (width, batch), so the bias add and
-    the batch sums of the reverse pass run over contiguous rows.  Each layer
-    is an explicit multiply-accumulate over its input rows, not a matmul:
-    elementwise operations round every column alike, so a column's values
-    do not depend on its position in the batch or on the memory layout,
-    while a BLAS matmul rounds the last columns of a block differently.
+
+def _stack_trace(weights: list, biases: list, h: np.ndarray) -> list[np.ndarray]:
+    """Post-activation values per layer of m networks of one shape, run side
+    by side on one input; index 0 is the input.
+
+    weights[k] holds layer k of every network, shape (m, out, in), and
+    biases[k] its biases, shape (m, out).  The input is feature-major,
+    (input_dim, batch), and layer k's values are (m, out, batch), so the
+    bias add and the batch sums of the reverse pass run over contiguous
+    rows.  Each layer is one explicit multiply-accumulate over its input
+    rows for all m networks at once, not a matmul: elementwise operations
+    round every column alike, so a column's values do not depend on its
+    position in the batch, on the memory layout or on m, while a BLAS
+    matmul rounds the last columns of a block differently.
     """
     acts = [h]
-    last = len(net.layers) - 1
-    for k, layer in enumerate(net.layers):
-        w = layer.weights
-        x, h = h, w[:, :1] * h[0]
-        for c in range(1, layer.in_width):
-            h += w[:, c:c + 1] * x[c]
-        h += layer.bias[:, None]
+    h = h[None]
+    last = len(weights) - 1
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        x, h = h, w[:, :, :1] * h[:, :1]
+        for c in range(1, w.shape[2]):
+            h += w[:, :, c:c + 1] * x[:, c:c + 1]
+        h += b[:, :, None]
         if k < last:
             np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
 
 
-def _backprop(net: ReluNetwork, acts: list[np.ndarray], upstream: np.ndarray):
-    """Reverse pass over a feature-major trace; upstream shape (out, batch).
+def _stack_backprop(weights: list, acts: list[np.ndarray], upstream: np.ndarray, grads=None,
+                    input_grad: bool = False):
+    """Reverse pass over a _stack_trace trace; upstream shape (m, out, batch).
 
-    Returns the batch-summed weight and bias gradients and the input
-    gradient, shape (input_dim, batch).
+    With grads = (weight_grads, bias_grads), arrays shaped as weights and
+    biases, writes the batch-summed parameter gradients into them: network
+    i's are one matmul and one row sum per layer, the ones it would get on
+    its own.  Returns the input gradient, shape (m, input_dim, batch), when
+    input_grad is set; otherwise the first layer's is not formed and None
+    is returned.
     """
     g = upstream
-    wgrads: list = [None] * len(net.layers)
-    bgrads: list = [None] * len(net.layers)
-    last = len(net.layers) - 1
+    last = len(weights) - 1
     for k in range(last, -1, -1):
         if k < last:
-            g = g * (acts[k + 1] > 0.0)  # sigma'(0) := 0
-        wgrads[k] = g @ acts[k].T
-        bgrads[k] = g.sum(axis=1)
-        g = net.layers[k].weights.T @ g
-    return wgrads, bgrads, g
+            g *= acts[k + 1] > 0.0  # sigma'(0) := 0; g is this pass's own array here
+        if grads is not None:
+            np.matmul(g, np.swapaxes(acts[k], -1, -2), out=grads[0][k])
+            g.sum(axis=-1, out=grads[1][k])
+        if k or input_grad:
+            g = np.swapaxes(weights[k], -1, -2) @ g
+    return g if input_grad else None
 
 
 def complexity(net: ReluNetwork) -> NetworkComplexity:

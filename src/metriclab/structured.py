@@ -8,15 +8,21 @@ final output always lies in [-1, 1].
 
 Evaluation works per point: the metric depends on a pair only through the
 scalars h_i(x), so a trace takes checked points and the two row indices of
-each pair (pair_forward), each sub-network runs once per point a batch uses
+each pair (pair_forward), the sub-networks run once per point a batch uses
 (a dataset row in training, a pair side in pair_values), and the product
 gadget runs in its factored form phi(u, v) = S(u+v) - (S(u) + S(v)) with
 its squaring branch S applied once per point and once per pair sum.  S and its
 subgradient come from the gadget's certified knot table
 (gadgets.KnotTable), F_a and its slope from the closed form
 clip(t/a, -1, 1) (SignApprox.value_and_slope), and the sub-network layers
-are elementwise multiply-accumulates (relu_net._forward_trace), so a pair's
+are elementwise multiply-accumulates (relu_net._stack_trace), so a pair's
 value does not depend on where in a batch it sits.
+
+The m sub-networks are stored as one stack (StructuredMetricNet.params)
+and run as one: the forward pass does one multiply-accumulate per input
+column for all of them, the reverse pass one batched matmul per layer
+into one flat gradient laid out as params, and each sub-network's values
+and gradients are bit for bit the ones it would get on its own.
 
 Exact symmetry holds by construction, not by an argument sort: u+v and
 S(u) + S(v) are commutative in floating point, so pair_values(X, X') and
@@ -38,10 +44,12 @@ with clamping off, c_W = 2m - 2 and c_U = 0.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +70,7 @@ from .relu_net import (
     load_model,
     save_model,
 )
-from .relu_net import _backprop, _forward_trace, _unit_cube_batch
+from .relu_net import _stack_backprop, _stack_trace, _unit_cube_batch
 
 # pair_values runs pair_forward on at most this many pairs at a time so that
 # every per-value array stays cache-sized (at most 3m * 2048 values of the
@@ -83,23 +91,64 @@ class HypothesisBudget:
 
 @dataclass
 class StructuredMetricNet:
+    """m scalar sub-networks h_i of one shape and the two fixed gadgets.
+
+    Every sub-network parameter lives in one float64 vector, ``params``,
+    layer after layer: layer k's weights of all m sub-networks are the
+    (m, out, in) view ``weights[k]``, its biases the (m, out) view
+    ``biases[k]``.  ``subnets[i].layers[k]`` holds slice i of those views,
+    so an in-place edit there edits ``params`` (rebinding an attribute
+    does not).  The constructor copies the parameters it is given; copy()
+    copies the one vector, and copy.deepcopy and pickle rebind the views
+    to the copied vector (__setstate__).
+    """
+
     subnets: list[ReluNetwork]
     product: ProductGadget
     sign: SignApprox
     clamp_subnet_output: bool = True
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: list = field(init=False, repr=False, compare=False)
+    biases: list = field(init=False, repr=False, compare=False)
+    _layout: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.subnets:
             raise ParameterError("need at least one sub-network")
-        depths = {len(h.layers) for h in self.subnets}
-        if len(depths) != 1:
-            raise ParameterError(f"sub-networks must share one depth, got {sorted(depths)}")
-        dims = {h.input_dim for h in self.subnets}
-        if len(dims) != 1:
-            raise ParameterError("sub-networks must share one input dimension")
         for h in self.subnets:
             if h.output_dim != 1:
                 raise InputShapeError("sub-networks must be scalar-valued")
+        # one stack holds them all: one depth, one input dimension, one width per layer
+        shapes = {tuple(layer.weights.shape for layer in h.layers) for h in self.subnets}
+        if len(shapes) != 1:
+            raise ParameterError(f"sub-networks must share one layer shape, got {sorted(shapes)}")
+        parts, self._layout, lo = [], [], 0
+        for layers in zip(*(h.layers for h in self.subnets)):
+            w = np.stack([layer.weights for layer in layers])
+            b = np.stack([layer.bias for layer in layers])
+            parts += [w.ravel(), b.ravel()]
+            self._layout.append((slice(lo, lo + w.size), w.shape,
+                                 slice(lo + w.size, lo + w.size + b.size), b.shape))
+            lo += w.size + b.size
+        self._bind(np.concatenate(parts))
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Make params the storage of every sub-network parameter."""
+        self.params = params
+        self.weights, self.biases = self.layer_views(params)
+        self.subnets = [ReluNetwork([DenseLayer(w[i], b[i]) for w, b in zip(self.weights,
+                                                                           self.biases)],
+                                    self.input_dim) for i in range(self.m)]
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind(self.params)
+
+    def layer_views(self, flat: np.ndarray):
+        """A vector laid out as params, as the per-layer (m, out, in) weight
+        and (m, out) bias views."""
+        return ([flat[w].reshape(w_shape) for w, w_shape, _, _ in self._layout],
+                [flat[b].reshape(b_shape) for _, _, b, b_shape in self._layout])
 
     @property
     def m(self) -> int:
@@ -110,9 +159,9 @@ class StructuredMetricNet:
         return self.subnets[0].input_dim
 
     def copy(self) -> "StructuredMetricNet":
-        return StructuredMetricNet(
-            [h.copy() for h in self.subnets], self.product, self.sign, self.clamp_subnet_output
-        )
+        twin = copy.copy(self)
+        twin._bind(self.params.copy())
+        return twin
 
 
 @dataclass
@@ -120,7 +169,9 @@ class PairTrace:
     """Everything the reverse pass needs, traced once per point.
 
     ``index`` maps the stacked pair sides (pair j's at j and batch + j) to
-    the points over which each sub-network is traced.  The product gadget's
+    the points over which the sub-networks are traced; ``acts`` is that
+    trace, all m at once (relu_net._stack_trace): the points, then each
+    layer's (m, out, points) values, raw h_i last.  The product gadget's
     squaring branch S is evaluated once over the stacked inputs
     [c_1, ..., c_m, s_1, ..., s_m]: c_i holds the clamped h_i per point,
     s_i the per-pair sums c_i[x] + c_i[x'].  Its reverse pass needs only S'
@@ -129,7 +180,7 @@ class PairTrace:
     """
 
     index: np.ndarray
-    subnet_traces: list  # per subnet: its layers at each point, raw h_i last
+    acts: list
     slopes: np.ndarray
     t_pre: np.ndarray
     sign_slope: np.ndarray
@@ -160,29 +211,29 @@ def pair_forward(net: StructuredMetricNet, i, j, points) -> PairTrace:
     uses is traced once (_select_points).
     """
     points, index = _select_points(points, i, j)
-    batch = index.size // 2
-    ix, ixp = index[:batch], index[batch:]
+    m, k, batch = net.m, points.shape[1], index.size // 2
 
-    subnet_traces, clamped, sums = [], [], []
-    for h in net.subnets:
-        trace = _forward_trace(h, points)
-        v = trace[-1][0]
-        c = np.clip(v, *PRODUCT_DOMAIN) if net.clamp_subnet_output else v
-        subnet_traces.append(trace)
-        clamped.append(c)
-        sums.append(c[ix] + c[ixp])
-    sq, slopes = net.product.table(np.concatenate(clamped + sums))
+    acts = _stack_trace(net.weights, net.biases, points)
+    v = acts[-1][:, 0]
+    u = np.empty(m * (k + batch))  # the knot table's input [c_1, ..., c_m, s_1, ..., s_m]
+    c = u[:m * k].reshape(m, k)
+    if net.clamp_subnet_output:
+        np.clip(v, *PRODUCT_DOMAIN, out=c)
+    else:
+        c[...] = v
+    sides = c.take(index, axis=1)
+    np.add(sides[:, :batch], sides[:, batch:], out=u[m * k:].reshape(m, batch))
+    sq, slopes = net.product.table(u)
 
-    k = points.shape[1]
-    sq_sums = sq[net.m * k:].reshape(net.m, batch)
+    sq_sides = sq[:m * k].reshape(m, k).take(index, axis=1)
+    phi = sq[m * k:].reshape(m, batch) - (sq_sides[:, :batch] + sq_sides[:, batch:])
     phi_sum = np.zeros(batch)
-    for r in range(net.m):
-        sq_c = sq[r * k:(r + 1) * k]
-        phi_sum += sq_sums[r] - (sq_c[ix] + sq_c[ixp])
+    for r in range(m):
+        phi_sum += phi[r]
 
     t_pre = 1.0 - 2.0 * phi_sum
     d, sign_slope = net.sign.value_and_slope(t_pre)
-    return PairTrace(index, subnet_traces, slopes, t_pre, sign_slope, d)
+    return PairTrace(index, acts, slopes, t_pre, sign_slope, d)
 
 
 def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
@@ -205,37 +256,47 @@ def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
     return np.concatenate(d)
 
 
+class SubnetGrads(Sequence):
+    """pair_backward's gradients: ``flat`` laid out as the net's params,
+    ``weights`` and ``biases`` its per-layer views, and item i sub-network
+    i's (weight_grads, bias_grads), views of those."""
+
+    def __init__(self, net: StructuredMetricNet):
+        self.flat = np.empty_like(net.params)
+        self.weights, self.biases = net.layer_views(self.flat)
+
+    def __len__(self) -> int:
+        return len(self.biases[0])
+
+    def __getitem__(self, i: int):
+        return [w[i] for w in self.weights], [b[i] for b in self.biases]
+
+
 def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarray):
     """Gradients of sum(upstream * d) w.r.t. sub-network parameters.
 
-    Returns a list over sub-networks of (weight_grads, bias_grads), each
-    summed over the batch and over both pair sides.  The product and sign
-    gadgets are fixed: only input gradients flow through them.  Per-side
-    gradients are summed onto the traced points, so each sub-network is
-    backpropagated once.
+    Returns a SubnetGrads: a sequence over sub-networks of (weight_grads,
+    bias_grads), each summed over the batch and over both pair sides.  The
+    product and sign gadgets are fixed: only input gradients flow through
+    them.  Per-side gradients are summed onto the traced points, so the
+    sub-networks are backpropagated once, all m in one reverse pass.
     """
     m, batch, index = net.m, trace.d.size, trace.index
-    k = trace.subnet_traces[0][0].shape[1]
+    k = trace.acts[0].shape[1]
     g_t = np.asarray(upstream, dtype=np.float64) * trace.sign_slope
     g_phi = -2.0 * g_t  # t = 1 - 2 * sum_i phi_i
     # phi_i = S(s_i) - (S(c_i)[x] + S(c_i)[x']): both sides of a pair carry -g_phi
     g_sq_c = -np.bincount(index, weights=np.concatenate([g_phi, g_phi]), minlength=k)
-    g_sq = np.concatenate([g_sq_c] * m + [g_phi] * m)
-    g_u = g_sq * trace.slopes
+    g_s = g_phi * trace.slopes[m * k:].reshape(m, batch)
     # s_i = c_i[x] + c_i[x']: scatter each pair's sum gradient onto both sides' points
-    g_s = g_u[m * k:].reshape(m, batch)
-    g_c = g_u[:m * k] + np.bincount(
-        (index[None, :] + (np.arange(m) * k)[:, None]).ravel(),
-        weights=np.concatenate([g_s, g_s], axis=1).ravel(), minlength=m * k)
-
-    grads = []
-    for i, h in enumerate(net.subnets):
-        g = g_c[i * k:(i + 1) * k]
-        if net.clamp_subnet_output:
-            v = trace.subnet_traces[i][-1][0]
-            g = g * ((v > PRODUCT_DOMAIN[0]) & (v < PRODUCT_DOMAIN[1]))
-        wg, bg, _ = _backprop(h, trace.subnet_traces[i], g[None, :])
-        grads.append((wg, bg))
+    g = g_sq_c * trace.slopes[:m * k].reshape(m, k) + np.bincount(
+        (index + np.arange(0, m * k, k)[:, None]).ravel(),
+        weights=np.concatenate([g_s, g_s], axis=1).ravel(), minlength=m * k).reshape(m, k)
+    if net.clamp_subnet_output:
+        v = trace.acts[-1][:, 0]
+        g *= (v > PRODUCT_DOMAIN[0]) & (v < PRODUCT_DOMAIN[1])
+    grads = SubnetGrads(net)
+    _stack_backprop(net.weights, trace.acts, g[:, None], (grads.weights, grads.biases))
     return grads
 
 

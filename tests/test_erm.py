@@ -23,7 +23,7 @@ from metriclab.structured import (
 )
 from metriclab.synthetic import SyntheticTask, sample_dataset, two_value_model
 
-from helpers import atom_marginal, constant_subnet
+from helpers import atom_marginal, constant_subnet, reference_train
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,31 @@ class TestTrain:
                 assert np.array_equal(l0.bias, l1.bias)
         assert np.ptp(report.risk) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("lr_init", [0.0, 0.5])
+    @pytest.mark.parametrize("anneal", [None, {"start": 3.0, "decay": 0.93}])
+    @pytest.mark.parametrize("strategy", erm.PAIR_STRATEGIES)
+    def test_equals_the_per_subnetwork_trainer_bit_for_bit(self, hinge, strategy, anneal,
+                                                            lr_init, m):
+        # the trainer as it was before the sub-networks were stacked
+        rng = np.random.default_rng(m)
+        X, y = rng.random((40, 2)), rng.integers(0, 3, 40)
+        net = make_structured_net(p=2, m=m, depth=3, width=5, a=1.5, seed=m)
+        cfg = TrainConfig(epochs=6, pair_batch=96, lr_init=lr_init, lr_decay=0.9, seed=5,
+                          a_anneal=anneal, pair_strategy=strategy,
+                          pairs_per_epoch=500 if strategy == "uniform-subsample" else None)
+        trained, report = train(net, (X, y), cfg, hinge)
+        frozen, want = reference_train(net, (X, y), cfg, hinge)
+        assert trained.params.tobytes() == frozen.params.tobytes()
+        for h, g in zip(trained.subnets, frozen.subnets, strict=True):
+            for layer, twin in zip(h.layers, g.layers, strict=True):
+                assert layer.weights.tobytes() == twin.weights.tobytes()
+                assert layer.bias.tobytes() == twin.bias.tobytes()
+        for name in ("risk", "grad_norm", "active_fraction", "a_values"):
+            assert getattr(report, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (report.best_epoch, report.final_risk) == (want.best_epoch, want.final_risk)
+        assert trained.sign is net.sign and report.grad_norm[0] > 0.0
+
     def test_active_fraction_counts_the_pairs_a_gradient_flows_through(self, hinge):
         # phi(1, 1) = 1 exactly, so every pair has t_pre = 1 - 2 = -a, where
         # F_a's slope is 0: the band is (-a, a]
@@ -302,10 +327,12 @@ class TestTrain:
         cfg = TrainConfig(pair_batch=97)
         iu, ju = np.triu_indices(n, k=1)
         order = np.random.default_rng(5).permutation(iu.size)
-        batches = list(erm._epoch_batches(cfg, np.random.default_rng(5), n))
-        assert all(i.size <= 97 for i, _ in batches)
-        np.testing.assert_array_equal(np.concatenate([i for i, _ in batches]), iu[order])
-        np.testing.assert_array_equal(np.concatenate([j for _, j in batches]), ju[order])
+        batches = list(erm._epoch_batches(cfg, np.random.default_rng(5), np.arange(n) % 2))
+        assert all(i.size <= 97 for i, _, _ in batches)
+        np.testing.assert_array_equal(np.concatenate([i for i, _, _ in batches]), iu[order])
+        np.testing.assert_array_equal(np.concatenate([j for _, j, _ in batches]), ju[order])
+        np.testing.assert_array_equal(np.concatenate([tau for _, _, tau in batches]),
+                                      np.where(iu[order] % 2 == ju[order] % 2, 1.0, -1.0))
 
     @pytest.mark.parametrize("config, n", [
         pytest.param(TrainConfig(), 4473, id="all-pairs"),

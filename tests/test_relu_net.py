@@ -9,7 +9,8 @@ from metriclab.errors import DomainError, InputShapeError, ParameterError, Valid
 from metriclab.relu_net import (
     DenseLayer,
     ReluNetwork,
-    _forward_trace,
+    _as_stack,
+    _stack_trace,
     complexity,
     forward,
     load_model,
@@ -143,7 +144,7 @@ class TestBackward:
         h1 = np.maximum(net.layers[0].weights @ x + net.layers[0].bias, 0.0)
         scaled = ReluNetwork(
             [DenseLayer(3.0 * net.layers[0].weights, 3.0 * net.layers[0].bias)]
-            + [l.copy() for l in net.layers[1:]],
+            + net.layers[1:],
             input_dim=2,
         )
         h1s = np.maximum(scaled.layers[0].weights @ x + scaled.layers[0].bias, 0.0)
@@ -221,7 +222,8 @@ class TestPersistence:
         save_model(net, tmp / "a.json")
         loaded = load_model(tmp / "a.json")
         X = rng.random((p, 64))
-        for a, b in zip(_forward_trace(net, X), _forward_trace(loaded, X), strict=True):
+        for a, b in zip(_stack_trace(*_as_stack(net), X), _stack_trace(*_as_stack(loaded), X),
+                        strict=True):
             assert np.array_equal(a, b)
         save_model(loaded, tmp / "b.json")
         assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()

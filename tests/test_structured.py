@@ -1,13 +1,15 @@
+import copy
 import dataclasses
 import json
 import os
+import pickle
 import tempfile
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriclab.errors import (
@@ -22,8 +24,6 @@ from metriclab.relu_net import (
     DenseLayer,
     NetworkComplexity,
     ReluNetwork,
-    _backprop,
-    _forward_trace,
     complexity,
     forward,
 )
@@ -50,7 +50,15 @@ from metriclab.synthetic import (
     two_value_model,
 )
 
-from helpers import atom_marginal, backward, constant_subnet
+from helpers import (
+    atom_marginal,
+    backprop,
+    backward,
+    constant_subnet,
+    forward_trace,
+    reference_pair_backward,
+    reference_pair_forward,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +150,96 @@ class TestEvaluate:
                 phi, sign,
             )
 
+    def test_equal_layer_widths_required(self, phi, sign):
+        # the sub-networks are stored as one stack, so they share every layer's shape
+        wide = ReluNetwork([DenseLayer(np.ones((2, 1)), np.zeros(2)),
+                            DenseLayer(np.ones((1, 2)), np.zeros(1))], input_dim=1)
+        with pytest.raises(ParameterError, match="one layer shape"):
+            StructuredMetricNet([constant_subnet(1, 0.0, depth=2), wide], phi, sign)
+
+
+class TestParameterStack:
+    def test_subnet_layers_are_views_of_the_parameter_vector(self):
+        net = make_structured_net(p=2, m=3, depth=3, width=4, a=2.0, seed=1)
+        X, Xp = np.random.default_rng(1).random((2, 50, 2))
+        before = pair_values(net, X, Xp)
+        assert np.all(np.abs(before) < 1.0)  # inside F_a's band, so every edit shows
+        twin = net.copy()
+        layer = net.subnets[1].layers[2]
+        assert np.shares_memory(layer.weights, net.params)
+        assert not np.shares_memory(twin.params, net.params)
+        layer.weights *= -3.0
+        layer.bias += 0.5
+        assert np.array_equal(net.weights[2][1], layer.weights)
+        after = pair_values(net, X, Xp)
+        assert not np.array_equal(after, before)
+        # the stack holds what the views show: a net rebuilt from them agrees
+        rebuilt = StructuredMetricNet(net.subnets, net.product, net.sign)
+        assert np.array_equal(pair_values(rebuilt, X, Xp), after)
+        # and the copy kept the parameters it was made with
+        assert np.array_equal(pair_values(twin, X, Xp), before)
+        twin.subnets[0].layers[0].bias[:] = 0.0
+        assert np.array_equal(pair_values(net, X, Xp), after)
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                           lambda net: pickle.loads(pickle.dumps(net))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_deep_copy_keeps_its_layers_views_of_its_own_vector(self, duplicate):
+        net = make_structured_net(p=1, m=2, seed=0)
+        twin = duplicate(net)
+        assert not np.shares_memory(twin.params, net.params)
+        for h in twin.subnets:
+            for layer in h.layers:
+                assert np.shares_memory(layer.weights, twin.params)
+                assert np.shares_memory(layer.bias, twin.params)
+        twin.params[:] = 0.0
+        assert not twin.subnets[1].layers[0].weights.any()
+        assert net.subnets[1].layers[0].weights.any()
+
+    def test_the_constructor_copies_what_it_is_given(self, phi, sign):
+        h = constant_subnet(1, 0.25)
+        net = StructuredMetricNet([h, h], phi, sign)
+        assert net.subnets[0] is not net.subnets[1]
+        h.layers[0].bias[:] = 0.75
+        net.subnets[0].layers[0].bias[:] = 0.5
+        assert net.params.tolist() == [0.0, 0.0, 0.5, 0.25]
+
+
+class TestStackedPass:
+    """pair_forward and pair_backward run all m sub-networks as one stack;
+    they must equal the one-sub-network-at-a-time passes bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), m=st.integers(1, 3),
+           depth=st.integers(1, 4), width=st.integers(1, 16), clamp=st.booleans(),
+           n=st.integers(1, 40), batch=st.integers(1, 60), fortran=st.booleans())
+    @example(seed=0, p=2, m=3, depth=4, width=16, clamp=True, n=1, batch=1, fortran=True)
+    def test_equals_the_per_subnetwork_pass_bit_for_bit(self, seed, p, m, depth, width, clamp,
+                                                         n, batch, fortran):
+        net = make_structured_net(p=p, m=m, depth=depth, width=width, epsilon=1e-2, a=0.5,
+                                  clamp=clamp, seed=seed, init_scale=2.0)
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, p))
+        points = np.asfortranarray(X.T) if fortran else np.ascontiguousarray(X.T)
+        i, j = rng.integers(n, size=(2, batch))
+        got, want = pair_forward(net, i, j, points), reference_pair_forward(net, i, j, points)
+        for name in ("index", "slopes", "t_pre", "sign_slope", "d"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        upstream = rng.standard_normal(batch)
+        grads = pair_backward(net, got, upstream)
+        ref = reference_pair_backward(net, want, upstream)
+        for (gw, gb), (rw, rb) in zip(grads, ref, strict=True):
+            for ours, theirs in zip(gw + gb, rw + rb, strict=True):
+                assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+        # the flat gradient is laid out as the parameters: per layer, all
+        # sub-networks' weights, then all their biases
+        layout = [np.stack([g[half][k] for g in ref]).ravel()
+                  for k in range(depth) for half in (0, 1)]
+        assert grads.flat.tobytes() == np.concatenate(layout).tobytes()
+        assert net.params.tobytes() == np.concatenate(
+            [np.stack([getattr(h.layers[k], a) for h in net.subnets]).ravel()
+             for k in range(depth) for a in ("weights", "bias")]).tobytes()
+
 
 def stacked(X, Xp):
     """A pair batch as pair_forward's (i, j, points): each side its own point."""
@@ -165,8 +263,8 @@ def dyadic_net(p):
                               init_scale=2.0)
     for h in net.subnets:
         for layer in h.layers:
-            layer.weights = np.round(8.0 * layer.weights) / 8.0
-            layer.bias = np.round(8.0 * layer.bias) / 8.0
+            layer.weights[...] = np.round(8.0 * layer.weights) / 8.0
+            layer.bias[...] = np.round(8.0 * layer.bias) / 8.0
     return net
 
 
@@ -290,7 +388,7 @@ def branch_reference(net, X, Xp, upstream):
     raw = [(forward(h, X)[:, 0], forward(h, Xp)[:, 0]) for h in net.subnets]
     clamped = [(np.clip(a, lo, hi), np.clip(b, lo, hi)) if net.clamp_subnet_output else (a, b)
                for a, b in raw]
-    traces = [_forward_trace(branch, np.concatenate([a + b, a, b])[None, :])
+    traces = [forward_trace(branch, np.concatenate([a + b, a, b])[None, :])
               for a, b in clamped]
     n = X.shape[0]
     phi = [tr[-1][0][:n] - (tr[-1][0][n:2 * n] + tr[-1][0][2 * n:]) for tr in traces]
@@ -299,7 +397,7 @@ def branch_reference(net, X, Xp, upstream):
     g_phi = -2.0 * backward(net.sign.net, t[:, None], upstream[:, None]).input_grad[:, 0]
     grads = []
     for h, (a, b), tr in zip(net.subnets, raw, traces):
-        g = _backprop(branch, tr, np.concatenate([g_phi, -g_phi, -g_phi])[None, :])[2][0]
+        g = backprop(branch, tr, np.concatenate([g_phi, -g_phi, -g_phi])[None, :])[2][0]
         g_a, g_b = g[:n] + g[n:2 * n], g[:n] + g[2 * n:]
         if net.clamp_subnet_output:
             g_a, g_b = g_a * ((a > lo) & (a < hi)), g_b * ((b > lo) & (b < hi))
@@ -364,7 +462,7 @@ class TestPairBackward:
         trace = pair_forward(net, *stacked(X, Xp))
         got = pair_backward(net, trace, upstream)
         sign_net = net.sign.net
-        g_t = _backprop(sign_net, _forward_trace(sign_net, trace.t_pre[None, :]),
+        g_t = backprop(sign_net, forward_trace(sign_net, trace.t_pre[None, :]),
                         upstream[None, :])[2][0]
         unit_slope = dataclasses.replace(trace, sign_slope=np.ones_like(trace.sign_slope))
         want = pair_backward(net, unit_slope, g_t)
@@ -379,7 +477,7 @@ class TestPairBackward:
         i, j = np.array([0, 1, 1, 4]), np.array([4, 4, 0, 1])
         X, Xp = points[i], points[j]
         trace = pair_forward(net, i, j, np.ascontiguousarray(points.T))
-        values = [t[-1][0] for t in trace.subnet_traces]
+        values = trace.acts[-1][:, 0]
         raw_x = [v[trace.index[:len(X)]] for v in values]
         raw_xp = [v[trace.index[len(X):]] for v in values]
         for h, rx, rxp in zip(net.subnets, raw_x, raw_xp):
@@ -401,8 +499,8 @@ class TestIndexPath:
         iu, ju = rng.integers(n, size=(2, batch))
         got = pair_forward(net, iu, ju, np.ascontiguousarray(X.T))
         sides = np.concatenate([X[iu].T, X[ju].T], axis=1)
-        for h, trace in zip(net.subnets, got.subnet_traces):
-            assert np.array_equal(trace[-1][0][got.index], _forward_trace(h, sides)[-1][0])
+        for h, v in zip(net.subnets, got.acts[-1][:, 0]):
+            assert np.array_equal(v[got.index], forward_trace(h, sides)[-1][0])
         assert np.array_equal(got.t_pre, pair_forward(net, *stacked(X[iu], X[ju])).t_pre)
         assert np.array_equal(got.d, pair_values(net, X[iu], X[ju]))
         # gradients sum each row's sides in another order than per side
