@@ -6,12 +6,12 @@ the metric and the reducing function are both symmetric, so each unordered
 pair carries both ordered terms (risk.empirical_risk evaluates it).
 
 Training is plain subgradient descent on the sub-network parameters only,
-one in-place update of their one parameter vector per batch
-(StructuredMetricNet.params); the product and sign gadgets stay fixed,
-except that an optional anneal widens the sign band a early, so gradients
-stay alive where the output would saturate at +-1.  It returns a copy of
-the best iterate (lowest epoch risk): a trained proxy for the empirical
-minimizer, not a certified one.
+one in-place update of each of their per-layer stacks per batch
+(StructuredMetricNet.weights and .biases); the product and sign gadgets
+stay fixed, except that an optional anneal widens the sign band a early,
+so gradients stay alive where the output would saturate at +-1.  It
+returns a copy of the best iterate (lowest epoch risk): a trained proxy
+for the empirical minimizer, not a certified one.
 """
 
 from __future__ import annotations
@@ -162,9 +162,9 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
     shape (n,).  Each batch is then traced from its pairs' row indices with
     pair_forward(net, i, j, data), data being X feature-major, so each row
     a batch uses runs through the sub-networks once, and a step updates
-    the sub-networks' one parameter vector with one in-place subtraction.
-    Raises DivergenceError (with the epoch index) on non-finite losses or
-    gradients.
+    each per-layer stack of all m sub-networks with one in-place
+    subtraction.  Raises DivergenceError (with the epoch index) on
+    non-finite losses or gradients.
     """
     X, y = data
     X = _unit_cube_batch(X, net.input_dim)
@@ -197,14 +197,16 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
             if not math.isfinite(obj):
                 raise DivergenceError(f"non-finite objective at epoch {epoch}", epoch=epoch)
             upstream = tau * np.asarray(loss.subgradient(margin)) / iu.size
-            grads = pair_backward(work, trace, upstream)
-            gsq = _sum_of_squares(grads.weights, grads.biases)
+            weight_grads, bias_grads = pair_backward(work, trace, upstream)
+            gsq = _sum_of_squares(weight_grads, bias_grads)
+            grads = weight_grads + bias_grads
             # a finite sum of squares has finite terms; an infinite one may
             # only have overflowed
-            if not math.isfinite(gsq) and not np.isfinite(grads.flat).all():
+            if not math.isfinite(gsq) and not all(np.isfinite(g).all() for g in grads):
                 raise DivergenceError(f"non-finite gradient at epoch {epoch}", epoch=epoch)
             if lr != 0.0:
-                work.params -= lr * grads.flat
+                for p, g in zip(work.weights + work.biases, grads):
+                    p -= lr * g
             batch_risks.append(obj)
             batch_sizes.append(iu.size)
             batch_gnorms.append(math.sqrt(gsq))
@@ -216,10 +218,10 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
         actives.append(float(np.average(batch_active, weights=batch_sizes)))
         a_vals.append(a_now)
         if risks[-1] < best[0]:
-            best = (risks[-1], work.params.copy(), epoch)
+            best = (risks[-1], work.copy(), epoch)
 
-    work.params[...] = best[1]  # every epoch's risk is finite, so the first one sets best
-    work.sign = net.sign
+    trained = best[1]  # every epoch's risk is finite, so the first one sets best
+    trained.sign = net.sign
     report = TrainReport(
         risk=np.array(risks),
         grad_norm=np.array(gnorms),
@@ -228,4 +230,4 @@ def train(net: StructuredMetricNet, data, config: TrainConfig,
         final_risk=best[0],
         best_epoch=best[2],
     )
-    return work, report
+    return trained, report

@@ -77,8 +77,8 @@ class NetworkComplexity:
 @dataclass
 class ReluNetwork:
     """Feedforward ReLU network with an affine read-out.  Its layers may be
-    views of a larger array: a StructuredMetricNet's sub-networks slice its
-    one parameter vector, which training updates in place."""
+    views of larger arrays: a StructuredMetricNet's sub-networks slice its
+    per-layer stacks, which training updates in place."""
 
     layers: list[DenseLayer]
     input_dim: int

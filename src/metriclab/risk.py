@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ContractError, ExecutionError, ParameterError
-from .erm import TrainConfig, train, triu_pairs
+from .erm import TrainConfig, _agreement, train, triu_pairs
 from .losses import LossFunction, hinge_loss
 from .structured import (
     HypothesisBudget,
@@ -151,8 +151,7 @@ def empirical_risk(metric, data, loss: LossFunction) -> float:
     total = 0.0
     for block in pair_blocks(total_pairs):
         i, j = triu_pairs(n, np.arange(block.start, block.stop))
-        tau = np.where(y[i] == y[j], 1.0, -1.0)
-        total += float(loss.eval(tau * fn(X[i], X[j])).sum())
+        total += float(loss.eval(_agreement(y, i, j) * fn(X[i], X[j])).sum())
     return total / total_pairs
 
 

@@ -18,11 +18,12 @@ clip(t/a, -1, 1) (SignApprox.value_and_slope), and the sub-network layers
 are elementwise multiply-accumulates (relu_net._stack_trace), so a pair's
 value does not depend on where in a batch it sits.
 
-The m sub-networks are stored as one stack (StructuredMetricNet.params)
-and run as one: the forward pass does one multiply-accumulate per input
-column for all of them, the reverse pass one batched matmul per layer
-into one flat gradient laid out as params, and each sub-network's values
-and gradients are bit for bit the ones it would get on its own.
+The m sub-networks are stored as one stack per layer
+(StructuredMetricNet.weights and .biases) and run as one: the forward
+pass does one multiply-accumulate per input column for all of them, the
+reverse pass one batched matmul per layer into gradients shaped as those
+stacks, and each sub-network's values and gradients are bit for bit the
+ones it would get on its own.
 
 Exact symmetry holds by construction, not by an argument sort: u+v and
 S(u) + S(v) are commutative in floating point, so pair_values(X, X') and
@@ -48,8 +49,7 @@ import copy
 import json
 import math
 import os
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,78 +89,51 @@ class HypothesisBudget:
         return c.depth <= self.L_max and c.nonzero_weights <= self.W_max and c.units <= self.U_max
 
 
-@dataclass
 class StructuredMetricNet:
     """m scalar sub-networks h_i of one shape and the two fixed gadgets.
 
-    Every sub-network parameter lives in one float64 vector, ``params``,
-    layer after layer: layer k's weights of all m sub-networks are the
-    (m, out, in) view ``weights[k]``, its biases the (m, out) view
-    ``biases[k]``.  ``subnets[i].layers[k]`` holds slice i of those views,
-    so an in-place edit there edits ``params`` (rebinding an attribute
-    does not).  The constructor copies the parameters it is given; copy()
-    copies the one vector, and copy.deepcopy and pickle rebind the views
-    to the copied vector (__setstate__).
+    The sub-network parameters are stored once, per layer: layer k's
+    weights of all m sub-networks are the (m, out, in) array ``weights[k]``,
+    its biases the (m, out) array ``biases[k]``.  m, input_dim and subnets
+    are read from them; ``subnets[i].layers[k]`` holds the views
+    ``weights[k][i]`` and ``biases[k][i]``, so an in-place edit there edits
+    the net (rebinding an attribute does not).  The constructor copies the
+    parameters it is given, and copy() the arrays.
     """
 
-    subnets: list[ReluNetwork]
-    product: ProductGadget
-    sign: SignApprox
-    clamp_subnet_output: bool = True
-    params: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: list = field(init=False, repr=False, compare=False)
-    biases: list = field(init=False, repr=False, compare=False)
-    _layout: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.subnets:
+    def __init__(self, subnets: list[ReluNetwork], product: ProductGadget, sign: SignApprox,
+                 clamp_subnet_output: bool = True):
+        if not subnets:
             raise ParameterError("need at least one sub-network")
-        for h in self.subnets:
+        for h in subnets:
             if h.output_dim != 1:
                 raise InputShapeError("sub-networks must be scalar-valued")
         # one stack holds them all: one depth, one input dimension, one width per layer
-        shapes = {tuple(layer.weights.shape for layer in h.layers) for h in self.subnets}
+        shapes = {tuple(layer.weights.shape for layer in h.layers) for h in subnets}
         if len(shapes) != 1:
             raise ParameterError(f"sub-networks must share one layer shape, got {sorted(shapes)}")
-        parts, self._layout, lo = [], [], 0
-        for layers in zip(*(h.layers for h in self.subnets)):
-            w = np.stack([layer.weights for layer in layers])
-            b = np.stack([layer.bias for layer in layers])
-            parts += [w.ravel(), b.ravel()]
-            self._layout.append((slice(lo, lo + w.size), w.shape,
-                                 slice(lo + w.size, lo + w.size + b.size), b.shape))
-            lo += w.size + b.size
-        self._bind(np.concatenate(parts))
-
-    def _bind(self, params: np.ndarray) -> None:
-        """Make params the storage of every sub-network parameter."""
-        self.params = params
-        self.weights, self.biases = self.layer_views(params)
-        self.subnets = [ReluNetwork([DenseLayer(w[i], b[i]) for w, b in zip(self.weights,
-                                                                           self.biases)],
-                                    self.input_dim) for i in range(self.m)]
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._bind(self.params)
-
-    def layer_views(self, flat: np.ndarray):
-        """A vector laid out as params, as the per-layer (m, out, in) weight
-        and (m, out) bias views."""
-        return ([flat[w].reshape(w_shape) for w, w_shape, _, _ in self._layout],
-                [flat[b].reshape(b_shape) for _, _, b, b_shape in self._layout])
+        stacked = list(zip(*(h.layers for h in subnets)))
+        self.weights = [np.stack([layer.weights for layer in layers]) for layers in stacked]
+        self.biases = [np.stack([layer.bias for layer in layers]) for layers in stacked]
+        self.product, self.sign, self.clamp_subnet_output = product, sign, clamp_subnet_output
 
     @property
     def m(self) -> int:
-        return len(self.subnets)
+        return self.biases[0].shape[0]
 
     @property
     def input_dim(self) -> int:
-        return self.subnets[0].input_dim
+        return self.weights[0].shape[2]
+
+    @property
+    def subnets(self) -> list[ReluNetwork]:
+        return [ReluNetwork([DenseLayer(w[i], b[i]) for w, b in zip(self.weights, self.biases)],
+                            self.input_dim) for i in range(self.m)]
 
     def copy(self) -> "StructuredMetricNet":
         twin = copy.copy(self)
-        twin._bind(self.params.copy())
+        twin.weights = [w.copy() for w in self.weights]
+        twin.biases = [b.copy() for b in self.biases]
         return twin
 
 
@@ -256,30 +229,15 @@ def pair_values(net: StructuredMetricNet, X, Xp) -> np.ndarray:
     return np.concatenate(d)
 
 
-class SubnetGrads(Sequence):
-    """pair_backward's gradients: ``flat`` laid out as the net's params,
-    ``weights`` and ``biases`` its per-layer views, and item i sub-network
-    i's (weight_grads, bias_grads), views of those."""
-
-    def __init__(self, net: StructuredMetricNet):
-        self.flat = np.empty_like(net.params)
-        self.weights, self.biases = net.layer_views(self.flat)
-
-    def __len__(self) -> int:
-        return len(self.biases[0])
-
-    def __getitem__(self, i: int):
-        return [w[i] for w in self.weights], [b[i] for b in self.biases]
-
-
 def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarray):
     """Gradients of sum(upstream * d) w.r.t. sub-network parameters.
 
-    Returns a SubnetGrads: a sequence over sub-networks of (weight_grads,
-    bias_grads), each summed over the batch and over both pair sides.  The
-    product and sign gadgets are fixed: only input gradients flow through
-    them.  Per-side gradients are summed onto the traced points, so the
-    sub-networks are backpropagated once, all m in one reverse pass.
+    Returns (weight_grads, bias_grads), lists of arrays shaped as
+    net.weights and net.biases, each summed over the batch and over both
+    pair sides.  The product and sign gadgets are fixed: only input
+    gradients flow through them.  Per-side gradients are summed onto the
+    traced points, so the sub-networks are backpropagated once, all m in
+    one reverse pass.
     """
     m, batch, index = net.m, trace.d.size, trace.index
     k = trace.acts[0].shape[1]
@@ -295,8 +253,8 @@ def pair_backward(net: StructuredMetricNet, trace: PairTrace, upstream: np.ndarr
     if net.clamp_subnet_output:
         v = trace.acts[-1][:, 0]
         g *= (v > PRODUCT_DOMAIN[0]) & (v < PRODUCT_DOMAIN[1])
-    grads = SubnetGrads(net)
-    _stack_backprop(net.weights, trace.acts, g[:, None], (grads.weights, grads.biases))
+    grads = [np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases]
+    _stack_backprop(net.weights, trace.acts, g[:, None], grads)
     return grads
 
 
@@ -414,13 +372,19 @@ def load_manifest(out_dir) -> StructuredMetricNet:
     complexity, glue constants) must equal the one the rebuilt model gives;
     otherwise CertificationError.  So must the sub-network list: exactly
     subnet_0.json ... subnet_<m-1>.json, checked before any file is opened.
-    A file with a missing key or a malformed network raises a
-    ValidationFailure.
+    A file with a missing key, a value of the wrong JSON type or a
+    malformed network raises a ValidationFailure.
     """
     path = os.path.join(out_dir, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
+        # exact JSON types: Python takes true for the number 1
+        for key in ("m", "a", "epsilon", "clamp_subnet_output"):
+            kind = "boolean" if key == "clamp_subnet_output" else "number"
+            if type(manifest[key]) not in ((bool,) if kind == "boolean" else (int, float)):
+                raise ParameterError(f"manifest records {key}={manifest[key]!r}, "
+                                     f"not a JSON {kind}")
         # before build_product_gadget builds a branch as deep as epsilon asks
         # and evaluates its 2^depth + 1 knots
         check_depth(manifest["epsilon"], manifest["sawtooth_depth"])

@@ -230,6 +230,15 @@ def reference_pair_backward(net, trace: ReferenceTrace, upstream: np.ndarray):
     return grads
 
 
+def per_subnet(grads):
+    """pair_backward's per-layer (weight_grads, bias_grads) as one
+    (weight_grads, bias_grads) per sub-network, as reference_pair_backward
+    gives them."""
+    weight_grads, bias_grads = grads
+    return [([w[i] for w in weight_grads], [b[i] for b in bias_grads])
+            for i in range(len(bias_grads[0]))]
+
+
 def _reference_epoch_batches(config, rng, n: int):
     k = epoch_pairs(config, n)
     if config.pair_strategy == "uniform-subsample":

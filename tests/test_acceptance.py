@@ -33,7 +33,7 @@ from metriclab.structured import (
 )
 from metriclab.synthetic import estimate_noise_exponent, eta, make_task, true_metric_hinge
 
-from helpers import bias_shift, monotone, self_distance
+from helpers import bias_shift, monotone, per_subnet, self_distance
 
 ETA_GRID_101 = np.round(np.linspace(0.005, 0.995, 101), 12)
 ORACLE_TOL = 2e-6
@@ -241,7 +241,7 @@ def test_criterion_09_finite_difference_gradients():
             trace = pair_forward(net, [0], [1], np.column_stack([x, xp]))
             grads = pair_backward(net, trace, np.ones(1))
             h = 1e-5
-            for sub, (wg, bg) in zip(net.subnets, grads):
+            for sub, (wg, bg) in zip(net.subnets, per_subnet(grads)):
                 for layer, gw in zip(sub.layers, wg):
                     it = np.nditer(layer.weights, flags=["multi_index"])
                     for _ in it:

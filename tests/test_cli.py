@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -55,6 +56,31 @@ SWEEP_CONFIG = TINY_CONFIG + """\
   n_list: [16, 32, 64, 128]
   seeds: [0, 1, 2]
 """
+
+
+# SHA-256 of every deterministic output of TINY_CONFIG's train-eval and
+# SWEEP_CONFIG's rate-sweep (timings.csv holds wall times and is left out),
+# recorded with numpy 2.4.6 on Python 3.11.  A change that alters these
+# outputs on purpose records them again.
+TRAIN_EVAL_SHA256 = {
+    "train_report.csv": "dd7d62415bcc7a136d309deb521f4197e1d426781a34f5e3dfabb64d6e5fd054",
+    "risk_report.csv": "df30da734dbeac3e2cb9866ce8de1b61dca63428f7d8915b8b5fa0e004bf9e5f",
+    "model/manifest.json": "95abf88439558cd256ba4feff8cf447fe56fa4c7c26a3b4bc3a4f67818df2666",
+    "model/subnet_0.json": "7c3cd2c7d2006f5c379b4eee4fb7d5cdcc52b1b08401fac415bf576780c60498",
+    "model/subnet_1.json": "cff27065cdc598f137ebc5042a587376bd57bc9ecd9d1d980f36a7bfc48e396a",
+}
+SWEEP_SHA256 = {
+    "sweep_rows.csv": "a3fe459e321bbdeeae621db01319e77e33af03b9f18e880a62afbc4049fbba91",
+    "sweep_fit.csv": "cf0c1789e59fed8baca49db3c725b19be387a43371cc9d3601bae234d4d0e16b",
+    "plot_data.csv": "b91ebf74dbb401a1a088d62ff8cba1ff41f6b2d5e0b6654baf1e13ae75139941",
+}
+
+
+def assert_pinned(out_dir, pinned):
+    """Every file named in pinned has its recorded SHA-256."""
+    for name, digest in pinned.items():
+        got = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        assert got == digest, f"{name} changed: sha256 {got}, pinned {digest}"
 
 
 def write(tmp_path, name, text):
@@ -302,6 +328,7 @@ class TestTrainEval:
                 (tmp_path / "r2" / name).read_bytes()
         assert (tmp_path / "r1" / "model" / "subnet_0.json").read_bytes() == \
             (tmp_path / "r2" / "model" / "subnet_0.json").read_bytes()
+        assert_pinned(tmp_path / "r1", TRAIN_EVAL_SHA256)
 
     def test_n_below_two_rejected(self, tmp_path):
         cfg = write(tmp_path, "c.yaml", TINY_CONFIG.replace("n: 64", "n: 1"))
@@ -331,6 +358,7 @@ class TestRateSweepCommand:
         rows = (tmp_path / "sw" / "sweep_rows.csv").read_text().splitlines()
         assert rows[1].startswith("n,seed,excess")
         assert len(rows) == 2 + 12  # 4 sizes x 3 seeds
+        assert_pinned(tmp_path / "sw", SWEEP_SHA256)
 
     def test_single_n_rejected(self, tmp_path):
         bad = SWEEP_CONFIG.replace("n_list: [16, 32, 64, 128]", "n_list: [64]")

@@ -23,7 +23,7 @@ from metriclab.structured import (
 )
 from metriclab.synthetic import SyntheticTask, sample_dataset, two_value_model
 
-from helpers import atom_marginal, constant_subnet, reference_train
+from helpers import atom_marginal, constant_subnet, per_subnet, reference_train
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +192,6 @@ class TestTrain:
                           pairs_per_epoch=500 if strategy == "uniform-subsample" else None)
         trained, report = train(net, (X, y), cfg, hinge)
         frozen, want = reference_train(net, (X, y), cfg, hinge)
-        assert trained.params.tobytes() == frozen.params.tobytes()
         for h, g in zip(trained.subnets, frozen.subnets, strict=True):
             for layer, twin in zip(h.layers, g.layers, strict=True):
                 assert layer.weights.tobytes() == twin.weights.tobytes()
@@ -275,7 +274,7 @@ class TestTrain:
         h = 1e-6
 
         def shift(sign):
-            for sub, (wg, bg) in zip(net.subnets, grads):
+            for sub, (wg, bg) in zip(net.subnets, per_subnet(grads)):
                 for layer, gw, gb in zip(sub.layers, wg, bg):
                     layer.weights += sign * h * gw
                     layer.bias += sign * h * gb

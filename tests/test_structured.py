@@ -56,6 +56,7 @@ from helpers import (
     backward,
     constant_subnet,
     forward_trace,
+    per_subnet,
     reference_pair_backward,
     reference_pair_forward,
 )
@@ -159,21 +160,23 @@ class TestEvaluate:
 
 
 class TestParameterStack:
-    def test_subnet_layers_are_views_of_the_parameter_vector(self):
+    def test_subnet_layers_are_views_of_the_stacks(self):
         net = make_structured_net(p=2, m=3, depth=3, width=4, a=2.0, seed=1)
         X, Xp = np.random.default_rng(1).random((2, 50, 2))
         before = pair_values(net, X, Xp)
         assert np.all(np.abs(before) < 1.0)  # inside F_a's band, so every edit shows
         twin = net.copy()
         layer = net.subnets[1].layers[2]
-        assert np.shares_memory(layer.weights, net.params)
-        assert not np.shares_memory(twin.params, net.params)
+        assert np.shares_memory(layer.weights, net.weights[2])
+        assert np.shares_memory(layer.bias, net.biases[2])
+        for ours, theirs in zip(twin.weights + twin.biases, net.weights + net.biases):
+            assert not np.shares_memory(ours, theirs)
         layer.weights *= -3.0
         layer.bias += 0.5
         assert np.array_equal(net.weights[2][1], layer.weights)
         after = pair_values(net, X, Xp)
         assert not np.array_equal(after, before)
-        # the stack holds what the views show: a net rebuilt from them agrees
+        # the stacks hold what the views show: a net rebuilt from them agrees
         rebuilt = StructuredMetricNet(net.subnets, net.product, net.sign)
         assert np.array_equal(pair_values(rebuilt, X, Xp), after)
         # and the copy kept the parameters it was made with
@@ -181,18 +184,29 @@ class TestParameterStack:
         twin.subnets[0].layers[0].bias[:] = 0.0
         assert np.array_equal(pair_values(net, X, Xp), after)
 
+    def test_m_and_input_dim_are_read_from_the_stacks(self):
+        net = make_structured_net(p=3, m=2, depth=2, width=5, seed=0)
+        assert [w.shape for w in net.weights] == [(2, 5, 3), (2, 1, 5)]
+        assert [b.shape for b in net.biases] == [(2, 5), (2, 1)]
+        assert (net.m, net.input_dim, len(net.subnets)) == (2, 3, 2)
+        with pytest.raises(AttributeError):
+            net.subnets = []
+
     @pytest.mark.parametrize("duplicate", [copy.deepcopy,
                                            lambda net: pickle.loads(pickle.dumps(net))],
                              ids=["deepcopy", "pickle"])
-    def test_a_deep_copy_keeps_its_layers_views_of_its_own_vector(self, duplicate):
+    def test_a_deep_copy_is_an_independent_working_net(self, duplicate):
         net = make_structured_net(p=1, m=2, seed=0)
+        X, Xp = np.random.default_rng(2).random((2, 20, 1))
         twin = duplicate(net)
-        assert not np.shares_memory(twin.params, net.params)
+        assert np.array_equal(pair_values(twin, X, Xp), pair_values(net, X, Xp))
+        for ours, theirs in zip(twin.weights + twin.biases, net.weights + net.biases):
+            assert not np.shares_memory(ours, theirs)
         for h in twin.subnets:
-            for layer in h.layers:
-                assert np.shares_memory(layer.weights, twin.params)
-                assert np.shares_memory(layer.bias, twin.params)
-        twin.params[:] = 0.0
+            for k, layer in enumerate(h.layers):
+                assert np.shares_memory(layer.weights, twin.weights[k])
+                assert np.shares_memory(layer.bias, twin.biases[k])
+        twin.weights[0][...] = 0.0
         assert not twin.subnets[1].layers[0].weights.any()
         assert net.subnets[1].layers[0].weights.any()
 
@@ -202,7 +216,8 @@ class TestParameterStack:
         assert net.subnets[0] is not net.subnets[1]
         h.layers[0].bias[:] = 0.75
         net.subnets[0].layers[0].bias[:] = 0.5
-        assert net.params.tolist() == [0.0, 0.0, 0.5, 0.25]
+        assert net.weights[0].tolist() == [[[0.0]], [[0.0]]]
+        assert net.biases[0].tolist() == [[0.5], [0.25]]
 
 
 class TestStackedPass:
@@ -227,18 +242,13 @@ class TestStackedPass:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         upstream = rng.standard_normal(batch)
         grads = pair_backward(net, got, upstream)
+        # the gradients are shaped as the parameter stacks
+        assert [g.shape for g in grads[0] + grads[1]] == \
+            [a.shape for a in net.weights + net.biases]
         ref = reference_pair_backward(net, want, upstream)
-        for (gw, gb), (rw, rb) in zip(grads, ref, strict=True):
+        for (gw, gb), (rw, rb) in zip(per_subnet(grads), ref, strict=True):
             for ours, theirs in zip(gw + gb, rw + rb, strict=True):
                 assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
-        # the flat gradient is laid out as the parameters: per layer, all
-        # sub-networks' weights, then all their biases
-        layout = [np.stack([g[half][k] for g in ref]).ravel()
-                  for k in range(depth) for half in (0, 1)]
-        assert grads.flat.tobytes() == np.concatenate(layout).tobytes()
-        assert net.params.tobytes() == np.concatenate(
-            [np.stack([getattr(h.layers[k], a) for h in net.subnets]).ravel()
-             for k in range(depth) for a in ("weights", "bias")]).tobytes()
 
 
 def stacked(X, Xp):
@@ -422,7 +432,7 @@ class TestPairBackward:
         trace = pair_forward(net, *stacked(X, Xp))
         d, want = branch_reference(net, X, Xp, upstream)
         assert np.max(np.abs(trace.d - d)) <= 1e-12
-        for (gw, gb), (rw, rb) in zip(pair_backward(net, trace, upstream), want):
+        for (gw, gb), (rw, rb) in zip(per_subnet(pair_backward(net, trace, upstream)), want):
             for ours, ref in zip(gw + gb, rw + rb):
                 assert np.max(np.abs(ours - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
@@ -440,7 +450,7 @@ class TestPairBackward:
                                         min_size=i.size, max_size=i.size)))
         X, Xp = points[i], points[j]
         upstream = rng.standard_normal(i.size)
-        got = pair_backward(net, pair_forward(net, *stacked(X, Xp)), upstream)
+        got = per_subnet(pair_backward(net, pair_forward(net, *stacked(X, Xp)), upstream))
         want = reference_subnet_grads(net, X, Xp, upstream)
         for (gw, gb), (rw, rb) in zip(got, want):
             for ours, ref in zip(gw + gb, rw + rb):
@@ -460,12 +470,12 @@ class TestPairBackward:
         X, Xp = rng.random((2, batch, 2))
         upstream = rng.standard_normal(batch)
         trace = pair_forward(net, *stacked(X, Xp))
-        got = pair_backward(net, trace, upstream)
+        got = per_subnet(pair_backward(net, trace, upstream))
         sign_net = net.sign.net
         g_t = backprop(sign_net, forward_trace(sign_net, trace.t_pre[None, :]),
                         upstream[None, :])[2][0]
         unit_slope = dataclasses.replace(trace, sign_slope=np.ones_like(trace.sign_slope))
-        want = pair_backward(net, unit_slope, g_t)
+        want = per_subnet(pair_backward(net, unit_slope, g_t))
         for (gw, gb), (rw, rb) in zip(got, want):
             for ours, ref in zip(gw + gb, rw + rb):
                 assert ours.tobytes() == ref.tobytes()
@@ -505,7 +515,7 @@ class TestIndexPath:
         assert np.array_equal(got.d, pair_values(net, X[iu], X[ju]))
         # gradients sum each row's sides in another order than per side
         upstream = rng.standard_normal(batch)
-        for (gw, gb), (rw, rb) in zip(pair_backward(net, got, upstream),
+        for (gw, gb), (rw, rb) in zip(per_subnet(pair_backward(net, got, upstream)),
                                       reference_subnet_grads(net, X[iu], X[ju], upstream)):
             for ours, ref in zip(gw + gb, rw + rb):
                 tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
@@ -709,6 +719,16 @@ class TestPersistence:
         model = self.saved(tmp_path)
         self.tamper(model / "manifest.json", key, value=value)
         with pytest.raises(CertificationError, match=key):
+            load_manifest(model)
+
+    @pytest.mark.parametrize("key,value", [("clamp_subnet_output", "yes"),
+                                           ("clamp_subnet_output", 1), ("a", True),
+                                           ("m", True), ("epsilon", True)])
+    def test_load_refuses_a_value_of_the_wrong_json_type(self, tmp_path, key, value):
+        # Python takes true for 1: neither may stand for the other
+        model = self.saved(tmp_path)
+        self.tamper(model / "manifest.json", key, value=value)
+        with pytest.raises(ParameterError, match=f"manifest records {key}="):
             load_manifest(model)
 
     def test_saves_only_the_manifest_and_the_subnets(self, tmp_path):
