@@ -1,8 +1,9 @@
 """Experiment configuration: strict YAML with unknown-key rejection.
 
-Four blocks: task, model, train, eval.  Unknown keys anywhere are errors
-(a silently ignored typo would invalidate a whole sweep), and every value
-is range-checked before any work starts.
+Four blocks: task, model, train, eval.  Unknown and repeated keys anywhere
+are errors (a silently ignored typo or a silently dropped value would
+invalidate a whole sweep), and every value is range-checked before any
+work starts.
 """
 
 from __future__ import annotations
@@ -107,6 +108,28 @@ def _typed(value, kind, where: str, label: str):
     return value
 
 
+def _refuse_repeated_keys(node, where: str, label: str, seen: set) -> None:
+    """Refuse a mapping at or under a YAML node that repeats a key (a YAML
+    loader keeps the last value silently); seen holds the nodes already
+    walked, so an alias is walked once."""
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    if node.id == "sequence":
+        for item in node.value:
+            _refuse_repeated_keys(item, where, label, seen)
+    elif node.id == "mapping":
+        keys = set()
+        for key, value in node.value:
+            if key.id == "scalar":  # building the mapping refuses any other key
+                line = key.start_mark.line + 1
+                _require(key.value not in keys, where,
+                         f"{label or 'top level'} repeats key {key.value!r} at line {line}")
+                keys.add(key.value)
+            child = f"{label} {key.value}" if label else f"[{key.value}]"
+            _refuse_repeated_keys(value, where, child, seen)
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a YAML experiment config."""
     # imported on first use: metric-lab and verify-gadgets read no config
@@ -119,10 +142,16 @@ def load_config(path) -> ExperimentConfig:
             raw = fh.read()
     except OSError as err:
         raise ConfigError(f"{where}: cannot read config ({err.strerror})") from err
-    try:
-        doc = yaml.safe_load(raw)
+    loader = yaml.SafeLoader(raw)
+    try:  # yaml.safe_load's two steps, with the node tree checked in between
+        node, doc = loader.get_single_node(), None
+        if node is not None:
+            _refuse_repeated_keys(node, where, "", set())
+            doc = loader.construct_document(node)
     except yaml.YAMLError as err:
         raise ConfigError(f"{where}: {err}") from err
+    finally:
+        loader.dispose()
     _require(isinstance(doc, dict), where, "top level must be a mapping")
     for name in doc:
         _require(name in _KEYS, where, f"unknown block [{name}] (allowed: {sorted(_KEYS)})")

@@ -19,14 +19,11 @@ single ReluNetwork is the stack of one (_as_stack).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputShapeError, ParameterError, ValidationFailure
-
-MODEL_FORMAT_VERSION = 2
+from .errors import DomainError, InputShapeError, ParameterError
 
 
 @dataclass
@@ -197,48 +194,3 @@ def complexity(net: ReluNetwork) -> NetworkComplexity:
     )
     units = sum(layer.out_width for layer in net.layers)
     return NetworkComplexity(depth, nnz, units)
-
-
-def save_model(net: ReluNetwork, path) -> None:
-    """Write the versioned model file (JSON; floats at full repr precision)."""
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "input_dim": net.input_dim,
-        "layers": [
-            {
-                "out_width": layer.out_width,
-                "in_width": layer.in_width,
-                "weights_row_major": [float(v) for v in layer.weights.ravel(order="C")],
-                "bias": [float(v) for v in layer.bias],
-            }
-            for layer in net.layers
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_model(path) -> ReluNetwork:
-    """Read a model file; a malformed one raises a ValidationFailure."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ParameterError(f"unsupported model format version "
-                                 f"{doc.get('format_version')!r}; this version reads "
-                                 f"format {MODEL_FORMAT_VERSION}")
-        if sorted(doc) != ["format_version", "input_dim", "layers"]:
-            raise ParameterError(f"model file {path} has keys {sorted(doc)}; format "
-                                 f"{MODEL_FORMAT_VERSION} has format_version, input_dim, layers")
-        layers = []
-        for spec in doc["layers"]:
-            w = np.array(spec["weights_row_major"], dtype=np.float64).reshape(
-                spec["out_width"], spec["in_width"]
-            )
-            layers.append(DenseLayer(w, np.array(spec["bias"], dtype=np.float64)))
-        return ReluNetwork(layers, doc["input_dim"])
-    except ValidationFailure:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise ParameterError(f"malformed model file {path}: {err!r}") from err

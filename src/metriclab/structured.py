@@ -23,7 +23,8 @@ The m sub-networks are stored as one stack per layer
 pass does one multiply-accumulate per input column for all of them, the
 reverse pass one batched matmul per layer into gradients shaped as those
 stacks, and each sub-network's values and gradients are bit for bit the
-ones it would get on its own.
+ones it would get on its own.  A saved model is those stacks and the
+gadgets' parameters in one JSON file (save_manifest, load_manifest).
 
 Exact symmetry holds by construction, not by an argument sort: u+v and
 S(u) + S(v) are commutative in floating point, so pair_values(X, X') and
@@ -62,14 +63,7 @@ from .gadgets import (
     build_sign_approx,
     check_depth,
 )
-from .relu_net import (
-    DenseLayer,
-    NetworkComplexity,
-    ReluNetwork,
-    complexity,
-    load_model,
-    save_model,
-)
+from .relu_net import DenseLayer, NetworkComplexity, ReluNetwork, complexity
 from .relu_net import _stack_backprop, _stack_trace, _unit_cube_batch
 
 # pair_values runs pair_forward on at most this many pairs at a time so that
@@ -326,8 +320,8 @@ def make_structured_net(p: int, m: int, depth: int = 2, width: int = 4, epsilon:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _manifest(net: StructuredMetricNet, subnet_files: list) -> dict:
-    """The manifest of net, every value recomputed from the nets."""
+def _manifest(net: StructuredMetricNet) -> dict:
+    """The manifest of net, every value recomputed from the net."""
     agg = aggregate_complexity(net)
     return {
         "m": net.m,
@@ -338,28 +332,31 @@ def _manifest(net: StructuredMetricNet, subnet_files: list) -> dict:
         "clamp_subnet_output": net.clamp_subnet_output,
         "aggregated_complexity": {"L": agg.depth, "W": agg.nonzero_weights, "U": agg.units},
         "glue_constants": glue_constants(net),
-        "subnets": subnet_files,
+        "layers": [{"weights": w.tolist(), "biases": b.tolist()}
+                   for w, b in zip(net.weights, net.biases)],
     }
 
 
-def _subnet_files(m: int) -> list:
-    """The sub-network file names of a saved model, the only ones load accepts."""
-    return [f"subnet_{i}.json" for i in range(m)]
+def _number_stack(value, ndim: int, where: str) -> np.ndarray:
+    """value, a JSON array nested ndim deep with only numbers in it, as float64."""
+    stack = np.array(value, dtype=object)
+    if stack.ndim != ndim or not all(type(v) in (int, float) for v in stack.flat):
+        raise ParameterError(f"manifest {where} is not an array of numbers nested {ndim} deep")
+    return stack.astype(np.float64)
 
 
 def save_manifest(net: StructuredMetricNet, out_dir) -> str:
-    """Write the composite as a manifest plus one model file per sub-network.
+    """Write the composite as one file, out_dir/manifest.json: the
+    sub-network stacks, one weights and one biases array per layer, and the
+    assembly parameters.
 
     The gadgets are not written: phi is fixed by epsilon and F_a by a, and
     load_manifest rebuilds both from the manifest.
     """
     os.makedirs(out_dir, exist_ok=True)
-    subnet_files = _subnet_files(net.m)
-    for h, fname in zip(net.subnets, subnet_files):
-        save_model(h, os.path.join(out_dir, fname))
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_manifest(net, subnet_files), fh, indent=1)
+        json.dump(_manifest(net), fh, indent=1)
         fh.write("\n")
     return path
 
@@ -369,11 +366,12 @@ def load_manifest(out_dir) -> StructuredMetricNet:
 
     phi is rebuilt and certified from the recorded epsilon, F_a from the
     recorded a, and every recorded value (m, sawtooth depth, sup error,
-    complexity, glue constants) must equal the one the rebuilt model gives;
-    otherwise CertificationError.  So must the sub-network list: exactly
-    subnet_0.json ... subnet_<m-1>.json, checked before any file is opened.
-    A file with a missing key, a value of the wrong JSON type or a
-    malformed network raises a ValidationFailure.
+    complexity, glue constants, the stacks) must equal the one the rebuilt
+    model gives; otherwise CertificationError.  A file with a missing key, a
+    value of the wrong JSON type, a layer entry with keys other than weights
+    and biases, stacks that are ragged, misnested, hold anything but numbers
+    or disagree on the sub-network count, or layers that do not chain
+    raises a ValidationFailure.
     """
     path = os.path.join(out_dir, "manifest.json")
     try:
@@ -388,19 +386,27 @@ def load_manifest(out_dir) -> StructuredMetricNet:
         # before build_product_gadget builds a branch as deep as epsilon asks
         # and evaluates its 2^depth + 1 knots
         check_depth(manifest["epsilon"], manifest["sawtooth_depth"])
-        # only the names save_manifest writes, so no entry reaches outside out_dir
-        files = manifest["subnets"]
-        if files != _subnet_files(len(files)):
-            raise CertificationError(f"manifest lists sub-network files {files!r}, not "
-                                     f"subnet_0.json ... subnet_<m-1>.json in out_dir")
-        subnets = [load_model(os.path.join(out_dir, f)) for f in files]
+        stacks = []
+        for k, layer in enumerate(manifest["layers"]):
+            if sorted(layer) != ["biases", "weights"]:
+                raise ParameterError(f"manifest layer {k} has keys {sorted(layer)}, not biases "
+                                     f"and weights")
+            stacks.append((_number_stack(layer["weights"], 3, f"layer {k} weights"),
+                           _number_stack(layer["biases"], 2, f"layer {k} biases")))
+        counts = {stack.shape[0] for layer in stacks for stack in layer}
+        if len(counts) != 1:
+            raise ParameterError(f"manifest layers stack {sorted(counts)} sub-networks, "
+                                 f"not one count m={manifest['m']} for all")
+        subnets = [ReluNetwork([DenseLayer(w[i], b[i]) for w, b in stacks], stacks[0][0].shape[2])
+                   for i in range(counts.pop())]
         net = StructuredMetricNet(subnets, build_product_gadget(manifest["epsilon"]),
                                   build_sign_approx(manifest["a"]),
                                   manifest["clamp_subnet_output"])
-        for key, value in _manifest(net, manifest["subnets"]).items():
+        for key, value in _manifest(net).items():
             if manifest[key] != value:
                 raise CertificationError(f"manifest records {key}={manifest[key]!r}, "
                                          f"the rebuilt model gives {value!r}")
-    except (KeyError, TypeError, json.JSONDecodeError) as err:
+    # OverflowError: a JSON integer too large for a float
+    except (KeyError, TypeError, OverflowError, json.JSONDecodeError) as err:
         raise ParameterError(f"malformed manifest in {out_dir}: {err!r}") from err
     return net

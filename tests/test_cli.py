@@ -58,21 +58,36 @@ SWEEP_CONFIG = TINY_CONFIG + """\
 """
 
 
-# SHA-256 of every deterministic output of TINY_CONFIG's train-eval and
-# SWEEP_CONFIG's rate-sweep (timings.csv holds wall times and is left out),
-# recorded with numpy 2.4.6 on Python 3.11.  A change that alters these
-# outputs on purpose records them again.
+# SHA-256 of every deterministic output of TINY_CONFIG's gen-data and
+# train-eval, SWEEP_CONFIG's rate-sweep (timings.csv holds wall times and is
+# left out), LAB_ARGS' metric-lab and VERIFY_ARGS' verify-gadgets, recorded
+# with numpy 2.4.6 on Python 3.11.  A change that alters these outputs on
+# purpose records them again.
+GEN_DATA_SHA256 = {
+    "dataset.csv": "fac3cf6a3daa0d31e3f150b9fc7b5aca8c154a86e75969a434bc74cfb5ebe46b",
+}
 TRAIN_EVAL_SHA256 = {
     "train_report.csv": "dd7d62415bcc7a136d309deb521f4197e1d426781a34f5e3dfabb64d6e5fd054",
     "risk_report.csv": "df30da734dbeac3e2cb9866ce8de1b61dca63428f7d8915b8b5fa0e004bf9e5f",
-    "model/manifest.json": "95abf88439558cd256ba4feff8cf447fe56fa4c7c26a3b4bc3a4f67818df2666",
-    "model/subnet_0.json": "7c3cd2c7d2006f5c379b4eee4fb7d5cdcc52b1b08401fac415bf576780c60498",
-    "model/subnet_1.json": "cff27065cdc598f137ebc5042a587376bd57bc9ecd9d1d980f36a7bfc48e396a",
+    "model/manifest.json": "5d5dbc926f91362a7a649db5a42f99a2eb14080a4bfef84dfbc301abb329224e",
 }
 SWEEP_SHA256 = {
     "sweep_rows.csv": "a3fe459e321bbdeeae621db01319e77e33af03b9f18e880a62afbc4049fbba91",
     "sweep_fit.csv": "cf0c1789e59fed8baca49db3c725b19be387a43371cc9d3601bae234d4d0e16b",
     "plot_data.csv": "b91ebf74dbb401a1a088d62ff8cba1ff41f6b2d5e0b6654baf1e13ae75139941",
+}
+LAB_ARGS = ["metric-lab", "--eta-points", "11", "--pairs", "20"]
+LAB_SHA256 = {
+    "checks_summary.txt": "6c89a172fd065e4bd5bef6a5e9cf07f84732817a2ce00291ef7ba79b17894f53",
+    "profile_exponential.csv": "7b0bd5d39e71abf911706fa6e77371fd4841626d1cc41973397c8a88eca0380e",
+    "profile_hinge.csv": "b00fcd38aa2bbcbe3dec539e767755aa468f8cbce1ee1ac6335ca5d58fa9de75",
+    "profile_logistic.csv": "23f44eb3f4c76681f76b2437be250b95f3cf7d99cdbcf7b3ef2591bdd5b34c72",
+    "profile_modified_least_squares.csv":
+        "3d37b2b96cced2823a5615bb3728827c41030ce94528dded95510e6a3c74fb77",
+}
+VERIFY_ARGS = ["verify-gadgets", "--epsilons", "1e-2", "1e-3"]
+VERIFY_SHA256 = {
+    "gadget_certificates.csv": "1d822c3d18ba6c727838b9b33ad8fa9163db47680cd29ca85eee6e902bef010b",
 }
 
 
@@ -117,6 +132,11 @@ class TestVerifyGadgets:
 
     def test_rejects_epsilon_outside_range(self):
         assert main(["verify-gadgets", "--epsilons", "0.6"]) == EXIT_VALIDATION
+
+    def test_certificates_are_pinned(self, tmp_path):
+        assert main([*VERIFY_ARGS, "--out", str(tmp_path / "vg")]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path / "vg")) == sorted(VERIFY_SHA256)
+        assert_pinned(tmp_path / "vg", VERIFY_SHA256)
 
     def test_draws_nothing_so_takes_no_seed(self, tmp_path, capsys):
         assert exit_code(["verify-gadgets", "--seed", "0"]) == EXIT_VALIDATION
@@ -165,6 +185,11 @@ class TestMetricLab:
         profile = (tmp_path / "lab" / "profile_hinge.csv").read_text().splitlines()
         assert profile[1] == "eta,tstar_oracle,tstar_analytic,q_min"
         assert (tmp_path / "lab" / "checks_summary.txt").exists()
+
+    def test_outputs_are_pinned(self, tmp_path):
+        assert main([*LAB_ARGS, "--out", str(tmp_path / "lab")]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path / "lab")) == sorted(LAB_SHA256)
+        assert_pinned(tmp_path / "lab", LAB_SHA256)
 
     def test_unknown_loss_rejected(self, tmp_path):
         code = main(["metric-lab", "--losses", "perceptron", "--out", str(tmp_path)])
@@ -278,6 +303,7 @@ class TestGenData:
         main(["gen-data", "--config", cfg, "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "dataset.csv").read_bytes() == \
             (tmp_path / "b" / "dataset.csv").read_bytes()
+        assert_pinned(tmp_path / "a", GEN_DATA_SHA256)
 
     def test_round_trip(self, tmp_path):
         cfg = write(tmp_path, "c.yaml", TINY_CONFIG)
@@ -326,8 +352,9 @@ class TestTrainEval:
         for name in ("risk_report.csv", "train_report.csv"):
             assert (tmp_path / "r1" / name).read_bytes() == \
                 (tmp_path / "r2" / name).read_bytes()
-        assert (tmp_path / "r1" / "model" / "subnet_0.json").read_bytes() == \
-            (tmp_path / "r2" / "model" / "subnet_0.json").read_bytes()
+        assert (tmp_path / "r1" / "model" / "manifest.json").read_bytes() == \
+            (tmp_path / "r2" / "model" / "manifest.json").read_bytes()
+        assert os.listdir(tmp_path / "r1" / "model") == ["manifest.json"]
         assert_pinned(tmp_path / "r1", TRAIN_EVAL_SHA256)
 
     def test_n_below_two_rejected(self, tmp_path):
@@ -518,6 +545,20 @@ def test_metric_lab_loads_neither_yaml_nor_the_pool(tmp_path):
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[], EXIT_OK, []]
 
 
+def test_the_package_root_loads_no_pipeline_module():
+    # the root serves the set-up probe's three names; the trainer, the risk
+    # estimates, the tasks, the configs and the CLI load when first imported
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(metriclab.__file__))}
+    code = "import json, sys, metriclab; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "metriclab.structured" in loaded
+    assert loaded.isdisjoint({f"metriclab.{name}"
+                              for name in ("erm", "risk", "synthetic", "config", "cli")})
+
+
 # Imports the CLI and runs the argv given twice; prints the collector's
 # freeze count after the import and after each run.
 _FREEZE_COUNTS = """
@@ -575,6 +616,22 @@ class TestConfigValidation:
         cfg = write(tmp_path, "bad.yaml", TINY_CONFIG + "  typo_key: 3\n")
         with pytest.raises(ConfigError, match=r"\[eval\] unknown key 'typo_key'"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("old, new, message", [
+        pytest.param("eval:\n", "task:\n  family: linear\n  p: 2\neval:\n",
+                     "top level repeats key 'task' at line 21", id="block"),
+        pytest.param("  epochs: 25\n", "  epochs: 40\n  epochs: 2\n",
+                     "[train] repeats key 'epochs' at line 15", id="train-key"),
+        pytest.param("decay: 0.8}", "decay: 0.8, start: 2.0}",
+                     "[model] a_anneal repeats key 'start' at line 11", id="flow-mapping"),
+    ])
+    def test_a_repeated_key_exits_two_before_out(self, tmp_path, capsys, old, new, message):
+        # a YAML loader keeps the last of two equal keys; load_config refuses them
+        cfg = write(tmp_path, "c.yaml", TINY_CONFIG.replace(old, new, 1))
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_block_rejected(self, tmp_path):
         cfg = write(tmp_path, "bad.yaml", TINY_CONFIG + "extras:\n  x: 1\n")

@@ -1,20 +1,14 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclab.errors import DomainError, InputShapeError, ParameterError, ValidationFailure
+from metriclab.errors import DomainError, InputShapeError
 from metriclab.relu_net import (
     DenseLayer,
     ReluNetwork,
-    _as_stack,
-    _stack_trace,
     complexity,
     forward,
-    load_model,
-    save_model,
 )
 
 from helpers import backward
@@ -193,68 +187,3 @@ class TestPiecewiseLinearity:
                 found += 1
         assert found > 50
 
-
-class TestPersistence:
-    def test_round_trip_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(11)
-        net = random_net(rng, [3, 7, 2])
-        path = tmp_path / "model.json"
-        save_model(net, path)
-        assert sorted(json.loads(path.read_text())) == ["format_version", "input_dim", "layers"]
-        loaded = load_model(path)
-        X = rng.standard_normal((1000, 3))
-        out_a = forward(net, X)
-        out_b = forward(loaded, X)
-        assert np.array_equal(out_a, out_b)
-        assert loaded.input_dim == net.input_dim
-        for a, b in zip(net.layers, loaded.layers, strict=True):
-            assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10_000), p=st.integers(1, 3), depth=st.integers(1, 4),
-           width=st.integers(1, 8))
-    def test_format_2_round_trip_property(self, tmp_path_factory, seed, p, depth, width):
-        # every layer's trace reloads bit for bit, and saving again gives
-        # the same bytes
-        rng = np.random.default_rng(seed)
-        net = random_net(rng, [p] + [width] * (depth - 1) + [1])
-        tmp = tmp_path_factory.mktemp("model")
-        save_model(net, tmp / "a.json")
-        loaded = load_model(tmp / "a.json")
-        X = rng.random((p, 64))
-        for a, b in zip(_stack_trace(*_as_stack(net), X), _stack_trace(*_as_stack(loaded), X),
-                        strict=True):
-            assert np.array_equal(a, b)
-        save_model(loaded, tmp / "b.json")
-        assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
-
-    def test_format_1_is_rejected_naming_its_version(self, tmp_path):
-        path = tmp_path / "model.json"
-        save_model(random_net(np.random.default_rng(5), [2, 3, 1]), path)
-        doc = json.loads(path.read_text())
-        # a format-1 file as earlier versions wrote it
-        doc = {"format_version": 1, "input_dim": doc["input_dim"],
-               "apply_final_relu": False, "metadata": {}, "layers": doc["layers"]}
-        path.write_text(json.dumps(doc, indent=1) + "\n")
-        with pytest.raises(ParameterError, match="format version 1"):
-            load_model(path)
-
-    @pytest.mark.parametrize("fault", ["missing key", "wrong shape", "broken chain", "not json",
-                                       "extra key"])
-    def test_malformed_file_is_a_validation_failure(self, tmp_path, fault):
-        path = tmp_path / "model.json"
-        save_model(random_net(np.random.default_rng(5), [2, 3, 1]), path)
-        doc = json.loads(path.read_text())
-        if fault == "missing key":
-            del doc["layers"][0]["bias"]
-        elif fault == "wrong shape":
-            doc["layers"][0]["out_width"] = 4
-        elif fault == "broken chain":
-            doc["input_dim"] = 5
-        elif fault == "extra key":
-            # a format-1 switch in a format-2 file would be silently ignored
-            doc["apply_final_relu"] = True
-        text = "{not json" if fault == "not json" else json.dumps(doc)
-        path.write_text(text)
-        with pytest.raises(ValidationFailure):
-            load_model(path)
